@@ -7,17 +7,21 @@ matrix with its own derived seed, and the reported numbers are medians
 over all completed repetitions.  Timing covers sketch construction plus
 rank-k reconstruction only; dataset loading and the exact reference SVD
 are excluded.
+
+Repetitions run serially, one after another, so each one's timing is free
+of contention from the others.  A repetition that raises ``NumericalError``
+or ``numpy.linalg.LinAlgError`` is logged, counted as failed and left out
+of the medians; any other exception aborts the campaign.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
-import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import median_low
@@ -27,14 +31,15 @@ import numpy as np
 
 from .datagen import SyntheticSpec, generate_synthetic
 from .dataio import load_edge_list, load_matrix_market, load_svmlight
-from .linalg import Matrix, as_dense
+from .linalg import Matrix, NumericalError, as_dense
 from .lowrank import approx_from_basis, best_rank_k, error_report
-from .netrank import parse_sketcher_id
 from .sketch import (
+    SketchOutput,
     SpfdConfig,
     dct_sketch,
     fd_sketch,
     norm_sampling_sketch,
+    parse_sketcher_id,
     spemb_sketch,
     spfd_sketch,
 )
@@ -210,36 +215,34 @@ def derive_seed(base: int, matrix_idx: int, rep_idx: int, method: str, ell: int)
     return int(ss.generate_state(1)[0])
 
 
+def sketch_by_id(a: Matrix, method: str, ell: int, seed: int) -> SketchOutput:
+    """Run the sketcher named by ``method`` (see ``parse_sketcher_id``) once.
+
+    The randomized sketchers draw from ``default_rng(seed)``; ``spfd<q>``
+    takes ``seed`` as its config seed; ``fd`` ignores it.
+    """
+    kind, q = parse_sketcher_id(method)
+    if kind == "fd":
+        return fd_sketch(a, ell)
+    if kind == "spemb":
+        return spemb_sketch(a, ell, np.random.default_rng(seed))
+    if kind == "normsamp":
+        return norm_sampling_sketch(a, ell, np.random.default_rng(seed))
+    if kind == "dct":
+        return dct_sketch(a, ell, np.random.default_rng(seed))
+    return spfd_sketch(a, SpfdConfig(ell=ell, q=q, seed=seed))
+
+
 def run_method(a: Matrix, method: str, ell: int, k: int, seed: int):
     """One timed repetition: sketch, then rank-k reconstruction factors.
 
     Returns ``(factors, elapsed_seconds)`` where the clock covers exactly
     the sketch and the reconstruction.
     """
-    kind, q = parse_sketcher_id(method)
     t0 = time.perf_counter()
-    if kind == "fd":
-        out = fd_sketch(a, ell)
-    elif kind == "spemb":
-        out = spemb_sketch(a, ell, np.random.default_rng(seed))
-    elif kind == "normsamp":
-        out = norm_sampling_sketch(a, ell, np.random.default_rng(seed))
-    elif kind == "dct":
-        out = dct_sketch(a, ell, np.random.default_rng(seed))
-    else:
-        out = spfd_sketch(a, SpfdConfig(ell=ell, q=q, seed=seed))
+    out = sketch_by_id(a, method, ell, seed)
     factors = approx_from_basis(a, out.basis, k)
     return factors, time.perf_counter() - t0
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("SKETCHLAB_THREADS", "")
-    if raw.strip():
-        count = int(raw)
-        if count < 1:
-            raise ValueError("SKETCHLAB_THREADS must be >= 1")
-        return count
-    return os.cpu_count() or 1
 
 
 def _exact_reference(a: Matrix, k: int):
@@ -286,28 +289,21 @@ def run_benchmark(cfg: BenchConfig) -> list[ResultRow]:
             a = file_matrix
             exact = file_exact
 
-        def one(task):
-            method, ell, rep = task
+        for method, ell, rep in itertools.product(
+            cfg.methods, cfg.ells, range(inner)
+        ):
             seed = derive_seed(cfg.seed, matrix_idx, rep, method, ell)
-            factors, elapsed = run_method(a, method, ell, cfg.k, seed)
-            if exact is None:
-                return method, ell, (None, None, elapsed)
-            report = error_report(a, factors, exact, elapsed)
-            return method, ell, (report.fro_ratio, report.spec_ratio, elapsed)
-
-        tasks = [
-            (method, ell, rep)
-            for method in cfg.methods
-            for ell in cfg.ells
-            for rep in range(inner)
-        ]
-        with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-            for task, outcome in zip(tasks, pool.map(_guard(one), tasks)):
-                method, ell = task[0], task[1]
-                if outcome is None:
-                    failures[(method, ell)] += 1
-                else:
-                    results[(outcome[0], outcome[1])].append(outcome[2])
+            try:
+                factors, elapsed = run_method(a, method, ell, cfg.k, seed)
+                fro = spec = None
+                if exact is not None:
+                    report = error_report(a, factors, exact, elapsed)
+                    fro, spec = report.fro_ratio, report.spec_ratio
+            except (NumericalError, np.linalg.LinAlgError):
+                log.exception("repetition %s failed", (method, ell, rep))
+                failures[(method, ell)] += 1
+                continue
+            results[(method, ell)].append((fro, spec, elapsed))
 
     rows = []
     for method in sorted(cfg.methods):
@@ -334,17 +330,6 @@ def run_benchmark(cfg: BenchConfig) -> list[ResultRow]:
                 )
             )
     return rows
-
-
-def _guard(fn):
-    def wrapped(task):
-        try:
-            return fn(task)
-        except Exception:
-            log.exception("repetition %s failed", task)
-            return None
-
-    return wrapped
 
 
 def _fmt(value: Optional[float]) -> str:

@@ -18,24 +18,16 @@ import sys
 
 import numpy as np
 
-from .bench import emit_results, load_config, load_dataset_file, run_benchmark
+from .bench import (
+    emit_results,
+    load_config,
+    load_dataset_file,
+    run_benchmark,
+    sketch_by_id,
+)
 from .datagen import SyntheticSpec, generate_synthetic
 from .dataio import load_edge_list, save_matrix_market
-from .netrank import (
-    expm_scores_exact,
-    expm_scores_sketched,
-    hits,
-    parse_sketcher_id,
-    ranking_overlap,
-)
-from .sketch import (
-    SpfdConfig,
-    dct_sketch,
-    fd_sketch,
-    norm_sampling_sketch,
-    spemb_sketch,
-    spfd_sketch,
-)
+from .netrank import expm_scores_exact, expm_scores_sketched, hits, ranking_overlap
 
 __all__ = ["main"]
 
@@ -111,17 +103,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_sketch(args) -> int:
     a = load_dataset_file(args.input, args.format)
-    kind, q = parse_sketcher_id(args.method)
-    if kind == "fd":
-        out = fd_sketch(a, args.ell)
-    elif kind == "spemb":
-        out = spemb_sketch(a, args.ell, args.seed)
-    elif kind == "normsamp":
-        out = norm_sampling_sketch(a, args.ell, args.seed)
-    elif kind == "dct":
-        out = dct_sketch(a, args.ell, args.seed)
-    else:
-        out = spfd_sketch(a, SpfdConfig(ell=args.ell, q=q, seed=args.seed))
+    out = sketch_by_id(a, args.method, args.ell, args.seed)
     save_matrix_market(args.out_b, out.sketch)
     print(f"wrote sketch B ({out.sketch.shape[0]}x{out.sketch.shape[1]}) "
           f"to {args.out_b}")

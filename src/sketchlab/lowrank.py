@@ -98,20 +98,16 @@ def approx_from_basis(a: Matrix, v: np.ndarray, k: int) -> LowRankFactors:
     """Best rank-k approximation of ``a`` within the row space spanned by the
     orthonormal columns of ``v``.
 
-    Forms ``a @ v`` (respecting sparsity), truncates it to rank k by SVD and
-    returns the factors of the rotated-back approximation.
+    Keeps the top k singular triplets of ``approx_svd(a, v)``, i.e. the
+    rank-k truncation of ``a @ v`` rotated back with ``v``.
     """
-    v = as_dense(v)
     if k > v.shape[1]:
         raise ValueError(f"k={k} exceeds the basis width {v.shape[1]}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_orthonormal(v)
-    av = a @ v
-    res = svd(av)
+    res = approx_svd(a, v)
     left = res.u[:, :k] * res.sigma[:k]
-    right = v @ res.vt[:k].T
-    return LowRankFactors(left=left, right_basis=right, k=k)
+    return LowRankFactors(left=left, right_basis=res.v[:, :k].copy(), k=k)
 
 
 def approx_svd(a: Matrix, v: np.ndarray) -> ApproxSvd:

@@ -29,6 +29,7 @@ from .sketch import (
     dct_sketch,
     fd_sketch,
     norm_sampling_sketch,
+    parse_sketcher_id,
     spemb_sketch,
     spfd_sketch,
 )
@@ -39,7 +40,6 @@ __all__ = [
     "expm_scores_exact",
     "expm_scores_sketched",
     "ranking_overlap",
-    "parse_sketcher_id",
 ]
 
 _EXACT_SIZE_GUARD = 4000
@@ -168,20 +168,6 @@ def expm_scores_exact(adj, top_k: int = 10) -> RankingResult:
     res = svd(adj.toarray())
     hub, auth = _cosh_scores(res.u, res.vt.T, res.sigma)
     return _result(hub, auth, "expm", time.perf_counter() - t0, top_k)
-
-
-def parse_sketcher_id(method: str) -> tuple[str, int | None]:
-    """Split a sketcher id like ``spfd50`` into ``("spfd", 50)``; plain ids
-    come back with ``None``."""
-    method = method.strip().lower()
-    if method in ("normsamp", "dct", "spemb", "fd"):
-        return method, None
-    if method.startswith("spfd"):
-        suffix = method[4:]
-        if not suffix:
-            raise ValueError("spfd needs a block count, e.g. 'spfd10'")
-        return "spfd", int(suffix)
-    raise ValueError(f"unknown sketcher id '{method}'")
 
 
 def _sketch_basis(adj, method: str, ell: int, rng: np.random.Generator):

@@ -56,6 +56,7 @@ __all__ = [
     "spfd_sketch",
     "norm_sampling_sketch",
     "dct_sketch",
+    "parse_sketcher_id",
 ]
 
 RngLike = Union[int, np.random.Generator]
@@ -66,6 +67,24 @@ def as_generator(rng: RngLike) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
+
+
+def parse_sketcher_id(method: str) -> tuple[str, Optional[int]]:
+    """Split a sketcher id like ``spfd50`` into ``("spfd", 50)``; plain ids
+    come back with ``None``.  The block count is an ASCII-digit suffix of
+    at least 1."""
+    method = method.strip().lower()
+    if method in ("normsamp", "dct", "spemb", "fd"):
+        return method, None
+    if method.startswith("spfd"):
+        suffix = method[4:]
+        if not (suffix.isascii() and suffix.isdigit()) or int(suffix) < 1:
+            raise ValueError(
+                f"bad sketcher id '{method}': spfd needs a block count >= 1, "
+                "e.g. 'spfd10'"
+            )
+        return "spfd", int(suffix)
+    raise ValueError(f"unknown sketcher id '{method}'")
 
 
 @dataclass(frozen=True)

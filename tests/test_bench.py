@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 
 import pytest
 
@@ -14,6 +15,7 @@ from sketchlab.bench import (
     run_method,
 )
 from sketchlab.datagen import SyntheticSpec, generate_synthetic
+from sketchlab.linalg import NumericalError
 
 
 def small_cfg(**overrides):
@@ -201,12 +203,27 @@ class TestRunBenchmark:
         rows = run_benchmark(cfg)
         assert {r.ell for r in rows} == {2, 4}
 
-    def test_thread_env(self, monkeypatch):
-        monkeypatch.setenv("SKETCHLAB_THREADS", "1")
-        assert len(run_benchmark(small_cfg())) == 4
-        monkeypatch.setenv("SKETCHLAB_THREADS", "0")
-        with pytest.raises(ValueError):
+    def test_programming_error_aborts(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("ratio below the optimality floor")
+
+        monkeypatch.setattr(bench, "error_report", broken)
+        with pytest.raises(ValueError, match="optimality floor"):
             run_benchmark(small_cfg())
+
+    def test_numerical_failure_counted(self, monkeypatch, caplog):
+        real = bench.run_method
+
+        def flaky(a, method, *args):
+            if method == "spemb":
+                raise NumericalError("did not converge")
+            return real(a, method, *args)
+
+        monkeypatch.setattr(bench, "run_method", flaky)
+        with caplog.at_level(logging.WARNING, logger="sketchlab.bench"):
+            rows = run_benchmark(small_cfg())
+        assert [(r.method, r.ell, r.reps) for r in rows] == [("fd", 3, 2), ("fd", 6, 2)]
+        assert "2 of 2 repetitions failed" in caplog.text
 
 
 class TestEmit:

@@ -1,9 +1,18 @@
 import json
 
 import numpy as np
+import pytest
 
 from sketchlab.cli import main
 from sketchlab.dataio import load_matrix_market
+from sketchlab.sketch import (
+    SpfdConfig,
+    dct_sketch,
+    fd_sketch,
+    norm_sampling_sketch,
+    spemb_sketch,
+    spfd_sketch,
+)
 
 
 def write_graph(tmp_path):
@@ -36,14 +45,23 @@ class TestGen:
 
 
 class TestSketch:
-    def test_writes_b_and_v(self, tmp_path):
+    DIRECT = {
+        "fd": lambda a: fd_sketch(a, 4),
+        "spemb": lambda a: spemb_sketch(a, 4, 3),
+        "normsamp": lambda a: norm_sampling_sketch(a, 4, 3),
+        "dct": lambda a: dct_sketch(a, 4, 3),
+        "spfd2": lambda a: spfd_sketch(a, SpfdConfig(ell=4, q=2, seed=3)),
+    }
+
+    @pytest.mark.parametrize("method", sorted(DIRECT))
+    def test_writes_b_and_v(self, tmp_path, method):
         data = tmp_path / "a.mtx"
         main(["gen", "--n", "40", "--d", "10", "--k", "3", "--seed", "2",
               "--out", str(data)])
         out_b, out_v = tmp_path / "b.mtx", tmp_path / "v.mtx"
         code = main([
             "sketch", "--input", str(data), "--format", "matrixmarket",
-            "--method", "spfd2", "--ell", "4", "--seed", "3",
+            "--method", method, "--ell", "4", "--seed", "3",
             "--out-b", str(out_b), "--out-v", str(out_v),
         ])
         assert code == 0
@@ -52,6 +70,10 @@ class TestSketch:
         assert b.shape == (4, 10)
         assert v.shape == (10, 4)
         assert np.abs(v.T @ v - np.eye(4)).max() <= 1e-10
+        # 17 significant digits round-trip float64 exactly
+        direct = self.DIRECT[method](load_matrix_market(data))
+        assert np.array_equal(b, direct.sketch)
+        assert np.array_equal(v, direct.basis)
 
 
 class TestBench:

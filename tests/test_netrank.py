@@ -8,7 +8,6 @@ from sketchlab.netrank import (
     expm_scores_exact,
     expm_scores_sketched,
     hits,
-    parse_sketcher_id,
     ranking_overlap,
 )
 
@@ -163,11 +162,3 @@ class TestOverlapAndParsing:
         res = expm_scores_exact(random_digraph(12, seed=19), top_k=5)
         with pytest.raises(ValueError):
             ranking_overlap(res, res, 6)
-
-    def test_parse_ids(self):
-        assert parse_sketcher_id("spfd50") == ("spfd", 50)
-        assert parse_sketcher_id("FD") == ("fd", None)
-        with pytest.raises(ValueError):
-            parse_sketcher_id("spfd")
-        with pytest.raises(ValueError):
-            parse_sketcher_id("gaussian")

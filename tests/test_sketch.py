@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -10,6 +12,7 @@ from sketchlab.sketch import (
     dct_sketch,
     fd_sketch,
     norm_sampling_sketch,
+    parse_sketcher_id,
     spemb_apply,
     spemb_sketch,
     spfd_intermediate,
@@ -373,3 +376,16 @@ def test_every_sketcher_deterministic_with_orthonormal_basis(sketcher):
     assert (o1.basis == o2.basis).all()
     assert (o1.deltas == o2.deltas).all()
     assert_basis_ok(o1)
+
+
+class TestParseSketcherId:
+    def test_parse_ids(self):
+        assert parse_sketcher_id("spfd50") == ("spfd", 50)
+        assert parse_sketcher_id("FD") == ("fd", None)
+        with pytest.raises(ValueError):
+            parse_sketcher_id("spfd")
+        with pytest.raises(ValueError):
+            parse_sketcher_id("gaussian")
+        for bad in ("spfd0", "spfd-3", "spfd5_0", "spfd+2", "spfd 4"):
+            with pytest.raises(ValueError, match=re.escape(f"'{bad}'")):
+                parse_sketcher_id(bad)
