@@ -144,12 +144,15 @@ def thin_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(q, r)`` with ``q`` having orthonormal columns and ``r`` upper
     triangular.  Rank deficiency is allowed (zero diagonal in ``r``).
+
+    Runs on numpy's LAPACK, like ``svd``: scipy loads its own OpenBLAS copy,
+    whose idle-spinning threads slow the numpy call that follows.
     """
     a = as_dense(a)
     n, k = a.shape
     if n < k:
         raise ValueError(f"thin_qr requires n_rows >= n_cols, got {a.shape}")
-    q, r = scipy.linalg.qr(a, mode="economic")
+    q, r = np.linalg.qr(a, mode="reduced")
     return q, r
 
 

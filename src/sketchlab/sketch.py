@@ -10,7 +10,8 @@ for the sketch's row space:
 ``fd_sketch``
     frequent directions: deterministic streaming pass that repeatedly
     decomposes a ``2*ell``-row buffer and shrinks all squared singular
-    values by the (ell+1)-th one.
+    values by the (ell+1)-th one.  A buffer wider than it is tall is
+    decomposed through its ``2*ell x 2*ell`` Gram matrix, one SVD per round.
 ``spfd_sketch``
     block sparse embedding feeding frequent directions: the input is
     zero-padded, row-permuted, compressed block-by-block with independent
@@ -204,6 +205,35 @@ def _dense_block(a: Matrix, start: int, stop: int) -> np.ndarray:
     return a[start:stop]
 
 
+# A direction recovered from the Gram matrix as ``buf.T @ u / sigma`` loses
+# accuracy as its eigenvalue falls relative to the largest one.  Just above
+# this ratio the directions still agree with the buffer's SVD to ~2e-11
+# (the oracle tests ask for 1e-10); a round needing a smaller eigenvalue is
+# redone with the buffer's SVD.
+_GRAM_FLOOR = 1e-9
+
+
+def _gram_round(buf: np.ndarray, ell: int):
+    """Squared singular values of ``buf`` and its top right singular
+    directions, from one SVD of the ``2*ell x 2*ell`` matrix ``buf @ buf.T``.
+
+    Eigenvalues below the rounding level of the Gram entries (``d`` term
+    inner products: ``d * eps`` times the largest eigenvalue) are exact
+    zeros, so a rank-deficient buffer shrinks by 0 and only the directions
+    of nonzero top-``ell`` eigenvalues are formed.  Returns ``None`` when a
+    formed direction's eigenvalue is below ``_GRAM_FLOOR`` times the
+    largest.
+    """
+    res = svd(buf @ buf.T)
+    noise = res.sigma[0] * buf.shape[1] * np.finfo(float).eps
+    lam = np.where(res.sigma > noise, res.sigma, 0.0)
+    rank = int(np.count_nonzero(lam[:ell]))
+    if rank and lam[rank - 1] < _GRAM_FLOOR * lam[0]:
+        return None
+    vt = (res.u[:, :rank].T @ buf) / np.sqrt(lam[:rank])[:, None]
+    return lam, vt
+
+
 def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
     """Frequent-directions buffer loop shared by ``fd_sketch`` and the
     block-embedded variant (which feeds it the intermediate sketch)."""
@@ -213,28 +243,39 @@ def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
     buf = np.zeros((2 * ell, d))
     buf[:ell] = _dense_block(a, 0, ell)
     deltas: list[float] = []
+    wide = 2 * ell < d
 
-    def shrink_round():
-        res = svd(buf)
-        delta = float(res.sigma[ell] ** 2) if res.sigma.size > ell else 0.0
-        shrunk = np.sqrt(np.maximum(res.sigma**2 - delta, 0.0))
+    def shrink_round() -> np.ndarray:
+        found = _gram_round(buf, ell) if wide else None
+        if found is None:
+            res = svd(buf)
+            found = res.sigma**2, res.vt[:ell]
+        sq, vt = found
+        delta = float(sq[ell]) if sq.size > ell else 0.0
+        shrunk = np.sqrt(np.maximum(sq[: len(vt)] - delta, 0.0))
         buf[:] = 0.0
-        buf[: res.sigma.size] = shrunk[:, None] * res.vt
+        buf[: len(vt)] = shrunk[:, None] * vt
         deltas.append(delta)
-        return res
+        return vt
 
-    res = None
+    vt = None
     for i in range(1, blocks):
         buf[ell:] = _dense_block(a, i * ell, (i + 1) * ell)
-        res = shrink_round()
-    if res is None:
+        vt = shrink_round()
+    if vt is None:
         # Fewer rows than ell: the loop never runs, so perform the single
         # decomposition round here to define the basis (the shrink is a
         # no-op up to roundoff because the buffer rank is at most ell).
-        res = shrink_round()
+        vt = shrink_round()
+    # Orthonormalise the last round's directions; the zero columns of a
+    # rank-deficient round become an orthonormal completion.
+    v = np.zeros((d, ell))
+    v[:, : len(vt)] = vt.T
+    basis, r = thin_qr(v)
+    basis[:, np.diag(r) < 0] *= -1.0
     return SketchOutput(
         sketch=buf[:ell].copy(),
-        basis=np.ascontiguousarray(res.vt[:ell].T),
+        basis=basis,
         deltas=np.asarray(deltas),
     )
 
@@ -242,9 +283,17 @@ def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
 def fd_sketch(a: Matrix, ell: int) -> SketchOutput:
     """Deterministic frequent-directions sketch (no randomness involved).
 
-    Runs ``max(ceil(n/ell) - 1, 1)`` shrink rounds, each an SVD of the
-    ``2*ell x d`` buffer, and records one entry of ``deltas`` per round;
-    an input with ``n <= 2*ell`` rows takes a single round.
+    Runs ``max(ceil(n/ell) - 1, 1)`` shrink rounds and records one entry of
+    ``deltas`` per round; an input with ``n <= 2*ell`` rows takes a single
+    round.  Each round needs the squared singular values and the top
+    ``ell`` right singular directions of the ``2*ell x d`` buffer.  A wide
+    buffer (``2*ell < d``) gets them from one SVD of the ``2*ell x 2*ell``
+    Gram matrix ``buf @ buf.T``, with the directions formed as
+    ``diag(1/sigma) U^T buf``; eigenvalues at the Gram rounding level count
+    as zeros, and a round that keeps an eigenvalue below 1e-9 times the
+    largest is redone with an SVD of the buffer.  Other buffers are
+    decomposed directly.  The basis is the thin QR of the last round's
+    directions, with ``diag(R) >= 0``.
     """
     _check_ell(a, ell)
     return _fd_rounds(a, ell)

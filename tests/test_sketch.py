@@ -2,9 +2,13 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 
+import sketchlab.sketch
+from sketchlab.datagen import SyntheticSpec, generate_synthetic
 from sketchlab.linalg import fro_norm, svd
+from sketchlab.lowrank import approx_from_basis
 from sketchlab.sketch import (
     SketchOutput,
     SpEmbSpec,
@@ -259,6 +263,122 @@ class TestSpfdSketch:
         out = spfd_sketch(a, SpfdConfig(ell=3, q=2, seed=4))
         dense_out = spfd_sketch(a.toarray(), SpfdConfig(ell=3, q=2, seed=4))
         assert np.abs(out.sketch - dense_out.sketch).max() <= 1e-12
+
+
+def count_svd_calls(monkeypatch) -> list:
+    """Route ``sketchlab.sketch.svd`` through a counter; returns the list
+    that collects one entry per call."""
+    calls = []
+    real = sketchlab.sketch.svd
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(sketchlab.sketch, "svd", counted)
+    return calls
+
+
+def graded_rank_ell(n, d, ell, span, seed):
+    """Rank-``ell`` input whose singular values fall geometrically from 1
+    to ``span``, mixed by a Gaussian so every buffer sees the whole spread."""
+    rng = np.random.default_rng(seed)
+    sigma = span ** (np.arange(ell) / (ell - 1))
+    frame, _ = np.linalg.qr(rng.standard_normal((d, ell)))
+    return (rng.standard_normal((n, ell)) * sigma) @ frame.T
+
+
+class TestGramRounds:
+    """Wide buffers (``2*ell < d``) take their shrink rounds from the
+    ``2*ell x 2*ell`` Gram matrix; the oracle decomposes the buffer."""
+
+    @pytest.mark.parametrize("n, d, ell", [(60, 40, 5), (200, 100, 10)])
+    def test_fd_matches_oracle(self, n, d, ell):
+        a = random_dense(n, d, seed=n + d)
+        out = fd_sketch(a, ell)
+        b_ref, v_ref, deltas_ref = fd_oracle(a, ell)
+        scale = max(fro_norm(a), 1.0)
+        assert np.abs(out.sketch - b_ref).max() <= 1e-10 * scale
+        assert np.abs(out.basis - v_ref).max() <= 1e-10
+        assert np.allclose(out.deltas, deltas_ref, atol=1e-12)
+
+    @pytest.mark.parametrize("n, d, ell, q", [(60, 40, 5, 4), (200, 100, 10, 6)])
+    def test_spfd_matches_oracle(self, n, d, ell, q):
+        a = random_dense(n, d, seed=n + d + q)
+        out = spfd_sketch(a, SpfdConfig(ell=ell, q=q, seed=q))
+        b_ref, v_ref, deltas_ref = spfd_oracle(a, ell, q, q)
+        scale = max(fro_norm(a), 1.0)
+        assert np.abs(out.sketch - b_ref).max() <= 1e-10 * scale
+        assert np.abs(out.basis - v_ref).max() <= 1e-10
+        assert np.allclose(out.deltas, deltas_ref, atol=1e-12)
+
+    @pytest.mark.parametrize("span, svds_per_round", [(1e-4, 1), (1e-8, 2)])
+    def test_graded_spectrum_matches_oracle(self, monkeypatch, span, svds_per_round):
+        # a 1e-4 spread of singular values stays on the Gram route; 1e-8
+        # puts kept eigenvalues below the floor, so every round is redone
+        # with the buffer's own SVD
+        a = graded_rank_ell(200, 100, 10, span, seed=44)
+        calls = count_svd_calls(monkeypatch)
+        out = fd_sketch(a, 10)
+        b_ref, v_ref, deltas_ref = fd_oracle(a, 10)
+        assert len(calls) == svds_per_round * len(deltas_ref)
+        scale = max(fro_norm(a), 1.0)
+        assert np.abs(out.sketch - b_ref).max() <= 1e-10 * scale
+        assert np.abs(out.basis - v_ref).max() <= 1e-10
+        assert np.allclose(out.deltas, deltas_ref, atol=1e-12)
+
+    def test_wide_rank_two_input(self, monkeypatch):
+        # eigenvalues at the Gram rounding level are zeros, not a steep
+        # spectrum: no round is redone and no shrink is noise
+        rng = np.random.default_rng(45)
+        a = rng.standard_normal((200, 2)) @ rng.standard_normal((2, 100))
+        calls = count_svd_calls(monkeypatch)
+        out = fd_sketch(a, 10)
+        assert len(calls) == out.deltas.size == 19
+        assert np.abs(out.deltas).max() <= 1e-20 * fro_norm(a) ** 2
+        assert out.basis.shape == (100, 10)
+        assert_basis_ok(out)
+        resid = a - (a @ out.basis) @ out.basis.T
+        assert fro_norm(resid) <= 1e-8 * fro_norm(a)
+
+
+class TestShrinkRoundCount:
+    """One ``sketchlab.sketch.svd`` call per shrink round and none besides,
+    the contract the benchmark's round counts rely on."""
+
+    def matrix(self):
+        return generate_synthetic(SyntheticSpec(n=400, d=50, k=10, zeta=10.0, seed=1))
+
+    def test_fd(self, monkeypatch):
+        calls = count_svd_calls(monkeypatch)
+        fd_sketch(self.matrix(), 10)
+        assert len(calls) == 39  # 400 / 10 blocks, the first fills the buffer
+        assert set(calls) == {(20, 20)}
+
+    def test_spfd4(self, monkeypatch):
+        calls = count_svd_calls(monkeypatch)
+        spfd_sketch(self.matrix(), SpfdConfig(ell=10, q=4, seed=0))
+        assert len(calls) == 3
+
+
+def test_no_scipy_qr(monkeypatch):
+    # numpy and scipy each load their own OpenBLAS; sketchers and the
+    # reconstruction stay on numpy's
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.qr called")
+
+    monkeypatch.setattr(scipy.linalg, "qr", refuse)
+    a = random_dense(60, 40, seed=46)
+    outs = [
+        spemb_sketch(a, 5, rng=0),
+        fd_sketch(a, 5),
+        spfd_sketch(a, SpfdConfig(ell=5, q=4, seed=0)),
+        norm_sampling_sketch(a, 5, rng=0),
+        dct_sketch(a, 5, rng=0),
+    ]
+    for out in outs:
+        assert_basis_ok(out)
+        approx_from_basis(a, out.basis, 3)
 
 
 class TestNormSampling:
