@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, as_dense, fro_norm, svd
+from .linalg import Matrix, _fix_svd_signs, as_dense, fro_norm, svd
 
 __all__ = [
     "LowRankFactors",
@@ -84,30 +84,59 @@ def _check_orthonormal(v: np.ndarray, tol: float = _ORTHO_TOL) -> None:
         raise ValueError("basis columns are not orthonormal")
 
 
+def _top_k(x: Matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(left, w)`` with ``left = x @ w = U_k diag(sigma_k)`` and ``w`` the
+    top-k right singular vectors of ``x``, from one ``svd`` call.
+
+    A tall ``x`` (more rows than columns) is reduced to its ``d x d`` R
+    factor first, whose right singular vectors are those of ``x``, so no
+    ``n``-row singular vectors are formed.  The sign of each pair is fixed
+    as ``linalg.svd`` fixes it: the largest-magnitude entry of every
+    ``left`` column is positive.
+    """
+    n, d = x.shape
+    if n <= d:
+        res = svd(x)
+        return res.u[:, :k] * res.sigma[:k], res.vt[:k].T
+    wt = svd(np.linalg.qr(as_dense(x), mode="r")).vt[:k].copy()
+    left = x @ wt.T
+    _fix_svd_signs(left, wt)
+    return left, wt.T
+
+
 def best_rank_k(a: Matrix, k: int) -> LowRankFactors:
-    """Optimal rank-k factors via truncated SVD."""
+    """Optimal rank-k factors via truncated SVD.
+
+    ``right_basis`` holds the top-k right singular vectors ``W_k`` and
+    ``left = a @ W_k``; a tall ``a`` is decomposed through the SVD of its
+    R factor (dense, or CSR densified once), never forming the ``n x d``
+    left singular vectors.
+    """
     n, d = a.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k={k} outside 1..min{(n, d)}")
-    res = svd(a)
-    left = res.u[:, :k] * res.sigma[:k]
-    return LowRankFactors(left=left, right_basis=res.vt[:k].T.copy(), k=k)
+    left, w = _top_k(a, k)
+    return LowRankFactors(left=left, right_basis=np.ascontiguousarray(w), k=k)
 
 
 def approx_from_basis(a: Matrix, v: np.ndarray, k: int) -> LowRankFactors:
     """Best rank-k approximation of ``a`` within the row space spanned by the
     orthonormal columns of ``v``.
 
-    Keeps the top k singular triplets of ``approx_svd(a, v)``, i.e. the
-    rank-k truncation of ``a @ v`` rotated back with ``v``.
+    This is the rank-k truncation of ``b = a @ v`` rotated back with ``v``:
+    with ``W_k`` the top-k right singular vectors of ``b`` (taken from its
+    R factor when ``b`` is tall), ``left = b @ W_k`` and
+    ``right_basis = v @ W_k``.  Up to rounding, these are the factors of
+    the first k triplets of ``approx_svd(a, v)``.
     """
     if k > v.shape[1]:
         raise ValueError(f"k={k} exceeds the basis width {v.shape[1]}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    res = approx_svd(a, v)
-    left = res.u[:, :k] * res.sigma[:k]
-    return LowRankFactors(left=left, right_basis=res.v[:, :k].copy(), k=k)
+    v = as_dense(v)
+    _check_orthonormal(v)
+    left, w = _top_k(a @ v, k)
+    return LowRankFactors(left=left, right_basis=v @ w, k=k)
 
 
 def approx_svd(a: Matrix, v: np.ndarray) -> ApproxSvd:

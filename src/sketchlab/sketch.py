@@ -34,12 +34,11 @@ from typing import Optional, Union
 
 import numpy as np
 import scipy.fft
+import scipy.sparse as sparse
 
 from .linalg import (
     Matrix,
     is_sparse,
-    pad_rows,
-    permute_rows,
     random_permutation,
     row_norms,
     svd,
@@ -104,6 +103,10 @@ class SpEmbSpec:
     def __post_init__(self):
         if self.h.shape != (self.n_in,) or self.signs.shape != (self.n_in,):
             raise ValueError("bucket map and signs must have one entry per input row")
+        if not np.issubdtype(self.h.dtype, np.integer):
+            raise ValueError(
+                f"h must hold integer bucket indices, got dtype {self.h.dtype}"
+            )
         if self.h.size and (self.h.min() < 0 or self.h.max() >= self.n_out):
             raise ValueError("bucket indices out of range")
         if not np.isin(self.signs, (-1.0, 1.0)).all():
@@ -147,32 +150,36 @@ class SpfdConfig:
             raise ValueError("q must be >= 1")
 
 
+def _embedding(rows, cols, signs, shape) -> sparse.csr_matrix:
+    """Sparse embedding operator with entry ``signs[i]`` at
+    ``(rows[i], cols[i])``.
+
+    A row keeps its entries in input order, which is the order in which
+    ``@`` sums the input rows into that bucket.
+    """
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    return sparse.csr_matrix((signs[order], cols[order], indptr), shape=shape)
+
+
+def _embed(op: sparse.csr_matrix, a: Matrix) -> np.ndarray:
+    out = op @ a
+    return out.toarray() if is_sparse(out) else out
+
+
 def spemb_apply(a: Matrix, spec: SpEmbSpec) -> np.ndarray:
     """Accumulate signed rows of ``a`` into the spec's buckets.
 
-    Runs in O(nnz) by streaming the nonzeros; no embedding matrix is
-    materialised.  Within one bucket rows are accumulated in input order.
+    Dense and CSR input alike are multiplied by the ``n_out x n_in`` CSR
+    embedding operator, in O(nnz) work.  Within one bucket rows are
+    accumulated in input order.
     """
     if spec.n_in != a.shape[0]:
         raise ValueError(
             f"spec expects {spec.n_in} input rows, matrix has {a.shape[0]}"
         )
-    d = a.shape[1]
-    out = np.zeros((spec.n_out, d))
-    if is_sparse(a):
-        a = a.tocsr()
-        per_row = np.diff(a.indptr)
-        rows = np.repeat(np.arange(a.shape[0]), per_row)
-        np.add.at(out, (spec.h[rows], a.indices), spec.signs[rows] * a.data)
-        return out
-    # Stable sort groups rows by bucket while keeping input order inside
-    # each group, so a single reduceat performs all accumulations.
-    order = np.argsort(spec.h, kind="stable")
-    hs = spec.h[order]
-    starts = np.flatnonzero(np.r_[True, hs[1:] != hs[:-1]])
-    scaled = spec.signs[order, None] * a[order]
-    out[hs[starts]] = np.add.reduceat(scaled, starts, axis=0)
-    return out
+    op = _embedding(spec.h, np.arange(spec.n_in), spec.signs, (spec.n_out, spec.n_in))
+    return _embed(op, a)
 
 
 def _basis_from_sketch(b: np.ndarray) -> np.ndarray:
@@ -199,10 +206,22 @@ def _check_ell(a: Matrix, ell: int) -> None:
         )
 
 
-def _dense_block(a: Matrix, start: int, stop: int) -> np.ndarray:
-    if is_sparse(a):
-        return a[start:stop].toarray()
-    return a[start:stop]
+# CSR input to the frequent-directions loop is densified about this many
+# entries at a time, in whole ell-row blocks, instead of block by block.
+_CHUNK_ENTRIES = 1 << 20
+
+
+def _row_blocks(a: Matrix, ell: int):
+    """The rows of ``a`` as consecutive dense blocks of ``ell`` rows, the
+    last one possibly shorter."""
+    n, d = a.shape
+    step = ell * max(1, _CHUNK_ENTRIES // (ell * d)) if is_sparse(a) else n
+    for lo in range(0, n, step):
+        chunk = a[lo : lo + step]
+        if is_sparse(chunk):
+            chunk = chunk.toarray()
+        for start in range(0, len(chunk), ell):
+            yield chunk[start : start + ell]
 
 
 # A direction recovered from the Gram matrix as ``buf.T @ u / sigma`` loses
@@ -237,11 +256,11 @@ def _gram_round(buf: np.ndarray, ell: int):
 def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
     """Frequent-directions buffer loop shared by ``fd_sketch`` and the
     block-embedded variant (which feeds it the intermediate sketch)."""
-    a = pad_rows(a, ell)
-    n, d = a.shape
-    blocks = n // ell
+    d = a.shape[1]
+    blocks = _row_blocks(a, ell)
+    first = next(blocks)
     buf = np.zeros((2 * ell, d))
-    buf[:ell] = _dense_block(a, 0, ell)
+    buf[: len(first)] = first
     deltas: list[float] = []
     wide = 2 * ell < d
 
@@ -259,8 +278,9 @@ def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
         return vt
 
     vt = None
-    for i in range(1, blocks):
-        buf[ell:] = _dense_block(a, i * ell, (i + 1) * ell)
+    for block in blocks:
+        # rows past a short last block stay zero: each round clears buf[ell:]
+        buf[ell : ell + len(block)] = block
         vt = shrink_round()
     if vt is None:
         # Fewer rows than ell: the loop never runs, so perform the single
@@ -303,6 +323,10 @@ def spfd_intermediate(a: Matrix, cfg: SpfdConfig) -> np.ndarray:
     """The ``q*ell x d`` stack of per-block sparse embeddings of the padded,
     row-permuted input.
 
+    All q block embeddings and the row permutation form one
+    ``q*ell x n`` CSR operator, applied to dense or CSR input as one
+    sparse product; the zero padding rows are left out of it.
+
     This is the intermediate sketch that the frequent-directions stage of
     ``spfd_sketch`` consumes; it is exposed separately because several
     statistical guarantees (norm preservation in expectation, subspace
@@ -312,17 +336,16 @@ def spfd_intermediate(a: Matrix, cfg: SpfdConfig) -> np.ndarray:
     the q block specs in block order.
     """
     rng = np.random.default_rng(cfg.seed)
-    a = pad_rows(a, cfg.q)
-    n, d = a.shape
-    per_block = n // cfg.q
-    perm = random_permutation(n, rng)
-    pa = permute_rows(a, perm)
+    n = a.shape[0]
+    per_block = -(-n // cfg.q)
+    perm = random_permutation(per_block * cfg.q, rng)
     specs = [SpEmbSpec.draw(per_block, cfg.ell, rng) for _ in range(cfg.q)]
-    out = np.empty((cfg.q * cfg.ell, d))
-    for j, spec in enumerate(specs):
-        block = pa[j * per_block : (j + 1) * per_block]
-        out[j * cfg.ell : (j + 1) * cfg.ell] = spemb_apply(block, spec)
-    return out
+    rows = np.concatenate([j * cfg.ell + spec.h for j, spec in enumerate(specs)])
+    signs = np.concatenate([spec.signs for spec in specs])
+    # Permuted position p feeds row rows[p] from input row perm[p].
+    real = perm < n
+    op = _embedding(rows[real], perm[real], signs[real], (cfg.q * cfg.ell, n))
+    return _embed(op, a)
 
 
 def spfd_sketch(a: Matrix, cfg: SpfdConfig) -> SketchOutput:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+import sketchlab.lowrank
 from sketchlab.datagen import SyntheticSpec, generate_synthetic
 from sketchlab.linalg import fro_norm, svd, thin_qr
 from sketchlab.lowrank import (
@@ -109,6 +110,92 @@ class TestApproxFromBasis:
             approx_from_basis(a, v, 3)  # k > ell
         with pytest.raises(ValueError):
             approx_from_basis(a, v * 1.5, 2)  # not orthonormal
+
+
+def rank_r(n, d, r, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
+
+
+def random_csr(n, d, seed, density=0.3):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, d)) < density
+    return sparse.csr_matrix(np.where(mask, rng.standard_normal((n, d)), 0.0))
+
+
+def count_svd_calls(monkeypatch) -> list:
+    """Route ``sketchlab.lowrank.svd`` through a recorder; returns the list
+    that collects the shape of every decomposed matrix."""
+    calls = []
+    real = sketchlab.lowrank.svd
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(sketchlab.lowrank, "svd", counted)
+    return calls
+
+
+# name -> (matrix, k, rank, basis width for approx_from_basis); the basis
+# widths make ``a @ v`` tall, tall, square, wide and tall of rank 3 < k
+TOP_K_INPUTS = {
+    "tall-dense": (random_dense(200, 30, seed=50), 5, 30, 10),
+    "tall-csr": (random_csr(300, 40, seed=51), 5, 40, 10),
+    "square": (random_dense(40, 40, seed=52), 5, 40, 40),
+    "wide": (random_dense(20, 50, seed=53), 5, 20, 30),
+    "rank-deficient": (rank_r(100, 20, 3, seed=54), 6, 3, 8),
+}
+
+
+def check_top_k(x, k, rank, left, w):
+    """``left`` and ``w`` against ``np.linalg.svd`` of ``x``: the projector
+    onto the top directions and the left factors up to the sign rule, both
+    to 1e-12, for the ``min(k, rank)`` directions the SVD determines."""
+    dense = x.toarray() if sparse.issparse(x) else x
+    u, s, vt = np.linalg.svd(dense, full_matrices=False)
+    m = min(k, rank)
+    w_ref = vt[:m].T
+    proj = w[:, :m] @ w[:, :m].T - w_ref @ w_ref.T
+    assert np.abs(proj).max() <= 1e-12
+    peaks = np.argmax(np.abs(u[:, :m]), axis=0)
+    flip = np.where(u[peaks, np.arange(m)] < 0, -1.0, 1.0)
+    left_ref = u[:, :m] * (s[:m] * flip)
+    assert np.abs(left[:, :m] - left_ref).max() <= 1e-12 * s[0]
+    # directions beyond the rank carry nothing
+    assert np.abs(left[:, m:]).max(initial=0.0) <= 1e-12 * s[0]
+    assert np.abs(w.T @ w - np.eye(k)).max() <= 1e-12
+    peaks = np.argmax(np.abs(left), axis=0)
+    assert (left[peaks, np.arange(k)] > 0).all()
+
+
+class TestRFactorRoute:
+    """``best_rank_k`` and ``approx_from_basis`` take the top-k right
+    singular vectors ``W_k`` of ``x`` (``a``, resp. ``a @ v``) from one
+    ``svd`` call: on the ``d x d`` R factor when ``x`` is tall, else on
+    ``x`` itself; ``left = x @ W_k`` with the largest-|u| sign rule."""
+
+    @pytest.mark.parametrize("name", list(TOP_K_INPUTS))
+    def test_best_rank_k(self, monkeypatch, name):
+        a, k, rank, _ = TOP_K_INPUTS[name]
+        calls = count_svd_calls(monkeypatch)
+        f = best_rank_k(a, k)
+        n, d = a.shape
+        assert calls == [(min(n, d), d)]
+        check_top_k(a, k, rank, f.left, f.right_basis)
+
+    @pytest.mark.parametrize("name", list(TOP_K_INPUTS))
+    def test_approx_from_basis(self, monkeypatch, name):
+        a, k, rank, ell = TOP_K_INPUTS[name]
+        n, d = a.shape
+        v, _ = thin_qr(random_dense(d, ell, seed=55))
+        calls = count_svd_calls(monkeypatch)
+        f = approx_from_basis(a, v, k)
+        assert calls == [(min(n, ell), ell)]
+        b = a @ v
+        w = v.T @ f.right_basis
+        check_top_k(b, k, min(rank, ell), f.left, w)
+        assert np.abs(f.right_basis - v @ w).max() <= 1e-12
 
 
 class TestApproxSvd:

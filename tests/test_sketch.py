@@ -25,7 +25,7 @@ from sketchlab.sketch import (
 
 from oracles import dct_matrix_oracle, fd_oracle, spfd_oracle
 
-from sketchlab.linalg import permute_rows, random_permutation, thin_qr
+from sketchlab.linalg import pad_rows, permute_rows, random_permutation, thin_qr
 
 
 def random_dense(n, d, seed):
@@ -98,6 +98,67 @@ class TestSpEmbApply:
         with pytest.raises(ValueError):
             SpEmbSpec(n_in=2, n_out=2, h=np.array([0, 1]),
                       signs=np.array([0.5, 1.0]))
+
+    def test_float_bucket_map_rejected(self):
+        with pytest.raises(ValueError, match="h must hold integer"):
+            SpEmbSpec(n_in=2, n_out=2, h=np.array([0.0, 1.0]),
+                      signs=np.array([1.0, 1.0]))
+
+
+def add_at_embedding(a, spec: SpEmbSpec) -> np.ndarray:
+    """Reference embedding: one ``np.add.at`` over the rows (dense) or the
+    nonzeros (CSR) of ``a``, in input order."""
+    out = np.zeros((spec.n_out, a.shape[1]))
+    if sparse.issparse(a):
+        a = a.tocsr()
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        np.add.at(out, (spec.h[rows], a.indices), spec.signs[rows] * a.data)
+    else:
+        np.add.at(out, spec.h, spec.signs[:, None] * a)
+    return out
+
+
+def block_embedding_loop(a, cfg: SpfdConfig) -> np.ndarray:
+    """Reference ``spfd_intermediate``: pad, permute the rows, then embed
+    each block with its own ``np.add.at``."""
+    rng = np.random.default_rng(cfg.seed)
+    a = pad_rows(a, cfg.q)
+    n, d = a.shape
+    per_block = n // cfg.q
+    pa = permute_rows(a, random_permutation(n, rng))
+    specs = [SpEmbSpec.draw(per_block, cfg.ell, rng) for _ in range(cfg.q)]
+    out = np.empty((cfg.q * cfg.ell, d))
+    for j, spec in enumerate(specs):
+        block = pa[j * per_block : (j + 1) * per_block]
+        out[j * cfg.ell : (j + 1) * cfg.ell] = add_at_embedding(block, spec)
+    return out
+
+
+class TestEmbeddingOperator:
+    """The block embedding is one CSR operator product; it sums each
+    bucket's rows in input order, exactly as the ``np.add.at`` loop."""
+
+    # (n, d, ell, q): n not a multiple of q, q = 1, q*ell > n, and blocks
+    # of 2 rows into 5 buckets (empty buckets in every block)
+    CASES = [(23, 7, 3, 4), (20, 7, 4, 1), (10, 5, 4, 3), (6, 5, 5, 3)]
+
+    @pytest.mark.parametrize("n, d, ell, q", CASES)
+    @pytest.mark.parametrize("kind", ["csr", "dense"])
+    def test_intermediate_equals_loop(self, n, d, ell, q, kind):
+        a = random_csr(n, d, seed=n + q)
+        if kind == "dense":
+            a = a.toarray()
+        cfg = SpfdConfig(ell=ell, q=q, seed=q)
+        assert np.array_equal(spfd_intermediate(a, cfg), block_embedding_loop(a, cfg))
+
+    @pytest.mark.parametrize("n_in, n_out", [(30, 4), (3, 8)])
+    @pytest.mark.parametrize("kind", ["csr", "dense"])
+    def test_spemb_apply_equals_add_at(self, n_in, n_out, kind):
+        a = random_csr(n_in, 6, seed=n_in)
+        if kind == "dense":
+            a = a.toarray()
+        spec = SpEmbSpec.draw(n_in, n_out, np.random.default_rng(n_out))
+        assert np.array_equal(spemb_apply(a, spec), add_at_embedding(a, spec))
 
 
 class TestSpEmbSketch:
@@ -359,6 +420,19 @@ class TestShrinkRoundCount:
         calls = count_svd_calls(monkeypatch)
         spfd_sketch(self.matrix(), SpfdConfig(ell=10, q=4, seed=0))
         assert len(calls) == 3
+
+
+@pytest.mark.parametrize("n", [36, 40])
+def test_fd_csr_chunks_equal_dense(monkeypatch, n):
+    # chunks of 9 rows (three 3-row blocks): n = 36 ends on a whole chunk,
+    # n = 40 on a 4-row chunk whose last block has one row
+    monkeypatch.setattr(sketchlab.sketch, "_CHUNK_ENTRIES", 100)
+    a = random_csr(n, 10, seed=n)
+    out = fd_sketch(a, 3)
+    ref = fd_sketch(a.toarray(), 3)
+    assert np.array_equal(out.sketch, ref.sketch)
+    assert np.array_equal(out.basis, ref.basis)
+    assert np.array_equal(out.deltas, ref.deltas)
 
 
 def test_no_scipy_qr(monkeypatch):
