@@ -21,37 +21,38 @@ from sketchlab import (
 )
 
 print(__doc__)
-workdir = Path(tempfile.mkdtemp(prefix="sketchlab_demo_"))
-
 rng = np.random.default_rng(0)
 dense = rng.standard_normal((6, 4))
 csr = sparse.csr_matrix(np.where(rng.random((8, 5)) < 0.3, 1.0, 0.0) * dense.sum())
 
-# MatrixMarket: dense -> array format, sparse -> coordinate format
-mtx = workdir / "dense.mtx"
-save_matrix_market(mtx, dense)
-back = load_matrix_market(mtx)
-print(f"matrixmarket dense round-trip bit-exact: {(back == dense).all()}")
+with tempfile.TemporaryDirectory(prefix="sketchlab_demo_") as tmp:
+    workdir = Path(tmp)
 
-# svmlight keeps sparse structure and exact float values
-svm = workdir / "rows.svm"
-save_svmlight(svm, csr)
-back = load_svmlight(svm, n_cols=csr.shape[1])
-print(f"svmlight round-trip bit-exact: {(csr != back).nnz == 0}")
-sample = next(l for l in svm.read_text().splitlines() if ":" in l)
-print("a line of the file:", sample[:60], "...")
+    # MatrixMarket: dense -> array format, sparse -> coordinate format
+    mtx = workdir / "dense.mtx"
+    save_matrix_market(mtx, dense)
+    back = load_matrix_market(mtx)
+    print(f"matrixmarket dense round-trip bit-exact: {(back == dense).all()}")
 
-# edge lists collapse duplicates and keep self loops
-edges = workdir / "graph.txt"
-edges.write_text("# tiny graph\n1 2\n1 2\n3 2\n2 2\n")
-adj = load_edge_list(edges)
-print(f"edge list -> {adj.shape[0]} nodes, {adj.nnz} unique edges "
-      f"(duplicate collapsed, self loop kept)")
+    # svmlight keeps sparse structure and exact float values
+    svm = workdir / "rows.svm"
+    save_svmlight(svm, csr)
+    back = load_svmlight(svm, n_cols=csr.shape[1])
+    print(f"svmlight round-trip bit-exact: {(csr != back).nnz == 0}")
+    sample = next(l for l in svm.read_text().splitlines() if ":" in l)
+    print("a line of the file:", sample[:60], "...")
 
-# malformed input fails loudly, with the line number
-bad = workdir / "bad.svm"
-bad.write_text("1 1:0.5\n1 0:2.0\n")
-try:
-    load_svmlight(bad)
-except ValueError as exc:
-    print(f"rejected bad file: {exc}")
+    # edge lists collapse duplicates and keep self loops
+    edges = workdir / "graph.txt"
+    edges.write_text("# tiny graph\n1 2\n1 2\n3 2\n2 2\n")
+    adj = load_edge_list(edges)
+    print(f"edge list -> {adj.shape[0]} nodes, {adj.nnz} unique edges "
+          f"(duplicate collapsed, self loop kept)")
+
+    # malformed input fails loudly, with the line number
+    bad = workdir / "bad.svm"
+    bad.write_text("1 1:0.5\n1 0:2.0\n")
+    try:
+        load_svmlight(bad)
+    except ValueError as exc:
+        print(f"rejected bad file: {exc}")

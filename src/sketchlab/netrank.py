@@ -5,8 +5,10 @@ Three routes to the scores of each node:
 * ``hits`` - alternating power iteration for the dominant eigenvectors of
   ``A^T A`` (authorities) and ``A A^T`` (hubs);
 * ``expm_scores_exact`` - diagonal entries of the exponential of the
-  symmetric bipartite embedding ``[[0, A], [A^T, 0]]``, computed through a
-  full SVD as ``(U cosh(S) U^T)_ii`` and ``(V cosh(S) V^T)_ii``;
+  symmetric bipartite embedding ``[[0, A], [A^T, 0]]``.  Its diagonal
+  blocks are ``cosh(sqrt(A A^T))`` and ``I + A^T g(A A^T) A`` with
+  ``g(lam) = (cosh(sqrt(lam)) - 1) / lam``, so one dense symmetric
+  eigendecomposition ``A A^T = U diag(lam) U^T`` gives both score vectors;
 * ``expm_scores_sketched`` - the same quantities from an approximate SVD
   obtained through any of the sketchers, so only ``ell = k + p`` singular
   triplets are ever formed.
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from .linalg import NumericalError, as_csr, svd
+from .linalg import NumericalError, as_csr
+from .linalg import svd  # noqa: F401 - unused; perfbench/layers.py wraps netrank.svd
 from .lowrank import approx_svd
 from .sketch import (
     RngLike,
@@ -141,32 +144,54 @@ def hits(
     return _result(hub, auth, "hits", time.perf_counter() - t0, top_k, status)
 
 
-def _cosh_scores(u: np.ndarray, v: np.ndarray, sigma: np.ndarray):
+def _check_cosh(sigma: np.ndarray) -> None:
     if sigma.size and sigma.max() > _COSH_OVERFLOW:
         raise NumericalError(
             f"largest singular value {sigma.max():.3g} overflows cosh in "
             "float64"
         )
+
+
+def _cosh_scores(u: np.ndarray, v: np.ndarray, sigma: np.ndarray):
+    _check_cosh(sigma)
     weights = np.cosh(sigma)
     return (u**2) @ weights, (v**2) @ weights
 
 
 def expm_scores_exact(adj, top_k: int = 10) -> RankingResult:
-    """Exponential-based scores from a full dense SVD of the adjacency.
+    """Exponential-based scores from one dense eigendecomposition of A A^T.
 
-    hub_i and authority_i are the i-th diagonal entries of the two
-    ``cosh`` blocks of the exponential of ``[[0, A], [A^T, 0]]``.
+    hub_i and authority_i are the i-th diagonal entries of the two diagonal
+    blocks of the exponential of ``[[0, A], [A^T, 0]]``.  With
+    ``A A^T = U diag(lam) U^T`` (``lam`` clamped at 0) and ``W = A^T U``::
+
+        hub  = 1 + (U * U) @ (cosh(sqrt(lam)) - 1)
+        auth = 1 + (W * W) @ g(lam),  g(lam) = (cosh(sqrt(lam)) - 1) / lam
+
+    with ``g(0) = 1/2``.  ``cosh(s) - 1`` is evaluated as ``2 sinh(s/2)^2``,
+    which does not cancel for small ``s``.  Both functions are analytic in
+    ``lam``, so working with the squared spectrum costs no accuracy.
     """
     adj = _check_square(adj)
     n = adj.shape[0]
     if n > _EXACT_SIZE_GUARD:
         raise ValueError(
-            f"exact scores need a dense SVD; n={n} exceeds the guard "
-            f"{_EXACT_SIZE_GUARD}"
+            f"exact scores need a dense n x n eigendecomposition of A A^T; "
+            f"n={n} exceeds the guard {_EXACT_SIZE_GUARD}"
         )
     t0 = time.perf_counter()
-    res = svd(adj.toarray())
-    hub, auth = _cosh_scores(res.u, res.vt.T, res.sigma)
+    try:
+        lam, u = np.linalg.eigh((adj @ adj.T).toarray())
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigh of A A^T failed to converge: {exc}") from exc
+    lam = np.maximum(lam, 0.0)
+    sigma = np.sqrt(lam)
+    _check_cosh(sigma)
+    cosh_m1 = 2.0 * np.sinh(sigma / 2.0) ** 2
+    g = np.divide(cosh_m1, lam, out=np.full(n, 0.5), where=lam > 0.0)
+    w = adj.T @ u
+    hub = 1.0 + (u**2) @ cosh_m1
+    auth = 1.0 + (w**2) @ g
     return _result(hub, auth, "expm", time.perf_counter() - t0, top_k)
 
 

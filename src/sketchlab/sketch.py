@@ -115,10 +115,17 @@ class SpEmbSpec:
     @classmethod
     def draw(cls, n_in: int, n_out: int, rng: np.random.Generator) -> "SpEmbSpec":
         """Draw a spec; the stream order (buckets, then signs) is fixed so
-        that seeded runs are reproducible across callers."""
+        that seeded runs are reproducible across callers.
+
+        A drawn spec is valid by construction, so it skips the checks that
+        ``__post_init__`` runs on specs built by callers: in loops over
+        small inputs they cost more than the draw itself.
+        """
         h = rng.integers(0, n_out, size=n_in)
         signs = np.where(rng.random(n_in) < 0.5, 1.0, -1.0)
-        return cls(n_in=n_in, n_out=n_out, h=h, signs=signs)
+        spec = object.__new__(cls)
+        spec.__dict__.update(n_in=n_in, n_out=n_out, h=h, signs=signs)
+        return spec
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 
-from sketchlab.linalg import svd
+import sketchlab.netrank
+from sketchlab.linalg import NumericalError, svd
 from sketchlab.netrank import (
     expm_scores_exact,
     expm_scores_sketched,
@@ -18,6 +19,29 @@ def random_digraph(n, seed, density=0.15):
     rng = np.random.default_rng(seed)
     adj = (rng.random((n, n)) < density).astype(float)
     np.fill_diagonal(adj, 0.0)
+    return sparse.csr_matrix(adj)
+
+
+def sources_and_sinks():
+    # 60 nodes; nodes 0-9 have no in-edges, nodes 50-59 no out-edges
+    adj = random_digraph(60, seed=20, density=0.1).toarray()
+    adj[:, :10] = 0.0
+    adj[50:, :] = 0.0
+    return sparse.csr_matrix(adj)
+
+
+def rank_deficient():
+    # 40 nodes whose out-edge rows repeat 5 patterns: rank <= 5
+    patterns = random_digraph(40, seed=21, density=0.2).toarray()[:5]
+    rows = np.random.default_rng(22).integers(0, 5, size=40)
+    adj = patterns[rows]
+    assert np.linalg.matrix_rank(adj) <= 5
+    return sparse.csr_matrix(adj)
+
+
+def weighted():
+    adj = random_digraph(30, seed=23, density=0.2).toarray()
+    adj *= np.random.default_rng(24).uniform(0.1, 2.5, size=adj.shape)
     return sparse.csr_matrix(adj)
 
 
@@ -92,6 +116,46 @@ class TestExpmExact:
         assert np.abs(res.hub_scores - hub_ref).max() <= 1e-8
         assert np.abs(res.authority_scores - auth_ref).max() <= 1e-8
 
+    @pytest.mark.parametrize(
+        "graph", [sources_and_sinks, rank_deficient, weighted]
+    )
+    def test_matches_oracle_on(self, graph):
+        adj = graph()
+        res = expm_scores_exact(adj)
+        hub_ref, auth_ref = expm_diag_oracle(adj.toarray())
+        assert np.abs(res.hub_scores - hub_ref).max() <= 1e-8
+        assert np.abs(res.authority_scores - auth_ref).max() <= 1e-8
+
+    def test_no_svd_and_bit_identical(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("expm_scores_exact called netrank.svd")
+
+        monkeypatch.setattr(sketchlab.netrank, "svd", no_svd)
+        adj = random_digraph(50, seed=25)
+        r1 = expm_scores_exact(adj)
+        r2 = expm_scores_exact(adj)
+        assert np.array_equal(r1.hub_scores, r2.hub_scores)
+        assert np.array_equal(r1.authority_scores, r2.authority_scores)
+
+    def test_overflow_raises(self):
+        adj = random_digraph(20, seed=26) * 1000.0
+        with pytest.raises(NumericalError, match="overflows cosh"):
+            expm_scores_exact(adj)
+
+    def test_guard_tests_singular_value(self):
+        # sigma = 650 is below the guard although lam = sigma^2 is not
+        res = expm_scores_exact(sparse.csr_matrix(np.array([[650.0]])))
+        assert np.isclose(res.hub_scores[0], np.cosh(650.0), rtol=1e-12)
+        assert np.isclose(res.authority_scores[0], np.cosh(650.0), rtol=1e-12)
+
+    def test_eigh_failure_is_numerical_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            expm_scores_exact(random_digraph(10, seed=27))
+
     def test_scores_at_least_one(self):
         res = expm_scores_exact(random_digraph(15, seed=9))
         assert (res.hub_scores >= 1.0 - 1e-10).all()
@@ -132,6 +196,11 @@ class TestExpmSketched:
         assert len(res.top_hubs) == 5
         assert np.isfinite(res.hub_scores).all()
         assert np.isfinite(res.authority_scores).all()
+
+    def test_overflow_raises(self):
+        adj = random_digraph(20, seed=26) * 1000.0
+        with pytest.raises(NumericalError, match="overflows cosh"):
+            expm_scores_sketched(adj, "fd", k=5, p=5)
 
     def test_sketch_size_guard(self):
         with pytest.raises(ValueError, match="k\\+p"):

@@ -104,6 +104,18 @@ class TestSpEmbApply:
             SpEmbSpec(n_in=2, n_out=2, h=np.array([0.0, 1.0]),
                       signs=np.array([1.0, 1.0]))
 
+    def test_drawn_specs_valid_without_checks(self, monkeypatch):
+        for n_in, n_out in [(0, 1), (1, 1), (9, 4), (3, 8)]:
+            spec = SpEmbSpec.draw(n_in, n_out, np.random.default_rng(n_in))
+            SpEmbSpec(n_in=n_in, n_out=n_out, h=spec.h, signs=spec.signs)
+
+        def no_check(self):
+            raise AssertionError("a drawn spec was checked again")
+
+        monkeypatch.setattr(SpEmbSpec, "__post_init__", no_check)
+        SpEmbSpec.draw(9, 4, np.random.default_rng(0))
+        spfd_intermediate(random_dense(9, 3, seed=0), SpfdConfig(ell=2, q=3, seed=0))
+
 
 def add_at_embedding(a, spec: SpEmbSpec) -> np.ndarray:
     """Reference embedding: one ``np.add.at`` over the rows (dense) or the
