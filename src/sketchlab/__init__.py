@@ -16,9 +16,6 @@ from .linalg import (
     as_csr,
     as_dense,
     fro_norm,
-    pad_rows,
-    permute_rows,
-    random_permutation,
     row_norms,
     svd,
     thin_qr,

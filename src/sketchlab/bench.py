@@ -131,7 +131,13 @@ class ResultRow:
     reps: int
 
 
-def _parse_sweep(raw) -> tuple[int, int, int]:
+def _required(obj: dict, key: str, path, where: str = ""):
+    if key not in obj:
+        raise ValueError(f"{path}: missing required key '{where}{key}'")
+    return obj[key]
+
+
+def _parse_sweep(raw, path) -> tuple[int, int, int]:
     if isinstance(raw, str):
         parts = raw.split(":")
         if len(parts) != 3:
@@ -141,7 +147,8 @@ def _parse_sweep(raw) -> tuple[int, int, int]:
         extra = set(raw) - {"start", "step", "end"}
         if extra:
             raise ValueError(f"unknown ell_sweep keys {sorted(extra)}")
-        return int(raw["start"]), int(raw["step"]), int(raw["end"])
+        keys = ("start", "step", "end")
+        return tuple(int(_required(raw, key, path, "ell_sweep.")) for key in keys)
     raise ValueError("ell_sweep must be a 'start:step:end' string or an object")
 
 
@@ -159,6 +166,11 @@ def load_config(path) -> BenchConfig:
     extra = set(raw) - _CONFIG_KEYS
     if extra:
         raise ValueError(f"{path}: unknown config keys {sorted(extra)}")
+    methods = _required(raw, "methods", path)
+    if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
+        raise ValueError(f"{path}: methods must be a list of strings")
+    k = int(_required(raw, "k", path))
+    ell_sweep = _parse_sweep(_required(raw, "ell_sweep", path), path)
     ds = raw.get("dataset")
     if not isinstance(ds, dict) or "type" not in ds:
         raise ValueError(f"{path}: dataset must be an object with a 'type'")
@@ -166,8 +178,8 @@ def load_config(path) -> BenchConfig:
         extra = set(ds) - _SYNTH_KEYS
         if extra:
             raise ValueError(f"{path}: unknown dataset keys {sorted(extra)}")
-        kwargs = {"n": int(ds["n"]), "d": int(ds["d"]),
-                  "k": int(ds.get("k", raw["k"]))}
+        kwargs = {key: int(_required(ds, key, path, "dataset.")) for key in ("n", "d")}
+        kwargs["k"] = int(ds.get("k", k))
         if "zeta" in ds:
             # explicit null disables the noise term; absent keeps the default
             kwargs["zeta"] = None if ds["zeta"] is None else float(ds["zeta"])
@@ -180,7 +192,7 @@ def load_config(path) -> BenchConfig:
             raise ValueError(f"{path}: unknown dataset keys {sorted(extra)}")
         if ds.get("format") not in ("svmlight", "matrixmarket", "edges"):
             raise ValueError(f"{path}: unknown dataset format {ds.get('format')!r}")
-        dataset = (str(ds["path"]), str(ds["format"]))
+        dataset = (str(_required(ds, "path", path, "dataset.")), str(ds["format"]))
     else:
         raise ValueError(f"{path}: unknown dataset type {ds['type']!r}")
     reps = raw.get("repetitions", {"outer": 1, "inner": 1})
@@ -188,9 +200,9 @@ def load_config(path) -> BenchConfig:
         raise ValueError(f"{path}: unknown repetition keys")
     return BenchConfig(
         dataset=dataset,
-        methods=tuple(raw["methods"]),
-        k=int(raw["k"]),
-        ell_sweep=_parse_sweep(raw["ell_sweep"]),
+        methods=tuple(methods),
+        k=k,
+        ell_sweep=ell_sweep,
         repetitions=(int(reps.get("outer", 1)), int(reps.get("inner", 1))),
         seed=int(raw.get("seed", 0)),
         output=raw.get("output"),

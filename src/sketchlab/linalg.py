@@ -2,8 +2,7 @@
 
 Everything downstream (sketchers, low-rank pipeline, network ranking) goes
 through the helpers here so that numerical conventions are fixed in exactly
-one place: economy SVD with a deterministic sign convention, thin QR,
-seeded row permutations and zero-row padding.
+one place: economy SVD with a deterministic sign convention and thin QR.
 
 Matrices are plain ``numpy.ndarray`` (row-major float64) or
 ``scipy.sparse.csr_matrix``; ``as_dense`` / ``as_csr`` validate and
@@ -25,14 +24,10 @@ __all__ = [
     "SvdResult",
     "as_dense",
     "as_csr",
-    "is_sparse",
     "fro_norm",
     "row_norms",
     "svd",
     "thin_qr",
-    "random_permutation",
-    "permute_rows",
-    "pad_rows",
 ]
 
 Matrix = Union[np.ndarray, sparse.csr_matrix]
@@ -74,10 +69,6 @@ def as_csr(a) -> sparse.csr_matrix:
     if not np.isfinite(out.data).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return out
-
-
-def is_sparse(a) -> bool:
-    return sparse.issparse(a)
 
 
 def fro_norm(a: Matrix) -> float:
@@ -131,7 +122,7 @@ def svd(a: Matrix) -> SvdResult:
             u, s, vt = scipy.linalg.svd(
                 a, full_matrices=False, lapack_driver="gesvd"
             )
-        except Exception as exc:  # pragma: no cover - needs pathological input
+        except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD failed to converge: {exc}") from exc
     u = np.ascontiguousarray(u)
     vt = np.ascontiguousarray(vt)
@@ -154,46 +145,3 @@ def thin_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"thin_qr requires n_rows >= n_cols, got {a.shape}")
     q, r = np.linalg.qr(a, mode="reduced")
     return q, r
-
-
-def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random permutation of ``range(n)`` (Fisher-Yates shuffle)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return rng.permutation(n)
-
-
-def _check_permutation(p: np.ndarray, n: int) -> np.ndarray:
-    p = np.asarray(p)
-    if p.shape != (n,):
-        raise ValueError(f"permutation length {p.shape} does not match {n} rows")
-    counts = np.bincount(p, minlength=n)
-    if p.size and (p.min() < 0 or p.max() >= n or (counts != 1).any()):
-        raise ValueError("not a bijection on 0..n-1")
-    return p
-
-
-def permute_rows(a: Matrix, p: np.ndarray) -> Matrix:
-    """Reorder rows so that row ``i`` of the output is row ``p[i]`` of ``a``."""
-    p = _check_permutation(p, a.shape[0])
-    if sparse.issparse(a):
-        return a.tocsr()[p]
-    return a[p]
-
-
-def pad_rows(a: Matrix, multiple: int) -> Matrix:
-    """Append zero rows until the row count is a multiple of ``multiple``."""
-    if multiple < 1:
-        raise ValueError("multiple must be >= 1")
-    n, d = a.shape
-    target = ((n + multiple - 1) // multiple) * multiple
-    if target == n:
-        return a
-    extra = target - n
-    if sparse.issparse(a):
-        a = a.tocsr()
-        indptr = np.concatenate([a.indptr, np.full(extra, a.indptr[-1])])
-        return sparse.csr_matrix(
-            (a.data.copy(), a.indices.copy(), indptr), shape=(target, d)
-        )
-    return np.vstack([a, np.zeros((extra, d))])

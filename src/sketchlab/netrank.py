@@ -28,7 +28,6 @@ from .lowrank import approx_svd
 from .sketch import (
     RngLike,
     SpfdConfig,
-    as_generator,
     dct_sketch,
     fd_sketch,
     norm_sampling_sketch,
@@ -106,7 +105,7 @@ def hits(
         raise ValueError("tol must be positive")
     adj = _check_square(adj)
     n = adj.shape[0]
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     t0 = time.perf_counter()
     auth = rng.standard_normal(n)
     hub = rng.standard_normal(n)
@@ -227,7 +226,7 @@ def expm_scores_sketched(
     """
     adj = _check_square(adj)
     n = adj.shape[0]
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     t0 = time.perf_counter()
     if basis is None:
         ell = k + p

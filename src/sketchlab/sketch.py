@@ -1,8 +1,7 @@
 """The five sketching algorithms.
 
 Each sketcher maps an ``n x d`` matrix to a small ``ell x d`` sketch ``B``
-and (where the algorithm defines one) a ``d x ell`` orthonormal basis ``V``
-for the sketch's row space:
+and a ``d x ell`` orthonormal basis ``V`` for the sketch's row space:
 
 ``spemb_sketch``
     sparse subspace embedding (CountSketch): one random +-1 per input row,
@@ -13,9 +12,9 @@ for the sketch's row space:
     values by the (ell+1)-th one.  A buffer wider than it is tall is
     decomposed through its ``2*ell x 2*ell`` Gram matrix, one SVD per round.
 ``spfd_sketch``
-    block sparse embedding feeding frequent directions: the input is
-    zero-padded, row-permuted, compressed block-by-block with independent
-    sparse embeddings, and the resulting ``q*ell`` rows are run through the
+    block sparse embedding feeding frequent directions: the shuffled input
+    rows are compressed in ``q`` blocks by independent sparse embeddings,
+    and the resulting ``q*ell`` rows are run through the
     frequent-directions loop (q-1 shrink iterations).
 ``norm_sampling_sketch``
     i.i.d. row sampling proportional to squared row norms, rescaled to be
@@ -36,14 +35,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse as sparse
 
-from .linalg import (
-    Matrix,
-    is_sparse,
-    random_permutation,
-    row_norms,
-    svd,
-    thin_qr,
-)
+from .linalg import Matrix, row_norms, svd, thin_qr
 
 __all__ = [
     "SpEmbSpec",
@@ -62,13 +54,6 @@ __all__ = [
 RngLike = Union[int, np.random.Generator]
 
 
-def as_generator(rng: RngLike) -> np.random.Generator:
-    """Accept either a seed or an existing ``numpy.random.Generator``."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def parse_sketcher_id(method: str) -> tuple[str, Optional[int]]:
     """Split a sketcher id like ``spfd50`` into ``("spfd", 50)``; plain ids
     come back with ``None``.  The block count is an ASCII-digit suffix of
@@ -85,6 +70,13 @@ def parse_sketcher_id(method: str) -> tuple[str, Optional[int]]:
             )
         return "spfd", int(suffix)
     raise ValueError(f"unknown sketcher id '{method}'")
+
+
+def _draw_buckets(n_in: int, n_out: int, rng: np.random.Generator):
+    """Uniform buckets, then +-1 signs, for ``n_in`` rows (a fixed order)."""
+    h = rng.integers(0, n_out, size=n_in)
+    signs = np.where(rng.random(n_in) < 0.5, 1.0, -1.0)
+    return h, signs
 
 
 @dataclass(frozen=True)
@@ -114,27 +106,17 @@ class SpEmbSpec:
 
     @classmethod
     def draw(cls, n_in: int, n_out: int, rng: np.random.Generator) -> "SpEmbSpec":
-        """Draw a spec; the stream order (buckets, then signs) is fixed so
-        that seeded runs are reproducible across callers.
-
-        A drawn spec is valid by construction, so it skips the checks that
-        ``__post_init__`` runs on specs built by callers: in loops over
-        small inputs they cost more than the draw itself.
-        """
-        h = rng.integers(0, n_out, size=n_in)
-        signs = np.where(rng.random(n_in) < 0.5, 1.0, -1.0)
-        spec = object.__new__(cls)
-        spec.__dict__.update(n_in=n_in, n_out=n_out, h=h, signs=signs)
-        return spec
+        """Draw a spec from ``rng``: the bucket map first, then the signs."""
+        return cls(n_in, n_out, *_draw_buckets(n_in, n_out, rng))
 
 
 @dataclass(frozen=True)
 class SketchOutput:
-    """Sketch ``B`` (ell x d), optional row-space basis ``V`` (d x ell) and
-    the per-iteration shrinkage amounts of the frequent-directions pass."""
+    """Sketch ``B`` (ell x d), orthonormal row-space basis ``V`` (d x ell)
+    and the shrinkage amount of every frequent-directions round."""
 
     sketch: np.ndarray
-    basis: Optional[np.ndarray]
+    basis: np.ndarray
     deltas: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
@@ -171,7 +153,7 @@ def _embedding(rows, cols, signs, shape) -> sparse.csr_matrix:
 
 def _embed(op: sparse.csr_matrix, a: Matrix) -> np.ndarray:
     out = op @ a
-    return out.toarray() if is_sparse(out) else out
+    return out.toarray() if sparse.issparse(out) else out
 
 
 def spemb_apply(a: Matrix, spec: SpEmbSpec) -> np.ndarray:
@@ -197,7 +179,7 @@ def _basis_from_sketch(b: np.ndarray) -> np.ndarray:
 def spemb_sketch(a: Matrix, ell: int, rng: RngLike) -> SketchOutput:
     """Sparse-embedding sketch with a freshly drawn spec; basis via QR."""
     _check_ell(a, ell)
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     spec = SpEmbSpec.draw(a.shape[0], ell, rng)
     b = spemb_apply(a, spec)
     return SketchOutput(sketch=b, basis=_basis_from_sketch(b))
@@ -222,10 +204,10 @@ def _row_blocks(a: Matrix, ell: int):
     """The rows of ``a`` as consecutive dense blocks of ``ell`` rows, the
     last one possibly shorter."""
     n, d = a.shape
-    step = ell * max(1, _CHUNK_ENTRIES // (ell * d)) if is_sparse(a) else n
+    step = ell * max(1, _CHUNK_ENTRIES // (ell * d)) if sparse.issparse(a) else n
     for lo in range(0, n, step):
         chunk = a[lo : lo + step]
-        if is_sparse(chunk):
+        if sparse.issparse(chunk):
             chunk = chunk.toarray()
         for start in range(0, len(chunk), ell):
             yield chunk[start : start + ell]
@@ -327,8 +309,8 @@ def fd_sketch(a: Matrix, ell: int) -> SketchOutput:
 
 
 def spfd_intermediate(a: Matrix, cfg: SpfdConfig) -> np.ndarray:
-    """The ``q*ell x d`` stack of per-block sparse embeddings of the padded,
-    row-permuted input.
+    """The ``q*ell x d`` stack of per-block sparse embeddings of the
+    row-permuted input, padded with zero rows to ``q`` equal blocks.
 
     All q block embeddings and the row permutation form one
     ``q*ell x n`` CSR operator, applied to dense or CSR input as one
@@ -340,15 +322,15 @@ def spfd_intermediate(a: Matrix, cfg: SpfdConfig) -> np.ndarray:
     embedding) are statements about this operator alone.
 
     The seed discipline is fixed: the row permutation is drawn first, then
-    the q block specs in block order.
+    each block's bucket map and signs, in block order.
     """
     rng = np.random.default_rng(cfg.seed)
     n = a.shape[0]
     per_block = -(-n // cfg.q)
-    perm = random_permutation(per_block * cfg.q, rng)
-    specs = [SpEmbSpec.draw(per_block, cfg.ell, rng) for _ in range(cfg.q)]
-    rows = np.concatenate([j * cfg.ell + spec.h for j, spec in enumerate(specs)])
-    signs = np.concatenate([spec.signs for spec in specs])
+    perm = rng.permutation(per_block * cfg.q)
+    blocks = [_draw_buckets(per_block, cfg.ell, rng) for _ in range(cfg.q)]
+    rows = np.concatenate([j * cfg.ell + h for j, (h, _) in enumerate(blocks)])
+    signs = np.concatenate([signs for _, signs in blocks])
     # Permuted position p feeds row rows[p] from input row perm[p].
     real = perm < n
     op = _embedding(rows[real], perm[real], signs[real], (cfg.q * cfg.ell, n))
@@ -373,14 +355,14 @@ def norm_sampling_sketch(a: Matrix, ell: int, rng: RngLike) -> SketchOutput:
     """Sample ``ell`` rows i.i.d. with probability proportional to their
     squared norm, each rescaled by ``1/sqrt(ell * p_i)`` for unbiasedness."""
     _check_ell(a, ell)
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     norms_sq = row_norms(a) ** 2
     total = norms_sq.sum()
     if total <= 0.0:
         raise ValueError("norm sampling is undefined for an all-zero matrix")
     p = norms_sq / total
     idx = rng.choice(a.shape[0], size=ell, replace=True, p=p)
-    picked = a[idx].toarray() if is_sparse(a) else a[idx]
+    picked = a[idx].toarray() if sparse.issparse(a) else a[idx]
     b = picked / np.sqrt(ell * p[idx])[:, None]
     return SketchOutput(sketch=b, basis=_basis_from_sketch(b))
 
@@ -407,11 +389,11 @@ def dct_sketch(a: Matrix, ell: int, rng: RngLike) -> SketchOutput:
     n = a.shape[0]
     if ell > n:
         raise ValueError(f"ell={ell} exceeds the row count {n}")
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     rows = rng.choice(n, size=ell, replace=False)
     scale = np.sqrt(n / ell)
-    if is_sparse(a):
+    if sparse.issparse(a):
         m = _dct_rows(rows, n) * signs[None, :]
         b = scale * (m @ a)
         b = np.asarray(b)

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import re
 
 import pytest
 
@@ -16,6 +17,9 @@ from sketchlab.bench import (
 )
 from sketchlab.datagen import SyntheticSpec, generate_synthetic
 from sketchlab.linalg import NumericalError
+
+# marks a config key that a test case removes
+DROP = object()
 
 
 def small_cfg(**overrides):
@@ -112,6 +116,40 @@ class TestLoadConfig:
         payload["ell_sweep"] = "2:6"
         with pytest.raises(ValueError, match="start:step:end"):
             load_config(self.write(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("methods",), DROP, "missing required key 'methods'"),
+            (("k",), DROP, "missing required key 'k'"),
+            (("ell_sweep",), DROP, "missing required key 'ell_sweep'"),
+            (("dataset", "n"), DROP, "missing required key 'dataset.n'"),
+            (("dataset", "d"), DROP, "missing required key 'dataset.d'"),
+            (("dataset",), {"type": "file", "format": "edges"},
+             "missing required key 'dataset.path'"),
+            (("ell_sweep",), {"step": 2, "end": 6},
+             "missing required key 'ell_sweep.start'"),
+            (("ell_sweep",), {"start": 2, "end": 6},
+             "missing required key 'ell_sweep.step'"),
+            (("ell_sweep",), {"start": 2, "step": 2},
+             "missing required key 'ell_sweep.end'"),
+            (("methods",), "fd", "methods must be a list of strings"),
+            (("methods",), ["fd", 5], "methods must be a list of strings"),
+        ],
+    )
+    def test_malformed_config_names_file_and_key(self, tmp_path, keys, value, message):
+        payload = self.valid_payload()
+        *parents, last = keys
+        target = payload
+        for key in parents:
+            target = target[key]
+        if value is DROP:
+            del target[last]
+        else:
+            target[last] = value
+        path = self.write(tmp_path, payload)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_config(path)
 
 
 class TestSeeds:

@@ -7,7 +7,7 @@ import scipy.sparse as sparse
 
 import sketchlab.sketch
 from sketchlab.datagen import SyntheticSpec, generate_synthetic
-from sketchlab.linalg import fro_norm, svd
+from sketchlab.linalg import fro_norm, svd, thin_qr
 from sketchlab.lowrank import approx_from_basis
 from sketchlab.sketch import (
     SketchOutput,
@@ -24,8 +24,6 @@ from sketchlab.sketch import (
 )
 
 from oracles import dct_matrix_oracle, fd_oracle, spfd_oracle
-
-from sketchlab.linalg import pad_rows, permute_rows, random_permutation, thin_qr
 
 
 def random_dense(n, d, seed):
@@ -104,16 +102,15 @@ class TestSpEmbApply:
             SpEmbSpec(n_in=2, n_out=2, h=np.array([0.0, 1.0]),
                       signs=np.array([1.0, 1.0]))
 
-    def test_drawn_specs_valid_without_checks(self, monkeypatch):
+    def test_draw_checks_and_spfd_skips_them(self, monkeypatch):
+        # draw builds its spec through the checks, also at the edge sizes
         for n_in, n_out in [(0, 1), (1, 1), (9, 4), (3, 8)]:
-            spec = SpEmbSpec.draw(n_in, n_out, np.random.default_rng(n_in))
-            SpEmbSpec(n_in=n_in, n_out=n_out, h=spec.h, signs=spec.signs)
+            SpEmbSpec.draw(n_in, n_out, np.random.default_rng(n_in))
 
         def no_check(self):
-            raise AssertionError("a drawn spec was checked again")
+            raise AssertionError("spfd_intermediate built a spec")
 
         monkeypatch.setattr(SpEmbSpec, "__post_init__", no_check)
-        SpEmbSpec.draw(9, 4, np.random.default_rng(0))
         spfd_intermediate(random_dense(9, 3, seed=0), SpfdConfig(ell=2, q=3, seed=0))
 
 
@@ -131,13 +128,17 @@ def add_at_embedding(a, spec: SpEmbSpec) -> np.ndarray:
 
 
 def block_embedding_loop(a, cfg: SpfdConfig) -> np.ndarray:
-    """Reference ``spfd_intermediate``: pad, permute the rows, then embed
-    each block with its own ``np.add.at``."""
+    """Reference ``spfd_intermediate``: pad with zero rows, permute the
+    rows, then embed each block with its own ``np.add.at``."""
     rng = np.random.default_rng(cfg.seed)
-    a = pad_rows(a, cfg.q)
     n, d = a.shape
-    per_block = n // cfg.q
-    pa = permute_rows(a, random_permutation(n, rng))
+    per_block = -(-n // cfg.q)
+    extra = per_block * cfg.q - n
+    if sparse.issparse(a):
+        a = sparse.vstack([a, sparse.csr_matrix((extra, d))], format="csr")
+    else:
+        a = np.vstack([a, np.zeros((extra, d))])
+    pa = a[rng.permutation(per_block * cfg.q)]
     specs = [SpEmbSpec.draw(per_block, cfg.ell, rng) for _ in range(cfg.q)]
     out = np.empty((cfg.q * cfg.ell, d))
     for j, spec in enumerate(specs):
@@ -285,9 +286,9 @@ class TestSpfdSketch:
         seed = 21
         out = spfd_sketch(a, SpfdConfig(ell=3, q=1, seed=seed))
         rng = np.random.default_rng(seed)
-        perm = random_permutation(9, rng)
+        perm = rng.permutation(9)
         spec = SpEmbSpec.draw(9, 3, rng)
-        b_ref = spemb_apply(permute_rows(a, perm), spec)
+        b_ref = spemb_apply(a[perm], spec)
         v_ref, _ = thin_qr(b_ref.T)
         assert (out.sketch == b_ref).all()
         assert (out.basis == v_ref).all()
