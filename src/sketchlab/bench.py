@@ -137,19 +137,41 @@ def _required(obj: dict, key: str, path, where: str = ""):
     return obj[key]
 
 
+def _number(value, kind, path, key: str):
+    """``kind(value)`` (``int`` or ``float``), or a ``ValueError`` naming the
+    file and the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{path}: {key} must be {what}, got {value!r}") from None
+
+
 def _parse_sweep(raw, path) -> tuple[int, int, int]:
+    keys = ("start", "step", "end")
     if isinstance(raw, str):
         parts = raw.split(":")
         if len(parts) != 3:
-            raise ValueError(f"ell_sweep must look like 'start:step:end', got {raw!r}")
-        return int(parts[0]), int(parts[1]), int(parts[2])
+            raise ValueError(
+                f"{path}: ell_sweep must look like 'start:step:end', got {raw!r}"
+            )
+        return tuple(
+            _number(part, int, path, f"ell_sweep.{key}")
+            for key, part in zip(keys, parts)
+        )
     if isinstance(raw, dict):
-        extra = set(raw) - {"start", "step", "end"}
+        extra = set(raw) - set(keys)
         if extra:
-            raise ValueError(f"unknown ell_sweep keys {sorted(extra)}")
-        keys = ("start", "step", "end")
-        return tuple(int(_required(raw, key, path, "ell_sweep.")) for key in keys)
-    raise ValueError("ell_sweep must be a 'start:step:end' string or an object")
+            raise ValueError(f"{path}: unknown ell_sweep keys {sorted(extra)}")
+        return tuple(
+            _number(
+                _required(raw, key, path, "ell_sweep."), int, path, f"ell_sweep.{key}"
+            )
+            for key in keys
+        )
+    raise ValueError(
+        f"{path}: ell_sweep must be a 'start:step:end' string or an object"
+    )
 
 
 def load_config(path) -> BenchConfig:
@@ -169,7 +191,7 @@ def load_config(path) -> BenchConfig:
     methods = _required(raw, "methods", path)
     if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
         raise ValueError(f"{path}: methods must be a list of strings")
-    k = int(_required(raw, "k", path))
+    k = _number(_required(raw, "k", path), int, path, "k")
     ell_sweep = _parse_sweep(_required(raw, "ell_sweep", path), path)
     ds = raw.get("dataset")
     if not isinstance(ds, dict) or "type" not in ds:
@@ -178,13 +200,21 @@ def load_config(path) -> BenchConfig:
         extra = set(ds) - _SYNTH_KEYS
         if extra:
             raise ValueError(f"{path}: unknown dataset keys {sorted(extra)}")
-        kwargs = {key: int(_required(ds, key, path, "dataset.")) for key in ("n", "d")}
-        kwargs["k"] = int(ds.get("k", k))
+        kwargs = {
+            key: _number(
+                _required(ds, key, path, "dataset."), int, path, f"dataset.{key}"
+            )
+            for key in ("n", "d")
+        }
+        kwargs["k"] = _number(ds.get("k", k), int, path, "dataset.k")
         if "zeta" in ds:
             # explicit null disables the noise term; absent keeps the default
-            kwargs["zeta"] = None if ds["zeta"] is None else float(ds["zeta"])
+            kwargs["zeta"] = (
+                None if ds["zeta"] is None
+                else _number(ds["zeta"], float, path, "dataset.zeta")
+            )
         if ds.get("m") is not None:
-            kwargs["m"] = int(ds["m"])
+            kwargs["m"] = _number(ds["m"], int, path, "dataset.m")
         dataset: Union[SyntheticSpec, tuple[str, str]] = SyntheticSpec(**kwargs)
     elif ds["type"] == "file":
         extra = set(ds) - _FILE_KEYS
@@ -196,6 +226,10 @@ def load_config(path) -> BenchConfig:
     else:
         raise ValueError(f"{path}: unknown dataset type {ds['type']!r}")
     reps = raw.get("repetitions", {"outer": 1, "inner": 1})
+    if not isinstance(reps, dict):
+        raise ValueError(
+            f"{path}: repetitions must be an object with 'outer' and 'inner'"
+        )
     if set(reps) - {"outer", "inner"}:
         raise ValueError(f"{path}: unknown repetition keys")
     return BenchConfig(
@@ -203,8 +237,11 @@ def load_config(path) -> BenchConfig:
         methods=tuple(methods),
         k=k,
         ell_sweep=ell_sweep,
-        repetitions=(int(reps.get("outer", 1)), int(reps.get("inner", 1))),
-        seed=int(raw.get("seed", 0)),
+        repetitions=tuple(
+            _number(reps.get(key, 1), int, path, f"repetitions.{key}")
+            for key in ("outer", "inner")
+        ),
+        seed=_number(raw.get("seed", 0), int, path, "seed"),
         output=raw.get("output"),
         format=raw.get("format", "csv"),
     )

@@ -3,18 +3,26 @@
 Given a basis ``V`` for the row space of a sketch, the rank-k approximation
 is the best rank-k matrix inside that row space: truncate ``A @ V`` to rank
 k and rotate back.  The factors are kept separate (`left @ right_basis.T`)
-so that the full ``n x d`` approximation is never materialised; error
-ratios against the optimal truncated SVD are likewise computed by factor
-algebra and by power iteration on implicitly represented residuals.
+so that the full ``n x d`` approximation is never materialised.
+
+Error ratios against the optimal truncated SVD take their denominators from
+the singular values that `best_rank_k` keeps from its one SVD:
+``sigma_{k+1}`` and ``sqrt(sum_{i>k} sigma_i^2)``.  The numerators are the
+approximate residual's norms: the Frobenius norm by factor algebra, the
+spectral norm by a Lanczos solve (ARPACK through ``scipy.sparse.linalg.svds``)
+on the implicitly represented residual.  No ``n x d`` residual is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+import scipy.sparse as sparse
+from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
-from .linalg import Matrix, _fix_svd_signs, as_dense, fro_norm, svd
+from .linalg import Matrix, NumericalError, _fix_svd_signs, as_dense, fro_norm, svd
 
 __all__ = [
     "LowRankFactors",
@@ -25,9 +33,14 @@ __all__ = [
     "approx_svd",
     "error_report",
     "residual_spectral_norm",
+    "SpectralNorm",
 ]
 
 _ORTHO_TOL = 1e-8
+# Below this ratio of squared residual to squared norm, the factor-algebra
+# Frobenius residual would lose more than ~1e-8 of its value to cancellation.
+_FRO_CANCEL = 1e8 * np.finfo(np.float64).eps
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -35,12 +48,16 @@ class LowRankFactors:
     """Rank-k factors ``approx = left @ right_basis.T``.
 
     ``left`` is ``n x k`` (the scaled column factor), ``right_basis`` is
-    ``d x k`` with orthonormal columns.
+    ``d x k`` with orthonormal columns.  ``spectrum`` holds all
+    ``min(n, d)`` singular values of the approximated matrix, descending,
+    when they are known: `best_rank_k` keeps them, and `error_report`
+    requires them of its exact reference.
     """
 
     left: np.ndarray
     right_basis: np.ndarray
     k: int
+    spectrum: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.left.shape[1] != self.k or self.right_basis.shape[1] != self.k:
@@ -60,11 +77,13 @@ class ApproxSvd:
 @dataclass(frozen=True)
 class ErrorReport:
     """Error ratios of an approximation against the optimal one, plus the
-    wall time spent constructing the approximation."""
+    wall time spent constructing the approximation and ``spec_matvecs``,
+    the residual products the spectral numerator's Lanczos solve took."""
 
     fro_ratio: float
     spec_ratio: float
     elapsed_seconds: float
+    spec_matvecs: int = 0
 
     def __post_init__(self):
         for name in ("fro_ratio", "spec_ratio"):
@@ -84,9 +103,10 @@ def _check_orthonormal(v: np.ndarray, tol: float = _ORTHO_TOL) -> None:
         raise ValueError("basis columns are not orthonormal")
 
 
-def _top_k(x: Matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(left, w)`` with ``left = x @ w = U_k diag(sigma_k)`` and ``w`` the
-    top-k right singular vectors of ``x``, from one ``svd`` call.
+def _top_k(x: Matrix, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(left, w, sigma)`` with ``left = x @ w = U_k diag(sigma_k)``, ``w``
+    the top-k right singular vectors of ``x`` and ``sigma`` all its
+    ``min(n, d)`` singular values, from one ``svd`` call.
 
     A tall ``x`` (more rows than columns) is reduced to its ``d x d`` R
     factor first, whose right singular vectors are those of ``x``, so no
@@ -97,11 +117,12 @@ def _top_k(x: Matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     n, d = x.shape
     if n <= d:
         res = svd(x)
-        return res.u[:, :k] * res.sigma[:k], res.vt[:k].T
-    wt = svd(np.linalg.qr(as_dense(x), mode="r")).vt[:k].copy()
+        return res.u[:, :k] * res.sigma[:k], res.vt[:k].T, res.sigma
+    res = svd(np.linalg.qr(as_dense(x), mode="r"))
+    wt = res.vt[:k].copy()
     left = x @ wt.T
     _fix_svd_signs(left, wt)
-    return left, wt.T
+    return left, wt.T, res.sigma
 
 
 def best_rank_k(a: Matrix, k: int) -> LowRankFactors:
@@ -110,13 +131,16 @@ def best_rank_k(a: Matrix, k: int) -> LowRankFactors:
     ``right_basis`` holds the top-k right singular vectors ``W_k`` and
     ``left = a @ W_k``; a tall ``a`` is decomposed through the SVD of its
     R factor (dense, or CSR densified once), never forming the ``n x d``
-    left singular vectors.
+    left singular vectors.  ``spectrum`` keeps every singular value that
+    SVD computed.
     """
     n, d = a.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k={k} outside 1..min{(n, d)}")
-    left, w = _top_k(a, k)
-    return LowRankFactors(left=left, right_basis=np.ascontiguousarray(w), k=k)
+    left, w, sigma = _top_k(a, k)
+    return LowRankFactors(
+        left=left, right_basis=np.ascontiguousarray(w), k=k, spectrum=sigma
+    )
 
 
 def approx_from_basis(a: Matrix, v: np.ndarray, k: int) -> LowRankFactors:
@@ -135,7 +159,7 @@ def approx_from_basis(a: Matrix, v: np.ndarray, k: int) -> LowRankFactors:
         raise ValueError("k must be >= 1")
     v = as_dense(v)
     _check_orthonormal(v)
-    left, w = _top_k(a @ v, k)
+    left, w, _ = _top_k(a @ v, k)
     return LowRankFactors(left=left, right_basis=v @ w, k=k)
 
 
@@ -160,47 +184,86 @@ def _rmatvec_residual(a, left, right_basis, y):
     return a.T @ y - right_basis @ (left.T @ y)
 
 
+class SpectralNorm(float):
+    """A spectral norm that also carries ``matvecs``, the residual products
+    (with the residual or its transpose) taken to compute it."""
+
+    def __new__(cls, value: float, matvecs: int):
+        self = super().__new__(cls, value)
+        self.matvecs = matvecs
+        return self
+
+
 def residual_spectral_norm(
     a: Matrix,
     factors: LowRankFactors,
-    tol: float = 1e-6,
+    tol: float = 1e-12,
     max_iter: int = 1000,
-) -> float:
-    """Spectral norm of ``a - left @ right_basis.T`` by power iteration.
+) -> SpectralNorm:
+    """Spectral norm of ``a - left @ right_basis.T`` by a Lanczos solve.
 
-    The residual is never materialised; each step costs two products with
-    ``a`` plus O((n+d)k) factor work.  The start vector is fixed (seed 0) so
-    results are deterministic.  Stops when the estimate changes by less than
-    ``tol`` relatively, or after ``max_iter`` iterations.
+    ``scipy.sparse.linalg.svds(k=1)`` (ARPACK) runs on a ``LinearOperator``
+    of the residual, which is never materialised; each product costs one
+    product with ``a`` (or ``a.T``) plus O((n+d)k) factor work.  The start
+    vector is one step of the residual's normal operator applied to a fixed
+    ``default_rng(0)`` draw, so results are deterministic; if that step
+    vanishes the residual is zero.  ``tol`` is ARPACK's relative tolerance.
+    More than ``max_iter`` residual products, or an ARPACK failure, raise
+    `NumericalError`.  A residual with one row or one column has rank one,
+    and its Frobenius norm is returned.
     """
-    d = a.shape[1]
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(d)
-    x /= np.linalg.norm(x)
-    estimate = 0.0
-    for _ in range(max_iter):
-        y = _matvec_residual(a, factors.left, factors.right_basis, x)
-        sigma = np.linalg.norm(y)
-        if sigma == 0.0:
-            return 0.0
-        z = _rmatvec_residual(a, factors.left, factors.right_basis, y)
-        zn = np.linalg.norm(z)
-        if zn == 0.0:
-            return float(sigma)
-        x = z / zn
-        if abs(sigma - estimate) <= tol * sigma:
-            return float(sigma)
-        estimate = sigma
-    return float(estimate)
+    n, d = a.shape
+    if min(n, d) == 1:
+        return SpectralNorm(_residual_fro(a, factors, fro_norm(a) ** 2), 0)
+    matvecs = 0
+
+    def product(apply, x):
+        nonlocal matvecs
+        matvecs += 1
+        if matvecs > max_iter:
+            raise NumericalError(
+                f"residual spectral norm took more than {max_iter} products"
+            )
+        return apply(a, factors.left, factors.right_basis, x)
+
+    op = LinearOperator(
+        (n, d),
+        matvec=lambda x: product(_matvec_residual, x),
+        rmatvec=lambda y: product(_rmatvec_residual, y),
+        dtype=np.float64,
+    )
+    x = np.random.default_rng(0).standard_normal(min(n, d))
+    start = op.rmatvec(op.matvec(x)) if n >= d else op.matvec(op.rmatvec(x))
+    if not start.any():
+        return SpectralNorm(0.0, matvecs)
+    try:
+        sigma = svds(op, k=1, tol=tol, v0=start, return_singular_vectors=False)
+    except ArpackError as exc:
+        raise NumericalError(f"residual spectral norm: {exc}") from exc
+    return SpectralNorm(sigma[0], matvecs)
 
 
 def _residual_fro(a: Matrix, factors: LowRankFactors, norm_a_sq: float) -> float:
     # ||a - l r^T||_F^2 = ||a||^2 - 2 tr(r l^T a) + ||l||^2 with orthonormal
     # r; the trace term streams through a without forming n x d products.
+    # That sum cancels when the residual is tiny next to ||a||; then the
+    # residual is summed over row blocks instead.
     ar = a @ factors.right_basis
     overlap = float(np.vdot(factors.left, ar))
     norm_factors_sq = float(np.vdot(factors.left, factors.left))
-    return float(np.sqrt(max(norm_a_sq - 2.0 * overlap + norm_factors_sq, 0.0)))
+    resid_sq = norm_a_sq - 2.0 * overlap + norm_factors_sq
+    if resid_sq >= _FRO_CANCEL * norm_a_sq:
+        return float(np.sqrt(resid_sq))
+    n, d = a.shape
+    step = max(1, _BLOCK_ENTRIES // d)
+    resid_sq = 0.0
+    for lo in range(0, n, step):
+        block = a[lo : lo + step]
+        if sparse.issparse(block):
+            block = block.toarray()
+        block = block - factors.left[lo : lo + step] @ factors.right_basis.T
+        resid_sq += float(np.vdot(block, block))
+    return float(np.sqrt(resid_sq))
 
 
 def error_report(
@@ -211,6 +274,12 @@ def error_report(
 ) -> ErrorReport:
     """Frobenius and spectral error ratios of ``approx`` against ``exact``.
 
+    ``exact`` must carry its ``spectrum`` (as `best_rank_k` factors do): the
+    optimal residuals are ``sigma_{k+1}`` (0 when ``k = min(n, d)``) and
+    ``sqrt(sum_{i>k} sigma_i^2)``, read from it without touching ``a``.
+    The numerators are ``approx``'s residual norms, the spectral one from
+    `residual_spectral_norm`.
+
     When the exact residual vanishes (input of rank <= k) the ratio is
     defined as 1 provided the approximate residual also vanishes; otherwise
     beating an exactly-recoverable input is impossible and an error is
@@ -218,12 +287,16 @@ def error_report(
     """
     if approx.k != exact.k:
         raise ValueError("approximate and exact factors target different ranks")
+    if exact.spectrum is None:
+        raise ValueError(
+            "exact factors carry no spectrum; build them with best_rank_k"
+        )
+    tail = exact.spectrum[exact.k :]
+    fro_den = float(np.sqrt(np.sum(tail**2)))
+    spec_den = float(tail[0]) if tail.size else 0.0
     norm_a = fro_norm(a)
-    norm_a_sq = norm_a**2
-    fro_num = _residual_fro(a, approx, norm_a_sq)
-    fro_den = _residual_fro(a, exact, norm_a_sq)
+    fro_num = _residual_fro(a, approx, norm_a**2)
     spec_num = residual_spectral_norm(a, approx)
-    spec_den = residual_spectral_norm(a, exact)
 
     def ratio(num: float, den: float) -> float:
         # Residuals below the float noise floor relative to ||a|| count as
@@ -241,4 +314,5 @@ def error_report(
         fro_ratio=ratio(fro_num, fro_den),
         spec_ratio=ratio(spec_num, spec_den),
         elapsed_seconds=float(elapsed_seconds),
+        spec_matvecs=spec_num.matvecs,
     )

@@ -135,6 +135,17 @@ class TestLoadConfig:
              "missing required key 'ell_sweep.end'"),
             (("methods",), "fd", "methods must be a list of strings"),
             (("methods",), ["fd", 5], "methods must be a list of strings"),
+            (("repetitions",), 3, "repetitions must be an object"),
+            (("repetitions", "inner"), "two",
+             "repetitions.inner must be an integer, got 'two'"),
+            (("ell_sweep",), "2:x:6", "ell_sweep.step must be an integer, got 'x'"),
+            (("ell_sweep",), {"start": 2, "step": None, "end": 6},
+             "ell_sweep.step must be an integer, got None"),
+            (("ell_sweep",), "2:6", "ell_sweep must look like 'start:step:end'"),
+            (("k",), "ten", "k must be an integer, got 'ten'"),
+            (("seed",), "x", "seed must be an integer, got 'x'"),
+            (("dataset", "n"), [50], "dataset.n must be an integer, got [50]"),
+            (("dataset", "zeta"), "loud", "dataset.zeta must be a number, got 'loud'"),
         ],
     )
     def test_malformed_config_names_file_and_key(self, tmp_path, keys, value, message):

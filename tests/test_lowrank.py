@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import sketchlab.lowrank
 from sketchlab.datagen import SyntheticSpec, generate_synthetic
-from sketchlab.linalg import fro_norm, svd, thin_qr
+from sketchlab.linalg import NumericalError, fro_norm, svd, thin_qr
 from sketchlab.lowrank import (
     ErrorReport,
     LowRankFactors,
@@ -245,6 +246,161 @@ class TestResidualSpectralNorm:
         f = best_rank_k(a, 3)
         est = residual_spectral_norm(a, f)
         assert est <= 1e-10 * fro_norm(a)
+
+
+def clustered(n, d, k, seed):
+    """``n x d`` with k leading singular values 10..6 and a tail 1, 0.999,
+    ... spaced 1e-3 apart: a residual whose top singular values cluster."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    s = np.concatenate([10.0 - np.arange(k), 1.0 - 1e-3 * np.arange(d - k)])
+    return (u * s) @ v.T
+
+
+def count_residual_products(monkeypatch) -> list:
+    """Count calls of the module-level residual products, as a tracer
+    wrapping them would."""
+    calls = []
+    for name in ("_matvec_residual", "_rmatvec_residual"):
+        real = getattr(sketchlab.lowrank, name)
+
+        def counted(*args, real=real):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(sketchlab.lowrank, name, counted)
+    return calls
+
+
+class TestLanczosResidualNorm:
+    """``residual_spectral_norm`` is a Lanczos solve (``svds(k=1)``) on the
+    implicit residual, accurate to ~1e-15 also where a power iteration
+    stopped on stagnation falls 1e-6 to 1e-4 short."""
+
+    def test_sketched_residual_2000x200(self):
+        a = generate_synthetic(SyntheticSpec(n=2000, d=200, k=10, zeta=10.0, seed=61))
+        f = approx_from_basis(a, fd_sketch(a, 40).basis, 10)
+        ref = np.linalg.norm(a - materialise(f), 2)
+        assert abs(residual_spectral_norm(a, f) - ref) <= 1e-10 * ref
+
+    def test_clustered_spectrum(self):
+        # a power iteration stopped on 1e-6 stagnation is 1.4e-4 low here
+        a = clustered(400, 120, 5, seed=60)
+        f = best_rank_k(a, 5)
+        ref = np.linalg.norm(a - materialise(f), 2)
+        assert abs(residual_spectral_norm(a, f) - ref) <= 1e-10 * ref
+
+    def test_csr_input(self):
+        a = random_csr(300, 40, seed=62)
+        f = approx_from_basis(a, fd_sketch(a, 10).basis, 4)
+        ref = np.linalg.norm(a.toarray() - materialise(f), 2)
+        assert abs(residual_spectral_norm(a, f) - ref) <= 1e-10 * ref
+
+    def test_products_counted_through_module_bindings(self, monkeypatch):
+        a = random_dense(60, 25, seed=63)
+        f = best_rank_k(a, 3)
+        calls = count_residual_products(monkeypatch)
+        est = residual_spectral_norm(a, f)
+        assert est.matvecs == len(calls) > 0
+        rep = error_report(a, f, f, 0.0)
+        assert rep.spec_matvecs == est.matvecs
+        assert len(calls) == 2 * est.matvecs
+
+    def test_max_iter_bounds_products(self, monkeypatch):
+        a = clustered(400, 120, 5, seed=60)
+        f = best_rank_k(a, 5)
+        calls = count_residual_products(monkeypatch)
+        with pytest.raises(NumericalError, match="more than 10 products"):
+            residual_spectral_norm(a, f, max_iter=10)
+        assert len(calls) == 10
+
+    def test_no_convergence_is_numerical_error(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(sketchlab.lowrank, "svds", stalled)
+        a = random_dense(30, 12, seed=64)
+        f = best_rank_k(a, 3)
+        with pytest.raises(NumericalError, match="no convergence"):
+            residual_spectral_norm(a, f)
+        with pytest.raises(NumericalError):
+            error_report(a, f, f, 0.0)
+
+    def test_exactly_zero_residual(self):
+        a = np.zeros((6, 4))
+        a[0, 0] = 1.0
+        f = best_rank_k(a, 1)
+        assert residual_spectral_norm(a, f) == 0.0
+        rep = error_report(a, f, f, 0.0)
+        assert (rep.fro_ratio, rep.spec_ratio) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (2, 2)])
+    def test_thin_and_tiny_shapes(self, shape):
+        a = random_dense(*shape, seed=65)
+        zero = LowRankFactors(
+            left=np.zeros((shape[0], 1)), right_basis=np.eye(shape[1])[:, :1], k=1
+        )
+        ref = np.linalg.norm(a - materialise(zero), 2)
+        assert abs(residual_spectral_norm(a, zero) - ref) <= 1e-12 * ref
+        exact = best_rank_k(a, 1)
+        rep = error_report(a, exact, exact, 0.0)
+        assert rep.fro_ratio == pytest.approx(1.0, abs=1e-8)
+        assert rep.spec_ratio == pytest.approx(1.0, abs=1e-8)
+
+
+class TestSpectrumDenominators:
+    """``error_report`` reads the optimal residuals from ``best_rank_k``'s
+    spectrum: ``sigma_{k+1}`` and ``sqrt(sum_{i>k} sigma_i^2)``."""
+
+    @pytest.mark.parametrize("name", ["tall-dense", "tall-csr", "square", "wide"])
+    def test_denominators_match_svd(self, monkeypatch, name):
+        a, k, _, _ = TOP_K_INPUTS[name]
+        dense = a.toarray() if sparse.issparse(a) else a
+        s = np.linalg.svd(dense, compute_uv=False)
+        exact = best_rank_k(a, k)
+        assert np.abs(exact.spectrum - s).max() <= 1e-12 * s[0]
+        # numerators fixed at 1e3 * sigma_1: the ratios expose the denominators
+        num = 1e3 * s[0]
+        monkeypatch.setattr(sketchlab.lowrank, "_residual_fro", lambda *args: num)
+        monkeypatch.setattr(
+            sketchlab.lowrank,
+            "residual_spectral_norm",
+            lambda *args: sketchlab.lowrank.SpectralNorm(num, 0),
+        )
+        rep = error_report(a, exact, exact, 0.0)
+        assert num / rep.spec_ratio == pytest.approx(s[k], rel=1e-12)
+        assert num / rep.fro_ratio == pytest.approx(
+            np.sqrt(np.sum(s[k:] ** 2)), rel=1e-12
+        )
+
+    def test_exact_without_spectrum_rejected(self):
+        a = random_dense(20, 8, seed=66)
+        f = best_rank_k(a, 3)
+        bare = LowRankFactors(left=f.left, right_basis=f.right_basis, k=3)
+        with pytest.raises(ValueError, match="spectrum"):
+            error_report(a, f, bare, 0.0)
+        sketched = approx_from_basis(a, fd_sketch(a, 5).basis, 3)
+        assert sketched.spectrum is None
+        with pytest.raises(ValueError, match="spectrum"):
+            error_report(a, f, sketched, 0.0)
+
+
+class TestFrobeniusResidual:
+    """Near rank k the factor-algebra Frobenius residual cancels; it is
+    then summed over row blocks of ``a - left @ right_basis.T``."""
+
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    def test_near_rank_k_matches_dense_norm(self, fmt):
+        a = rank_r(500, 50, 5, seed=67)
+        a += 1e-7 * random_dense(500, 50, seed=68)
+        if fmt == "csr":
+            a = sparse.csr_matrix(a)
+        f = best_rank_k(a, 5)
+        dense = a.toarray() if sparse.issparse(a) else a
+        ref = np.linalg.norm(dense - materialise(f))
+        got = sketchlab.lowrank._residual_fro(a, f, fro_norm(a) ** 2)
+        assert abs(got - ref) <= 1e-10 * ref
 
 
 class TestErrorReport:
