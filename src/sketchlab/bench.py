@@ -10,8 +10,10 @@ are excluded.
 
 Repetitions run serially, one after another, so each one's timing is free
 of contention from the others.  A repetition that raises ``NumericalError``
-or ``numpy.linalg.LinAlgError`` is logged, counted as failed and left out
-of the medians; any other exception aborts the campaign.
+or ``numpy.linalg.LinAlgError`` is logged, counted in its row's ``failed``
+column and left out of the medians; a cell whose repetitions all failed
+still gets a row, with ``reps=0`` and null medians.  Any other exception
+aborts the campaign.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .datagen import SyntheticSpec, generate_synthetic
 from .dataio import load_edge_list, load_matrix_market, load_svmlight
-from .linalg import Matrix, NumericalError, as_dense
+from .linalg import Matrix, NumericalError
 from .lowrank import approx_from_basis, best_rank_k, error_report
 from .sketch import (
     SketchOutput,
@@ -65,7 +67,9 @@ MEDIAN_NOTE = (
     "the smaller central value) over completed repetitions only"
 )
 
-CSV_HEADER = ["method", "ell", "fro_ratio", "spec_ratio", "elapsed_seconds", "reps"]
+CSV_HEADER = [
+    "method", "ell", "fro_ratio", "spec_ratio", "elapsed_seconds", "reps", "failed",
+]
 
 _CONFIG_KEYS = {
     "schema_version",
@@ -121,14 +125,17 @@ class BenchConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """Aggregated row: medians over completed repetitions."""
+    """Aggregated row: medians over the ``reps`` completed repetitions, and
+    the count of ``failed`` ones.  With ``reps == 0`` every median is
+    ``None``."""
 
     method: str
     ell: int
     fro_ratio: Optional[float]
     spec_ratio: Optional[float]
-    elapsed_seconds: float
+    elapsed_seconds: Optional[float]
     reps: int
+    failed: int = 0
 
 
 def _required(obj: dict, key: str, path, where: str = ""):
@@ -304,7 +311,8 @@ def _exact_reference(a: Matrix, k: int):
             EXACT_REFERENCE_CELL_CAP,
         )
         return None
-    return best_rank_k(as_dense(a), k)
+    # loaders and the generator validate; CSR stays sparse (sparse Gram)
+    return best_rank_k(a, k)
 
 
 def run_benchmark(cfg: BenchConfig) -> list[ResultRow]:
@@ -364,18 +372,20 @@ def run_benchmark(cfg: BenchConfig) -> list[ResultRow]:
                     "%s ell=%d: %d of %d repetitions failed",
                     method, ell, failed, failed + len(runs),
                 )
-            if not runs:
-                continue
-            fro = [r[0] for r in runs]
-            spec = [r[1] for r in runs]
+            fro, spec, elapsed = (
+                None if not runs or runs[0][i] is None
+                else median_low(r[i] for r in runs)
+                for i in range(3)
+            )
             rows.append(
                 ResultRow(
                     method=method,
                     ell=ell,
-                    fro_ratio=None if fro[0] is None else median_low(fro),
-                    spec_ratio=None if spec[0] is None else median_low(spec),
-                    elapsed_seconds=median_low(r[2] for r in runs),
+                    fro_ratio=fro,
+                    spec_ratio=spec,
+                    elapsed_seconds=elapsed,
                     reps=len(runs),
+                    failed=failed,
                 )
             )
     return rows
@@ -385,6 +395,10 @@ def _fmt(value: Optional[float]) -> str:
     if value is None:
         return "nan"
     return f"{value:.10g}"
+
+
+def _json_float(value: Optional[float]) -> Optional[float]:
+    return None if value is None else float(_fmt(value))
 
 
 def emit_results(rows: list[ResultRow], path, fmt: str = "csv") -> None:
@@ -406,6 +420,7 @@ def emit_results(rows: list[ResultRow], path, fmt: str = "csv") -> None:
                             _fmt(row.spec_ratio),
                             _fmt(row.elapsed_seconds),
                             row.reps,
+                            row.failed,
                         ]
                     )
         elif fmt == "json":
@@ -413,14 +428,11 @@ def emit_results(rows: list[ResultRow], path, fmt: str = "csv") -> None:
                 {
                     "method": row.method,
                     "ell": row.ell,
-                    "fro_ratio": None
-                    if row.fro_ratio is None
-                    else float(_fmt(row.fro_ratio)),
-                    "spec_ratio": None
-                    if row.spec_ratio is None
-                    else float(_fmt(row.spec_ratio)),
-                    "elapsed_seconds": float(_fmt(row.elapsed_seconds)),
+                    "fro_ratio": _json_float(row.fro_ratio),
+                    "spec_ratio": _json_float(row.spec_ratio),
+                    "elapsed_seconds": _json_float(row.elapsed_seconds),
                     "reps": row.reps,
+                    "failed": row.failed,
                 }
                 for row in rows
             ]

@@ -41,6 +41,9 @@ _ORTHO_TOL = 1e-8
 # Frobenius residual would lose more than ~1e-8 of its value to cancellation.
 _FRO_CANCEL = 1e8 * np.finfo(np.float64).eps
 _BLOCK_ENTRIES = 1 << 20
+# CholeskyQR2 falls back to Householder when its first-pass Q deviates from
+# orthonormal by more than this; the deviation grows like cond(x)^2 * eps.
+_CHOLQR_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -103,22 +106,61 @@ def _check_orthonormal(v: np.ndarray, tol: float = _ORTHO_TOL) -> None:
         raise ValueError("basis columns are not orthonormal")
 
 
+def _r_factor(x: Matrix) -> np.ndarray:
+    """A ``d x d`` upper-triangular R with ``x = Q R`` for some ``Q`` with
+    orthonormal columns, for a tall dense or CSR ``x``.
+
+    CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014):
+    ``R1 = chol(x^T x)^T``, ``Q1 = x R1^-1``, ``R2 = chol(Q1^T Q1)^T`` and
+    ``R = R2 R1``.  The Gram matrix of CSR input is the sparse product
+    ``x^T x``; ``x`` itself is never densified, and ``Q1`` is formed and
+    reduced one block of about ``_BLOCK_ENTRIES`` entries at a time.  When
+    either Cholesky factorisation fails, or ``Q1`` is more than
+    ``_CHOLQR_TOL`` from orthonormal (condition numbers beyond about 1e7,
+    rank deficiency), R comes from a Householder QR of ``x`` instead.
+    Non-finite entries raise ``ValueError``.
+    """
+    if sparse.issparse(x):
+        if not np.isfinite(x.data).all():
+            raise ValueError("matrix contains NaN or Inf entries")
+        gram = (x.T @ x).toarray()
+    else:
+        x = as_dense(x)
+        gram = x.T @ x
+    n, d = x.shape
+    step = max(1, _BLOCK_ENTRIES // d)
+    try:
+        r1 = np.linalg.cholesky(gram).T
+        r1_inv = np.linalg.inv(r1)
+        gram = np.zeros((d, d))
+        for lo in range(0, n, step):
+            q1 = x[lo : lo + step] @ r1_inv
+            gram += q1.T @ q1
+        # written so that a NaN deviation also falls back
+        if not np.abs(gram - np.eye(d)).max() <= _CHOLQR_TOL:
+            raise np.linalg.LinAlgError("Q1 is not orthonormal")
+        return np.linalg.cholesky(gram).T @ r1
+    except np.linalg.LinAlgError:
+        return np.linalg.qr(as_dense(x), mode="r")
+
+
 def _top_k(x: Matrix, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(left, w, sigma)`` with ``left = x @ w = U_k diag(sigma_k)``, ``w``
     the top-k right singular vectors of ``x`` and ``sigma`` all its
     ``min(n, d)`` singular values, from one ``svd`` call.
 
     A tall ``x`` (more rows than columns) is reduced to its ``d x d`` R
-    factor first, whose right singular vectors are those of ``x``, so no
-    ``n``-row singular vectors are formed.  The sign of each pair is fixed
-    as ``linalg.svd`` fixes it: the largest-magnitude entry of every
-    ``left`` column is positive.
+    factor first (`_r_factor`: CholeskyQR2 from the Gram matrix, sparse
+    for CSR input, with a Householder fallback), whose right singular
+    vectors are those of ``x``, so no ``n``-row singular vectors are
+    formed.  The sign of each pair is fixed as ``linalg.svd`` fixes it:
+    the largest-magnitude entry of every ``left`` column is positive.
     """
     n, d = x.shape
     if n <= d:
         res = svd(x)
         return res.u[:, :k] * res.sigma[:k], res.vt[:k].T, res.sigma
-    res = svd(np.linalg.qr(as_dense(x), mode="r"))
+    res = svd(_r_factor(x))
     wt = res.vt[:k].copy()
     left = x @ wt.T
     _fix_svd_signs(left, wt)
@@ -130,9 +172,12 @@ def best_rank_k(a: Matrix, k: int) -> LowRankFactors:
 
     ``right_basis`` holds the top-k right singular vectors ``W_k`` and
     ``left = a @ W_k``; a tall ``a`` is decomposed through the SVD of its
-    R factor (dense, or CSR densified once), never forming the ``n x d``
-    left singular vectors.  ``spectrum`` keeps every singular value that
-    SVD computed.
+    ``d x d`` R factor, never forming the ``n x d`` left singular vectors.
+    That R comes from CholeskyQR2 on the Gram matrix ``a^T a`` (a sparse
+    product for CSR ``a``, which is never densified), or from a
+    Householder QR when the first pass leaves its Q more than 0.1 from
+    orthonormal (``cond(a)`` beyond about 1e7, or rank deficiency).
+    ``spectrum`` keeps every singular value that SVD computed.
     """
     n, d = a.shape
     if not 1 <= k <= min(n, d):

@@ -112,12 +112,15 @@ class SpEmbSpec:
 
 @dataclass(frozen=True)
 class SketchOutput:
-    """Sketch ``B`` (ell x d), orthonormal row-space basis ``V`` (d x ell)
-    and the shrinkage amount of every frequent-directions round."""
+    """Sketch ``B`` (ell x d), orthonormal row-space basis ``V`` (d x ell),
+    the shrinkage amount of every frequent-directions round, and
+    ``gram_fallbacks``, the wide rounds whose Gram route was redone with
+    the buffer's own SVD."""
 
     sketch: np.ndarray
     basis: np.ndarray
     deltas: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    gram_fallbacks: int = 0
 
     @property
     def delta_total(self) -> float:
@@ -252,10 +255,13 @@ def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
     buf[: len(first)] = first
     deltas: list[float] = []
     wide = 2 * ell < d
+    fallbacks = 0
 
     def shrink_round() -> np.ndarray:
+        nonlocal fallbacks
         found = _gram_round(buf, ell) if wide else None
         if found is None:
+            fallbacks += int(wide)
             res = svd(buf)
             found = res.sigma**2, res.vt[:ell]
         sq, vt = found
@@ -286,6 +292,7 @@ def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
         sketch=buf[:ell].copy(),
         basis=basis,
         deltas=np.asarray(deltas),
+        gram_fallbacks=fallbacks,
     )
 
 
@@ -300,9 +307,9 @@ def fd_sketch(a: Matrix, ell: int) -> SketchOutput:
     Gram matrix ``buf @ buf.T``, with the directions formed as
     ``diag(1/sigma) U^T buf``; eigenvalues at the Gram rounding level count
     as zeros, and a round that keeps an eigenvalue below 1e-9 times the
-    largest is redone with an SVD of the buffer.  Other buffers are
-    decomposed directly.  The basis is the thin QR of the last round's
-    directions, with ``diag(R) >= 0``.
+    largest is redone with an SVD of the buffer, and counted in
+    ``gram_fallbacks``.  Other buffers are decomposed directly.  The basis
+    is the thin QR of the last round's directions, with ``diag(R) >= 0``.
     """
     _check_ell(a, ell)
     return _fd_rounds(a, ell)

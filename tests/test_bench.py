@@ -3,7 +3,9 @@ import json
 import logging
 import re
 
+import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import sketchlab.bench as bench
 from sketchlab.bench import (
@@ -252,6 +254,34 @@ class TestRunBenchmark:
         rows = run_benchmark(cfg)
         assert {r.ell for r in rows} == {2, 4}
 
+    def test_svmlight_reference_stays_sparse(self, monkeypatch, tmp_path):
+        # the exact reference decomposes the loaded CSR as it is, and its
+        # ratios match a reference taken from the densified matrix
+        from sketchlab.dataio import save_svmlight
+
+        rng = np.random.default_rng(3)
+        a = np.where(rng.random((120, 15)) < 0.3, rng.standard_normal((120, 15)), 0.0)
+        path = tmp_path / "data.svm"
+        save_svmlight(path, a)
+        cfg = small_cfg(dataset=(str(path), "svmlight"))
+        real = bench.best_rank_k
+        seen = []
+
+        def recorded(m, k):
+            seen.append(sparse.issparse(m))
+            return real(m, k)
+
+        monkeypatch.setattr(bench, "best_rank_k", recorded)
+        rows = run_benchmark(cfg)
+        assert seen == [True]
+        monkeypatch.setattr(bench, "best_rank_k", lambda m, k: real(m.toarray(), k))
+        dense_rows = run_benchmark(cfg)
+        assert len(rows) == len(dense_rows) == 4
+        for got, ref in zip(rows, dense_rows):
+            assert (got.method, got.ell, got.reps) == (ref.method, ref.ell, ref.reps)
+            assert got.fro_ratio == pytest.approx(ref.fro_ratio, rel=1e-12, abs=0)
+            assert got.spec_ratio == pytest.approx(ref.spec_ratio, rel=1e-12, abs=0)
+
     def test_programming_error_aborts(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("ratio below the optimality floor")
@@ -271,8 +301,30 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench, "run_method", flaky)
         with caplog.at_level(logging.WARNING, logger="sketchlab.bench"):
             rows = run_benchmark(small_cfg())
-        assert [(r.method, r.ell, r.reps) for r in rows] == [("fd", 3, 2), ("fd", 6, 2)]
+        # all-failed cells keep their rows, with no medians
+        assert [(r.method, r.ell, r.reps, r.failed) for r in rows] == [
+            ("fd", 3, 2, 0), ("fd", 6, 2, 0), ("spemb", 3, 0, 2), ("spemb", 6, 0, 2),
+        ]
+        for row in rows[2:]:
+            assert row.fro_ratio is None and row.spec_ratio is None
+            assert row.elapsed_seconds is None
         assert "2 of 2 repetitions failed" in caplog.text
+
+    def test_all_failed_cells_emitted(self, monkeypatch, tmp_path):
+        def failing(a, method, *args):
+            raise NumericalError("did not converge")
+
+        monkeypatch.setattr(bench, "run_method", failing)
+        rows = run_benchmark(small_cfg(methods=("spemb",)))
+        emit_results(rows, tmp_path / "out.csv", "csv")
+        emit_results(rows, tmp_path / "out.json", "json")
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert lines[2:] == ["spemb,3,nan,nan,nan,0,2", "spemb,6,nan,nan,nan,0,2"]
+        payload = json.loads((tmp_path / "out.json").read_text())
+        assert payload[0] == {
+            "method": "spemb", "ell": 3, "fro_ratio": None, "spec_ratio": None,
+            "elapsed_seconds": None, "reps": 0, "failed": 2,
+        }
 
 
 class TestEmit:
@@ -287,7 +339,7 @@ class TestEmit:
         emit_results([], path, "csv")
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#")
-        assert lines[1] == "method,ell,fro_ratio,spec_ratio,elapsed_seconds,reps"
+        assert lines[1] == "method,ell,fro_ratio,spec_ratio,elapsed_seconds,reps,failed"
         assert len(lines) == 2
         emit_results([], tmp_path / "out.json", "json")
         assert json.loads((tmp_path / "out.json").read_text()) == []
@@ -298,7 +350,8 @@ class TestEmit:
         with open(path) as fh:
             data = [row for row in csv.reader(fh) if not row[0].startswith("#")]
         assert data[0] == ["method", "ell", "fro_ratio", "spec_ratio",
-                           "elapsed_seconds", "reps"]
+                           "elapsed_seconds", "reps", "failed"]
+        assert data[1][6] == "0"
         assert data[1][0] == "fd"
         assert float(data[1][2]) == pytest.approx(1.012345679, rel=1e-9)
         assert data[2][2] == "nan"

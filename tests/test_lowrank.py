@@ -199,6 +199,137 @@ class TestRFactorRoute:
         assert np.abs(f.right_basis - v @ w).max() <= 1e-12
 
 
+def conditioned(n, d, kappa, seed):
+    """Dense ``n x d`` input with singular values spaced geometrically from
+    1 to ``1/kappa``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return (u * np.logspace(0, -np.log10(kappa), d)) @ v.T
+
+
+def conditioned_csr(n, d, kappa, seed, groups=5):
+    """CSR ``U diag(sigma) V^T`` with ``sigma`` as in `conditioned`.  ``U``
+    puts each row on one column, so its columns are orthonormal; ``V`` is
+    orthogonal on ``groups`` column sets that each span the whole spectrum,
+    so no column scaling hides the conditioning and every row keeps
+    ``d / groups`` entries."""
+    rng = np.random.default_rng(seed)
+    cols = np.arange(n) % d
+    vals = rng.standard_normal(n)
+    vals /= np.sqrt(np.bincount(cols, weights=vals**2))[cols]
+    u = sparse.csr_matrix((vals, (np.arange(n), cols)), shape=(n, d))
+    v = np.zeros((d, d))
+    for group in np.arange(d).reshape(-1, groups).T:
+        v[np.ix_(group, group)], _ = np.linalg.qr(
+            rng.standard_normal((group.size, group.size))
+        )
+    sigma = sparse.diags(np.logspace(0, -np.log10(kappa), d))
+    return sparse.csr_matrix(u @ sigma @ v.T)
+
+
+# name -> (tall matrix, whether the Householder fallback runs: True, False,
+# or None where the condition number is too near the switch to say)
+R_FACTOR_INPUTS = {
+    **{
+        f"{kind}-{kappa:g}": (make(300, 25, kappa, seed=60), expected)
+        for kind, make in (("dense", conditioned), ("csr", conditioned_csr))
+        for kappa, expected in ((1e2, False), (1e6, False), (1e8, None), (1e12, True))
+    },
+    "dense-rank-deficient": (rank_r(200, 20, 4, seed=62), True),
+    "csr-rank-deficient": (
+        sparse.csr_matrix(sparse.hstack([random_csr(200, 10, seed=63)] * 2)), True
+    ),
+}
+
+
+def count_qr_calls(monkeypatch) -> list:
+    calls = []
+    real = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+class TestCholeskyQR2:
+    """``_r_factor`` reduces a tall matrix to its R factor by CholeskyQR2,
+    from the sparse Gram matrix for CSR input, and falls back to
+    Householder QR when the first pass is too far from orthonormal."""
+
+    @pytest.mark.parametrize("name", list(R_FACTOR_INPUTS))
+    def test_matches_householder(self, monkeypatch, name):
+        x, falls_back = R_FACTOR_INPUTS[name]
+        dense = x.toarray() if sparse.issparse(x) else x
+        ref = np.linalg.svd(np.linalg.qr(dense, mode="r"), compute_uv=False)
+        # Q1 in row blocks: 40 rows for d = 25 (the last one short), 50 for d = 20
+        monkeypatch.setattr(sketchlab.lowrank, "_BLOCK_ENTRIES", 1000)
+        calls = count_qr_calls(monkeypatch)
+        r = sketchlab.lowrank._r_factor(x)
+        assert r.shape == (x.shape[1],) * 2
+        assert np.array_equal(r, np.triu(r))
+        sigma = np.linalg.svd(r, compute_uv=False)
+        assert np.abs(sigma - ref).max() <= 1e-13 * ref[0]
+        if falls_back is not None:
+            assert calls == ([x.shape] if falls_back else [])
+
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_well_conditioned_takes_no_householder(self, monkeypatch, kind):
+        x = R_FACTOR_INPUTS[f"{kind}-100"][0]
+        v, _ = thin_qr(random_dense(x.shape[1], 10, seed=64))
+        calls = count_qr_calls(monkeypatch)
+        k = 4
+        f = best_rank_k(x, k)
+        approx_from_basis(x, v, k)
+        assert calls == []
+        check_top_k(x, k, x.shape[1], f.left, f.right_basis)
+
+    def test_csr_never_densified(self, monkeypatch):
+        # the only densifying call on the R-factor route is the fallback's
+        calls = []
+        real = sketchlab.lowrank.as_dense
+
+        def recorded(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(sketchlab.lowrank, "as_dense", recorded)
+        x = R_FACTOR_INPUTS["csr-100"][0]
+        best_rank_k(x, 4)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_csr_rejected(self, bad):
+        x = random_csr(60, 8, seed=65).tolil()
+        x[3, 2] = bad
+        x = x.tocsr()
+        v, _ = thin_qr(random_dense(8, 4, seed=66))
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            best_rank_k(x, 2)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            approx_from_basis(x, v, 2)
+
+    def test_no_scipy_linalg(self, monkeypatch):
+        # numpy and scipy each load their own OpenBLAS; the R-factor route
+        # and its fallback stay on numpy's
+        import scipy.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg called")
+
+        for name in scipy.linalg.__all__:
+            if callable(getattr(scipy.linalg, name)):
+                monkeypatch.setattr(scipy.linalg, name, refuse)
+        for name in ("dense-1e+12", "csr-100", "csr-rank-deficient", "dense-100"):
+            x = R_FACTOR_INPUTS[name][0]
+            best_rank_k(x, 3)
+            v, _ = thin_qr(random_dense(x.shape[1], 8, seed=67))
+            approx_from_basis(x, v, 3)
+
+
 class TestApproxSvd:
     def test_full_basis_reconstructs(self):
         a = random_dense(7, 5, seed=21)

@@ -375,6 +375,7 @@ class TestGramRounds:
         assert np.abs(out.sketch - b_ref).max() <= 1e-10 * scale
         assert np.abs(out.basis - v_ref).max() <= 1e-10
         assert np.allclose(out.deltas, deltas_ref, atol=1e-12)
+        assert out.gram_fallbacks == 0
 
     @pytest.mark.parametrize("n, d, ell, q", [(60, 40, 5, 4), (200, 100, 10, 6)])
     def test_spfd_matches_oracle(self, n, d, ell, q):
@@ -385,6 +386,7 @@ class TestGramRounds:
         assert np.abs(out.sketch - b_ref).max() <= 1e-10 * scale
         assert np.abs(out.basis - v_ref).max() <= 1e-10
         assert np.allclose(out.deltas, deltas_ref, atol=1e-12)
+        assert out.gram_fallbacks == 0
 
     @pytest.mark.parametrize("span, svds_per_round", [(1e-4, 1), (1e-8, 2)])
     def test_graded_spectrum_matches_oracle(self, monkeypatch, span, svds_per_round):
@@ -396,6 +398,7 @@ class TestGramRounds:
         out = fd_sketch(a, 10)
         b_ref, v_ref, deltas_ref = fd_oracle(a, 10)
         assert len(calls) == svds_per_round * len(deltas_ref)
+        assert out.gram_fallbacks == (svds_per_round - 1) * len(deltas_ref)
         scale = max(fro_norm(a), 1.0)
         assert np.abs(out.sketch - b_ref).max() <= 1e-10 * scale
         assert np.abs(out.basis - v_ref).max() <= 1e-10
@@ -409,6 +412,7 @@ class TestGramRounds:
         calls = count_svd_calls(monkeypatch)
         out = fd_sketch(a, 10)
         assert len(calls) == out.deltas.size == 19
+        assert out.gram_fallbacks == 0
         assert np.abs(out.deltas).max() <= 1e-20 * fro_norm(a) ** 2
         assert out.basis.shape == (100, 10)
         assert_basis_ok(out)
