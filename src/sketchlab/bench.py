@@ -146,12 +146,18 @@ def _required(obj: dict, key: str, path, where: str = ""):
 
 def _number(value, kind, path, key: str):
     """``kind(value)`` (``int`` or ``float``), or a ``ValueError`` naming the
-    file and the key."""
+    file and the key.  Booleans are refused, and an integer key refuses a
+    number with a fractional part instead of truncating it."""
+    what = "an integer" if kind is int else "a number"
+    bad = ValueError(f"{path}: {key} must be {what}, got {value!r}")
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise bad
     try:
         return kind(value)
     except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{path}: {key} must be {what}, got {value!r}") from None
+        raise bad from None
 
 
 def _parse_sweep(raw, path) -> tuple[int, int, int]:
@@ -239,6 +245,9 @@ def load_config(path) -> BenchConfig:
         )
     if set(reps) - {"outer", "inner"}:
         raise ValueError(f"{path}: unknown repetition keys")
+    output = raw.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ValueError(f"{path}: output must be a string, got {output!r}")
     return BenchConfig(
         dataset=dataset,
         methods=tuple(methods),
@@ -249,7 +258,7 @@ def load_config(path) -> BenchConfig:
             for key in ("outer", "inner")
         ),
         seed=_number(raw.get("seed", 0), int, path, "seed"),
-        output=raw.get("output"),
+        output=output,
         format=raw.get("format", "csv"),
     )
 

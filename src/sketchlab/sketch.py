@@ -9,8 +9,8 @@ and a ``d x ell`` orthonormal basis ``V`` for the sketch's row space:
 ``fd_sketch``
     frequent directions: deterministic streaming pass that repeatedly
     decomposes a ``2*ell``-row buffer and shrinks all squared singular
-    values by the (ell+1)-th one.  A buffer wider than it is tall is
-    decomposed through its ``2*ell x 2*ell`` Gram matrix, one SVD per round.
+    values by the (ell+1)-th one.  Each round is one ``eigh`` of the
+    buffer's smaller Gram matrix (``2*ell x 2*ell`` or ``d x d``).
 ``spfd_sketch``
     block sparse embedding feeding frequent directions: the shuffled input
     rows are compressed in ``q`` blocks by independent sparse embeddings,
@@ -35,7 +35,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse as sparse
 
-from .linalg import Matrix, row_norms, svd, thin_qr
+from .linalg import Matrix, _fix_svd_signs, row_norms, svd, thin_qr
 
 __all__ = [
     "SpEmbSpec",
@@ -114,8 +114,8 @@ class SpEmbSpec:
 class SketchOutput:
     """Sketch ``B`` (ell x d), orthonormal row-space basis ``V`` (d x ell),
     the shrinkage amount of every frequent-directions round, and
-    ``gram_fallbacks``, the wide rounds whose Gram route was redone with
-    the buffer's own SVD."""
+    ``gram_fallbacks``, the rounds, of any buffer shape, whose Gram route
+    was redone with the buffer's own SVD."""
 
     sketch: np.ndarray
     basis: np.ndarray
@@ -216,55 +216,92 @@ def _row_blocks(a: Matrix, ell: int):
             yield chunk[start : start + ell]
 
 
-# A direction recovered from the Gram matrix as ``buf.T @ u / sigma`` loses
-# accuracy as its eigenvalue falls relative to the largest one.  Just above
-# this ratio the directions still agree with the buffer's SVD to ~2e-11
-# (the oracle tests ask for 1e-10); a round needing a smaller eigenvalue is
-# redone with the buffer's SVD.
+# A direction recovered from the Gram matrix loses accuracy as its
+# eigenvalue falls relative to the largest one.  Formed as ``u.T @ buf /
+# sigma`` from ``buf @ buf.T``, it still agrees with the buffer's SVD to
+# ~2e-11 just above this ratio (the oracle tests ask for 1e-10).  Taken
+# straight from the eigenvectors of ``buf.T @ buf``, its error grows with
+# the ratio's reciprocal rather than its square root (4e-9 at 1e-8, 1e-12
+# at 1e-4 on graded spectra), so that route takes the floor's square root.
+# A round needing a smaller eigenvalue is redone with the buffer's SVD.
 _GRAM_FLOOR = 1e-9
 
 
 def _gram_round(buf: np.ndarray, ell: int):
     """Squared singular values of ``buf`` and its top right singular
-    directions, from one SVD of the ``2*ell x 2*ell`` matrix ``buf @ buf.T``.
+    directions, from one ``eigh`` of the smaller Gram matrix.
 
-    Eigenvalues below the rounding level of the Gram entries (``d`` term
-    inner products: ``d * eps`` times the largest eigenvalue) are exact
-    zeros, so a rank-deficient buffer shrinks by 0 and only the directions
-    of nonzero top-``ell`` eigenvalues are formed.  Returns ``None`` when a
-    formed direction's eigenvalue is below ``_GRAM_FLOOR`` times the
-    largest.
+    A wide buffer (fewer rows than columns) takes ``buf @ buf.T``, whose
+    eigenvectors are the left singular vectors ``u``, and forms the
+    directions as ``u.T @ buf / sigma``; a tall or square one takes
+    ``buf.T @ buf``, whose eigenvectors are the directions themselves.
+    Eigenvalues below the rounding level of the Gram entries (``terms *
+    eps`` times the largest, for inner products of ``terms`` entries) are
+    exact zeros, so a rank-deficient buffer shrinks by 0 and only the
+    directions of nonzero top-``ell`` eigenvalues are formed.  Signs follow
+    ``linalg.svd``: the largest-magnitude entry of each left singular
+    vector is positive.  Returns ``None`` when a formed direction's
+    eigenvalue is below the floor (``_GRAM_FLOOR`` when wide, its square
+    root otherwise) times the largest.
     """
-    res = svd(buf @ buf.T)
-    noise = res.sigma[0] * buf.shape[1] * np.finfo(float).eps
-    lam = np.where(res.sigma > noise, res.sigma, 0.0)
+    terms = max(buf.shape)
+    wide = buf.shape[0] < buf.shape[1]
+    lam, vecs = np.linalg.eigh(buf @ buf.T if wide else buf.T @ buf)
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    lam = np.where(lam > terms * np.finfo(float).eps * lam[0], lam, 0.0)
     rank = int(np.count_nonzero(lam[:ell]))
-    if rank and lam[rank - 1] < _GRAM_FLOOR * lam[0]:
+    floor = _GRAM_FLOOR if wide else np.sqrt(_GRAM_FLOOR)
+    if rank and lam[rank - 1] < floor * lam[0]:
         return None
-    vt = (res.u[:, :rank].T @ buf) / np.sqrt(lam[:rank])[:, None]
+    vecs = vecs[:, :rank]
+    if wide:
+        left, vt = vecs, (vecs / np.sqrt(lam[:rank])).T @ buf
+    else:
+        left, vt = buf @ vecs, vecs.T
+    _fix_svd_signs(left, vt)
     return lam, vt
+
+
+def _shrink_round(buf: np.ndarray, ell: int):
+    """One frequent-directions decomposition of the buffer: its squared
+    singular values ``sq``, its top right singular directions ``vt`` (at
+    most ``ell`` rows) and the route taken, ``"gram"`` or ``"svd"``.
+
+    The Gram route (``_gram_round``) serves every buffer shape; a round it
+    declines, or whose ``eigh`` raises ``LinAlgError``, is redone with the
+    buffer's own SVD.
+    """
+    try:
+        found = _gram_round(buf, ell)
+    except np.linalg.LinAlgError:
+        found = None
+    if found is None:
+        res = svd(buf)
+        return res.sigma**2, res.vt[:ell], "svd"
+    return (*found, "gram")
 
 
 def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
     """Frequent-directions buffer loop shared by ``fd_sketch`` and the
-    block-embedded variant (which feeds it the intermediate sketch)."""
+    block-embedded variant (which feeds it the intermediate sketch).
+
+    The matrix is checked for NaN and Inf once, here; the rounds do not
+    check again.
+    """
+    if not np.isfinite(a.data if sparse.issparse(a) else a).all():
+        raise ValueError("matrix contains NaN or Inf entries")
     d = a.shape[1]
     blocks = _row_blocks(a, ell)
     first = next(blocks)
     buf = np.zeros((2 * ell, d))
     buf[: len(first)] = first
     deltas: list[float] = []
-    wide = 2 * ell < d
     fallbacks = 0
 
     def shrink_round() -> np.ndarray:
         nonlocal fallbacks
-        found = _gram_round(buf, ell) if wide else None
-        if found is None:
-            fallbacks += int(wide)
-            res = svd(buf)
-            found = res.sigma**2, res.vt[:ell]
-        sq, vt = found
+        sq, vt, route = _shrink_round(buf, ell)
+        fallbacks += route == "svd"
         delta = float(sq[ell]) if sq.size > ell else 0.0
         shrunk = np.sqrt(np.maximum(sq[: len(vt)] - delta, 0.0))
         buf[:] = 0.0
@@ -302,14 +339,17 @@ def fd_sketch(a: Matrix, ell: int) -> SketchOutput:
     Runs ``max(ceil(n/ell) - 1, 1)`` shrink rounds and records one entry of
     ``deltas`` per round; an input with ``n <= 2*ell`` rows takes a single
     round.  Each round needs the squared singular values and the top
-    ``ell`` right singular directions of the ``2*ell x d`` buffer.  A wide
-    buffer (``2*ell < d``) gets them from one SVD of the ``2*ell x 2*ell``
-    Gram matrix ``buf @ buf.T``, with the directions formed as
-    ``diag(1/sigma) U^T buf``; eigenvalues at the Gram rounding level count
-    as zeros, and a round that keeps an eigenvalue below 1e-9 times the
-    largest is redone with an SVD of the buffer, and counted in
-    ``gram_fallbacks``.  Other buffers are decomposed directly.  The basis
-    is the thin QR of the last round's directions, with ``diag(R) >= 0``.
+    ``ell`` right singular directions of the ``2*ell x d`` buffer, and gets
+    them from one ``eigh`` of the smaller Gram matrix: ``buf @ buf.T`` for
+    a wide buffer (``2*ell < d``), with the directions formed as
+    ``diag(1/sigma) U^T buf``, and ``buf.T @ buf`` otherwise.  Eigenvalues
+    at the Gram rounding level count as zeros.  A round that keeps an
+    eigenvalue below 1e-9 times the largest (about 3e-5 for ``buf.T @
+    buf``, whose eigenvectors lose accuracy faster), or whose ``eigh``
+    fails, is redone with an SVD of the buffer and counted in ``gram_fallbacks``,
+    whatever the buffer's shape.  NaN or Inf input raises ``ValueError``
+    before the first round.  The basis is the thin QR of the last round's
+    directions, with ``diag(R) >= 0``.
     """
     _check_ell(a, ell)
     return _fd_rounds(a, ell)

@@ -113,6 +113,15 @@ class TestLoadConfig:
         cfg = load_config(self.write(tmp_path, payload))
         assert cfg.dataset.zeta is None
 
+    def test_integral_numbers_accepted(self, tmp_path):
+        payload = self.valid_payload()
+        payload["k"] = 2.0
+        payload["ell_sweep"] = {"start": 2.0, "step": "2", "end": 6}
+        payload["output"] = None
+        cfg = load_config(self.write(tmp_path, payload))
+        assert (cfg.k, cfg.ell_sweep, cfg.output) == (2, (2, 2, 6), None)
+        assert all(type(v) is int for v in (cfg.k, *cfg.ell_sweep))
+
     def test_bad_sweep_string(self, tmp_path):
         payload = self.valid_payload()
         payload["ell_sweep"] = "2:6"
@@ -148,6 +157,16 @@ class TestLoadConfig:
             (("seed",), "x", "seed must be an integer, got 'x'"),
             (("dataset", "n"), [50], "dataset.n must be an integer, got [50]"),
             (("dataset", "zeta"), "loud", "dataset.zeta must be a number, got 'loud'"),
+            (("k",), 2.9, "k must be an integer, got 2.9"),
+            (("seed",), 1.7, "seed must be an integer, got 1.7"),
+            (("dataset", "n"), True, "dataset.n must be an integer, got True"),
+            (("repetitions", "outer"), False,
+             "repetitions.outer must be an integer, got False"),
+            (("ell_sweep",), {"start": 2, "step": 2.5, "end": 6},
+             "ell_sweep.step must be an integer, got 2.5"),
+            (("dataset", "zeta"), True, "dataset.zeta must be a number, got True"),
+            (("output",), 5, "output must be a string, got 5"),
+            (("output",), ["out.csv"], "output must be a string, got ['out.csv']"),
         ],
     )
     def test_malformed_config_names_file_and_key(self, tmp_path, keys, value, message):

@@ -339,17 +339,17 @@ class TestSpfdSketch:
         assert np.abs(out.sketch - dense_out.sketch).max() <= 1e-12
 
 
-def count_svd_calls(monkeypatch) -> list:
-    """Route ``sketchlab.sketch.svd`` through a counter; returns the list
-    that collects one entry per call."""
+def count_calls(monkeypatch, name: str) -> list:
+    """Route ``sketchlab.sketch.<name>`` through a counter; returns the list
+    that collects the shape of the first argument of every call."""
     calls = []
-    real = sketchlab.sketch.svd
+    real = getattr(sketchlab.sketch, name)
 
-    def counted(a):
+    def counted(a, *args):
         calls.append(a.shape)
-        return real(a)
+        return real(a, *args)
 
-    monkeypatch.setattr(sketchlab.sketch, "svd", counted)
+    monkeypatch.setattr(sketchlab.sketch, name, counted)
     return calls
 
 
@@ -362,57 +362,117 @@ def graded_rank_ell(n, d, ell, span, seed):
     return (rng.standard_normal((n, ell)) * sigma) @ frame.T
 
 
+def assert_matches_oracle(out, a, ref, basis_cols=None):
+    b_ref, v_ref, deltas_ref = ref
+    scale = max(fro_norm(a), 1.0)
+    assert np.abs(out.sketch - b_ref).max() <= 1e-10 * scale
+    assert np.abs(out.basis[:, :basis_cols] - v_ref[:, :basis_cols]).max() <= 1e-10
+    assert np.allclose(out.deltas, deltas_ref, atol=1e-12)
+
+
 class TestGramRounds:
-    """Wide buffers (``2*ell < d``) take their shrink rounds from the
-    ``2*ell x 2*ell`` Gram matrix; the oracle decomposes the buffer."""
+    """Every buffer takes its shrink rounds from one ``eigh`` of its smaller
+    Gram matrix: ``buf @ buf.T`` when wide (``2*ell < d``), ``buf.T @ buf``
+    otherwise.  The oracle decomposes the buffer."""
 
     @pytest.mark.parametrize("n, d, ell", [(60, 40, 5), (200, 100, 10)])
     def test_fd_matches_oracle(self, n, d, ell):
         a = random_dense(n, d, seed=n + d)
         out = fd_sketch(a, ell)
-        b_ref, v_ref, deltas_ref = fd_oracle(a, ell)
-        scale = max(fro_norm(a), 1.0)
-        assert np.abs(out.sketch - b_ref).max() <= 1e-10 * scale
-        assert np.abs(out.basis - v_ref).max() <= 1e-10
-        assert np.allclose(out.deltas, deltas_ref, atol=1e-12)
+        assert_matches_oracle(out, a, fd_oracle(a, ell))
         assert out.gram_fallbacks == 0
 
     @pytest.mark.parametrize("n, d, ell, q", [(60, 40, 5, 4), (200, 100, 10, 6)])
     def test_spfd_matches_oracle(self, n, d, ell, q):
         a = random_dense(n, d, seed=n + d + q)
         out = spfd_sketch(a, SpfdConfig(ell=ell, q=q, seed=q))
-        b_ref, v_ref, deltas_ref = spfd_oracle(a, ell, q, q)
-        scale = max(fro_norm(a), 1.0)
-        assert np.abs(out.sketch - b_ref).max() <= 1e-10 * scale
-        assert np.abs(out.basis - v_ref).max() <= 1e-10
-        assert np.allclose(out.deltas, deltas_ref, atol=1e-12)
+        assert_matches_oracle(out, a, spfd_oracle(a, ell, q, q))
         assert out.gram_fallbacks == 0
 
-    @pytest.mark.parametrize("span, svds_per_round", [(1e-4, 1), (1e-8, 2)])
-    def test_graded_spectrum_matches_oracle(self, monkeypatch, span, svds_per_round):
+    # 2*ell > d, then 2*ell == d
+    @pytest.mark.parametrize("n, d, ell", [(60, 8, 5), (120, 30, 20), (60, 10, 5),
+                                           (300, 40, 20)])
+    def test_tall_fd_matches_oracle(self, n, d, ell):
+        a = random_dense(n, d, seed=n + d + 1)
+        out = fd_sketch(a, ell)
+        assert_matches_oracle(out, a, fd_oracle(a, ell))
+        assert out.gram_fallbacks == 0
+
+    @pytest.mark.parametrize("n, d, ell, q", [(60, 8, 5, 4), (200, 20, 10, 6)])
+    def test_tall_spfd_matches_oracle(self, n, d, ell, q):
+        a = random_dense(n, d, seed=n + d + q + 1)
+        out = spfd_sketch(a, SpfdConfig(ell=ell, q=q, seed=q))
+        assert_matches_oracle(out, a, spfd_oracle(a, ell, q, q))
+        assert out.gram_fallbacks == 0
+
+    def test_tall_rank_deficient_matches_oracle(self):
+        # rank 3 < ell: the last round forms three directions, and the
+        # basis completes them; only those three columns are determined
+        rng = np.random.default_rng(47)
+        a = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 8))
+        out = fd_sketch(a, 5)
+        assert_matches_oracle(out, a, fd_oracle(a, 5), basis_cols=3)
+        assert out.gram_fallbacks == 0
+        assert_basis_ok(out)
+
+    @pytest.mark.parametrize("span, decompositions_per_round", [(1e-4, 1), (1e-8, 2)])
+    def test_graded_spectrum_matches_oracle(
+        self, monkeypatch, span, decompositions_per_round
+    ):
         # a 1e-4 spread of singular values stays on the Gram route; 1e-8
         # puts kept eigenvalues below the floor, so every round is redone
         # with the buffer's own SVD
         a = graded_rank_ell(200, 100, 10, span, seed=44)
-        calls = count_svd_calls(monkeypatch)
+        rounds = count_calls(monkeypatch, "_shrink_round")
+        svds = count_calls(monkeypatch, "svd")
         out = fd_sketch(a, 10)
-        b_ref, v_ref, deltas_ref = fd_oracle(a, 10)
-        assert len(calls) == svds_per_round * len(deltas_ref)
-        assert out.gram_fallbacks == (svds_per_round - 1) * len(deltas_ref)
-        scale = max(fro_norm(a), 1.0)
-        assert np.abs(out.sketch - b_ref).max() <= 1e-10 * scale
-        assert np.abs(out.basis - v_ref).max() <= 1e-10
-        assert np.allclose(out.deltas, deltas_ref, atol=1e-12)
+        ref = fd_oracle(a, 10)
+        assert len(rounds) == len(ref[2])
+        assert len(svds) == out.gram_fallbacks
+        assert out.gram_fallbacks == (decompositions_per_round - 1) * len(ref[2])
+        assert_matches_oracle(out, a, ref)
+
+    @pytest.mark.parametrize("span, fallbacks", [(3e-2, 0), (1e-3, 19), (1e-8, 19)])
+    def test_tall_graded_spectrum_matches_oracle(self, monkeypatch, span, fallbacks):
+        # 2*ell == d: directions taken from the d x d Gram matrix's
+        # eigenvectors are off by ~1e-10 once the spectrum spans 1e-6 (a
+        # 1e-3 spread of singular values), so such rounds are redone with
+        # the buffer's own SVD; a 3e-2 spread stays on the Gram route
+        a = graded_rank_ell(200, 20, 10, span, seed=48)
+        rounds = count_calls(monkeypatch, "_shrink_round")
+        svds = count_calls(monkeypatch, "svd")
+        out = fd_sketch(a, 10)
+        ref = fd_oracle(a, 10)
+        assert len(rounds) == len(ref[2]) == 19
+        assert len(svds) == out.gram_fallbacks == fallbacks
+        assert_matches_oracle(out, a, ref)
+
+    @pytest.mark.parametrize("d", [40, 8])
+    def test_eigh_failure_falls_back(self, monkeypatch, d):
+        # a LinAlgError from eigh redoes the round with the buffer's SVD
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        a = random_dense(60, d, seed=49)
+        svds = count_calls(monkeypatch, "svd")
+        fd = fd_sketch(a, 5)
+        assert_matches_oracle(fd, a, fd_oracle(a, 5))
+        assert fd.gram_fallbacks == len(svds) == fd.deltas.size == 11
+        spfd = spfd_sketch(a, SpfdConfig(ell=5, q=4, seed=4))
+        assert_matches_oracle(spfd, a, spfd_oracle(a, 5, 4, 4))
+        assert spfd.gram_fallbacks == 3
 
     def test_wide_rank_two_input(self, monkeypatch):
         # eigenvalues at the Gram rounding level are zeros, not a steep
         # spectrum: no round is redone and no shrink is noise
         rng = np.random.default_rng(45)
         a = rng.standard_normal((200, 2)) @ rng.standard_normal((2, 100))
-        calls = count_svd_calls(monkeypatch)
+        rounds = count_calls(monkeypatch, "_shrink_round")
+        svds = count_calls(monkeypatch, "svd")
         out = fd_sketch(a, 10)
-        assert len(calls) == out.deltas.size == 19
-        assert out.gram_fallbacks == 0
+        assert len(rounds) == out.deltas.size == 19
+        assert len(svds) == out.gram_fallbacks == 0
         assert np.abs(out.deltas).max() <= 1e-20 * fro_norm(a) ** 2
         assert out.basis.shape == (100, 10)
         assert_basis_ok(out)
@@ -421,22 +481,47 @@ class TestGramRounds:
 
 
 class TestShrinkRoundCount:
-    """One ``sketchlab.sketch.svd`` call per shrink round and none besides,
-    the contract the benchmark's round counts rely on."""
+    """One ``sketchlab.sketch._shrink_round`` call per shrink round and none
+    besides; ``sketchlab.sketch.svd`` runs only for the fallback rounds."""
 
     def matrix(self):
         return generate_synthetic(SyntheticSpec(n=400, d=50, k=10, zeta=10.0, seed=1))
 
     def test_fd(self, monkeypatch):
-        calls = count_svd_calls(monkeypatch)
-        fd_sketch(self.matrix(), 10)
-        assert len(calls) == 39  # 400 / 10 blocks, the first fills the buffer
-        assert set(calls) == {(20, 20)}
+        rounds = count_calls(monkeypatch, "_shrink_round")
+        svds = count_calls(monkeypatch, "svd")
+        out = fd_sketch(self.matrix(), 10)
+        assert len(rounds) == 39  # 400 / 10 blocks, the first fills the buffer
+        assert set(rounds) == {(20, 50)}
+        assert len(svds) == out.gram_fallbacks == 0
 
     def test_spfd4(self, monkeypatch):
-        calls = count_svd_calls(monkeypatch)
-        spfd_sketch(self.matrix(), SpfdConfig(ell=10, q=4, seed=0))
-        assert len(calls) == 3
+        rounds = count_calls(monkeypatch, "_shrink_round")
+        svds = count_calls(monkeypatch, "svd")
+        out = spfd_sketch(self.matrix(), SpfdConfig(ell=10, q=4, seed=0))
+        assert len(rounds) == 3
+        assert len(svds) == out.gram_fallbacks == 0
+
+
+class TestNonFiniteInput:
+    """NaN and Inf are rejected once, before the first round, for every
+    buffer shape and input format."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    # wide (2*ell < d), then tall
+    @pytest.mark.parametrize("d, ell", [(30, 5), (40, 30), (8, 5)])
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    @pytest.mark.parametrize("method", ["fd", "spfd"])
+    def test_rejected(self, bad, d, ell, kind, method):
+        a = random_dense(100, d, seed=d)
+        a[37, d // 2] = bad
+        if kind == "csr":
+            a = sparse.csr_matrix(a)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            if method == "fd":
+                fd_sketch(a, ell)
+            else:
+                spfd_sketch(a, SpfdConfig(ell=ell, q=4, seed=0))
 
 
 @pytest.mark.parametrize("n", [36, 40])

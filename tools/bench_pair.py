@@ -1,0 +1,189 @@
+"""Paired benchmark of the working tree against a parent revision.
+
+Usage, from the repository root:
+
+    python3 tools/bench_pair.py --parent HEAD~1 --out BENCH_<n>.json
+
+The parent's committed files are exported with ``git archive`` into a
+temporary directory, which is removed at the end; the repository's own
+``.git`` is only read.  For every workload of ``BENCHMARK.json`` and each
+of ten seeds, ``perfbench/run.py --trace 0`` runs once on each side for the
+benchmark's ``run_seconds``, serially, with the side that runs first
+alternating from seed to seed.  The output file holds, per workload
+and end-to-end metric, each side's median and quartiles and the pairs each
+side won, every run's values, ``crit7_ratio`` from the ``dense-fd`` run
+records, the tier-1 wall time of each side and the environment of the
+first run's record, with the BLAS thread count added.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ctypes
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN_TIMEOUT_S = 900
+# the fewest pairs a gain claim is judged on
+PAIRS = 10
+# a gain needs this share of pairs won, as well as a median gap wider than
+# the distance between the parent's quartiles
+GAIN_SHARE = 0.9
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """The committed files of ``rev``, written under ``dest``."""
+    with tempfile.TemporaryFile() as fh:
+        subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                       check=True, stdout=fh)
+        fh.seek(0)
+        with tarfile.open(fileobj=fh) as tar:
+            tar.extractall(dest, filter="data")
+
+
+def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    record_file = root / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    record = json.loads(record_file.read_text(encoding="utf-8"))
+    return {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {k: m["value"] for k, m in record["metrics"].items()},
+        "crit7_ratio": record.get("crit7_ratio"),
+        "environment": record["environment"],
+    }
+
+
+def tier1_seconds(root: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=root, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": time.perf_counter() - t0, "exit": proc.returncode,
+            "summary": lines[-1] if lines else ""}
+
+
+def blas_threads():
+    """Threads of the OpenBLAS that numpy loaded, or ``None`` if unknown."""
+    try:
+        with open("/proc/self/maps", encoding="ascii") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                return int(fn())
+    return None
+
+
+def quartiles(values: list) -> dict:
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(med), "q1": float(q1), "q3": float(q3)}
+
+
+def compare(parent: list, change: list, better: str) -> dict:
+    """Medians, quartiles and pair wins of one metric on one workload."""
+    sign = 1.0 if better == "lower" else -1.0
+    change_wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    parent_wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    out = {"better": better, "parent": quartiles(parent), "change": quartiles(change),
+           "pairs": len(parent), "change_wins": change_wins, "parent_wins": parent_wins}
+    gap = sign * (out["parent"]["median"] - out["change"]["median"])
+    iqr = out["parent"]["q3"] - out["parent"]["q1"]
+    out["change_over_parent"] = (out["change"]["median"] / out["parent"]["median"]
+                                 if out["parent"]["median"] else None)
+    out["gain"] = change_wins >= GAIN_SHARE * len(parent) and gap > iqr
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="revision to compare against")
+    parser.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to write")
+    parser.add_argument("--first-seed", type=int, default=1)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
+    parent_rev = git("rev-parse", args.parent)
+    out = {
+        "parent": parent_rev,
+        "change": {"head": git("rev-parse", "HEAD"),
+                   "uncommitted_changes": bool(git("status", "--porcelain",
+                                                   "--untracked-files=no"))},
+        "seconds": seconds, "seeds": seeds, "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
+        parent_root = Path(tmp)
+        export(parent_rev, parent_root)
+        roots = {"parent": parent_root, "change": ROOT}
+        for workload in workloads:
+            runs = []
+            for i, seed in enumerate(seeds):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    run = run_perfbench(roots[side], workload, seed, seconds)
+                    if "environment" not in out:
+                        out["environment"] = dict(run["environment"],
+                                                  blas_threads=blas_threads())
+                    del run["environment"]
+                    run.update(side=side, seed=seed, first=order[0])
+                    runs.append(run)
+                    print(f"{workload} seed {seed} {side}: pass_s "
+                          f"{run['metrics'].get('pass_s', float('nan')):.4g}", flush=True)
+            by_side = {s: [r for r in runs if r["side"] == s] for s in roots}
+            entry = {"runs": runs, "metrics": {}}
+            for name in runs[0]["metrics"]:
+                entry["metrics"][name] = compare(
+                    [r["metrics"][name] for r in by_side["parent"]],
+                    [r["metrics"][name] for r in by_side["change"]],
+                    better.get(name, "lower"))
+            if runs[0]["crit7_ratio"] is not None:
+                entry["crit7_ratio"] = {s: quartiles([r["crit7_ratio"] for r in by_side[s]])
+                                        for s in roots}
+            out["workloads"][workload] = entry
+        out["tier1"] = {side: tier1_seconds(root) for side, root in roots.items()}
+    args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+    for workload, entry in out["workloads"].items():
+        for name, m in entry["metrics"].items():
+            print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
+                  f"change {m['change']['median']:.6g}  wins {m['change_wins']}/"
+                  f"{m['pairs']}  gain {m['gain']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
