@@ -8,6 +8,10 @@ over all completed repetitions.  Timing covers sketch construction plus
 rank-k reconstruction only; dataset loading and the exact reference SVD
 are excluded.
 
+``ResultRow`` is the one definition of a result row: the CSV columns and
+the JSON keys are its fields in declaration order, so a new column is one
+more field (added at the end, since the CSV layout is public).
+
 Repetitions run serially, one after another, so each one's timing is free
 of contention from the others.  A repetition that raises ``NumericalError``
 or ``numpy.linalg.LinAlgError`` is logged, counted in its row's ``failed``
@@ -24,7 +28,7 @@ import json
 import logging
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from statistics import median_low
 from typing import Optional, Union
@@ -54,6 +58,7 @@ __all__ = [
     "load_config",
     "MEDIAN_NOTE",
     "EXACT_REFERENCE_CELL_CAP",
+    "DATASET_FORMATS",
 ]
 
 log = logging.getLogger(__name__)
@@ -67,9 +72,7 @@ MEDIAN_NOTE = (
     "the smaller central value) over completed repetitions only"
 )
 
-CSV_HEADER = [
-    "method", "ell", "fro_ratio", "spec_ratio", "elapsed_seconds", "reps", "failed",
-]
+DATASET_FORMATS = ("svmlight", "matrixmarket", "edges")
 
 _CONFIG_KEYS = {
     "schema_version",
@@ -112,8 +115,12 @@ class BenchConfig:
             raise ValueError("repetition counts must be >= 1")
         if not self.methods:
             raise ValueError("at least one method is required")
+        seen = {}
         for m in self.methods:
-            parse_sketcher_id(m)
+            key = parse_sketcher_id(m)
+            if key in seen:
+                raise ValueError(f"methods '{seen[key]}' and '{m}' name the same sketcher")
+            seen[key] = m
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown output format '{self.format}'")
 
@@ -136,6 +143,9 @@ class ResultRow:
     elapsed_seconds: Optional[float]
     reps: int
     failed: int = 0
+
+
+CSV_HEADER = [f.name for f in fields(ResultRow)]
 
 
 def _required(obj: dict, key: str, path, where: str = ""):
@@ -233,7 +243,7 @@ def load_config(path) -> BenchConfig:
         extra = set(ds) - _FILE_KEYS
         if extra:
             raise ValueError(f"{path}: unknown dataset keys {sorted(extra)}")
-        if ds.get("format") not in ("svmlight", "matrixmarket", "edges"):
+        if ds.get("format") not in DATASET_FORMATS:
             raise ValueError(f"{path}: unknown dataset format {ds.get('format')!r}")
         dataset = (str(_required(ds, "path", path, "dataset.")), str(ds["format"]))
     else:
@@ -270,7 +280,9 @@ def load_dataset_file(path: str, fmt: str) -> Matrix:
         return load_matrix_market(path)
     if fmt == "edges":
         return load_edge_list(path)
-    raise ValueError(f"unknown dataset format '{fmt}'")
+    raise ValueError(
+        f"unknown dataset format '{fmt}', expected one of {', '.join(DATASET_FORMATS)}"
+    )
 
 
 def derive_seed(base: int, matrix_idx: int, rep_idx: int, method: str, ell: int) -> int:
@@ -324,79 +336,68 @@ def _exact_reference(a: Matrix, k: int):
     return best_rank_k(a, k)
 
 
+def _matrices(cfg: BenchConfig):
+    """Yield ``(matrix_idx, a, exact)`` for each outer repetition.
+
+    A synthetic dataset is regenerated per index from a derived seed.  A file
+    dataset is fixed: it is loaded, and its reference taken, once, and outer
+    repetitions only rerun the randomized methods.
+    """
+    outer = cfg.repetitions[0]
+    if isinstance(cfg.dataset, SyntheticSpec):
+        for matrix_idx in range(outer):
+            seed = derive_seed(cfg.seed, matrix_idx, 0, "dataset", 0)
+            a = generate_synthetic(replace(cfg.dataset, seed=seed))
+            yield matrix_idx, a, _exact_reference(a, cfg.k)
+        return
+    a = load_dataset_file(*cfg.dataset)
+    exact = _exact_reference(a, cfg.k)
+    for matrix_idx in range(outer):
+        yield matrix_idx, a, exact
+
+
+def _median(values: list) -> Optional[float]:
+    """Lower median, or ``None`` without values or where they are ``None``."""
+    return None if not values or values[0] is None else median_low(values)
+
+
 def run_benchmark(cfg: BenchConfig) -> list[ResultRow]:
     """Execute the full campaign and return aggregated rows sorted by
     ``(method, ell)``."""
-    outer, inner = cfg.repetitions
-    results: dict[tuple[str, int], list[tuple[float, float, float]]] = {
+    # per cell: (fro, spec, elapsed) for each completed repetition, None
+    # for each failed one
+    cells: dict[tuple[str, int], list] = {
         (m, ell): [] for m in cfg.methods for ell in cfg.ells
     }
-    failures: dict[tuple[str, int], int] = {key: 0 for key in results}
-
-    synthetic = isinstance(cfg.dataset, SyntheticSpec)
-    if not synthetic:
-        # File datasets are fixed: load once, reference once; outer
-        # repetitions only rerun the randomized methods.
-        file_matrix = load_dataset_file(*cfg.dataset)
-        file_exact = _exact_reference(file_matrix, cfg.k)
-
-    for matrix_idx in range(outer):
-        if synthetic:
-            spec = cfg.dataset
-            matrix_seed = derive_seed(cfg.seed, matrix_idx, 0, "dataset", 0)
-            a: Matrix = generate_synthetic(
-                SyntheticSpec(
-                    n=spec.n, d=spec.d, k=spec.k, zeta=spec.zeta, m=spec.m,
-                    seed=matrix_seed,
-                )
-            )
-            exact = _exact_reference(a, cfg.k)
-        else:
-            a = file_matrix
-            exact = file_exact
-
+    for matrix_idx, a, exact in _matrices(cfg):
         for method, ell, rep in itertools.product(
-            cfg.methods, cfg.ells, range(inner)
+            cfg.methods, cfg.ells, range(cfg.repetitions[1])
         ):
             seed = derive_seed(cfg.seed, matrix_idx, rep, method, ell)
             try:
                 factors, elapsed = run_method(a, method, ell, cfg.k, seed)
-                fro = spec = None
+                result = (None, None, elapsed)
                 if exact is not None:
                     report = error_report(a, factors, exact, elapsed)
-                    fro, spec = report.fro_ratio, report.spec_ratio
+                    result = (report.fro_ratio, report.spec_ratio, elapsed)
             except (NumericalError, np.linalg.LinAlgError):
                 log.exception("repetition %s failed", (method, ell, rep))
-                failures[(method, ell)] += 1
-                continue
-            results[(method, ell)].append((fro, spec, elapsed))
+                result = None
+            cells[(method, ell)].append(result)
 
     rows = []
     for method in sorted(cfg.methods):
         for ell in cfg.ells:
-            runs = results[(method, ell)]
-            failed = failures[(method, ell)]
+            results = cells[(method, ell)]
+            runs = [r for r in results if r is not None]
+            failed = len(results) - len(runs)
             if failed:
                 log.warning(
                     "%s ell=%d: %d of %d repetitions failed",
-                    method, ell, failed, failed + len(runs),
+                    method, ell, failed, len(results),
                 )
-            fro, spec, elapsed = (
-                None if not runs or runs[0][i] is None
-                else median_low(r[i] for r in runs)
-                for i in range(3)
-            )
-            rows.append(
-                ResultRow(
-                    method=method,
-                    ell=ell,
-                    fro_ratio=fro,
-                    spec_ratio=spec,
-                    elapsed_seconds=elapsed,
-                    reps=len(runs),
-                    failed=failed,
-                )
-            )
+            fro, spec, elapsed = (_median([r[i] for r in runs]) for i in range(3))
+            rows.append(ResultRow(method, ell, fro, spec, elapsed, len(runs), failed))
     return rows
 
 
@@ -410,6 +411,15 @@ def _json_float(value: Optional[float]) -> Optional[float]:
     return None if value is None else float(_fmt(value))
 
 
+def _record(row: ResultRow, number) -> dict:
+    """``row`` as a field-ordered dict, with each float or missing median
+    written by ``number``."""
+    return {
+        key: number(value) if value is None or isinstance(value, float) else value
+        for key, value in asdict(row).items()
+    }
+
+
 def emit_results(rows: list[ResultRow], path, fmt: str = "csv") -> None:
     """Write rows as CSV (with a convention note as a comment line) or as a
     JSON array; identical inputs produce identical bytes."""
@@ -420,33 +430,10 @@ def emit_results(rows: list[ResultRow], path, fmt: str = "csv") -> None:
                 fh.write(f"# {MEDIAN_NOTE}\n")
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(CSV_HEADER)
-                for row in rows:
-                    writer.writerow(
-                        [
-                            row.method,
-                            row.ell,
-                            _fmt(row.fro_ratio),
-                            _fmt(row.spec_ratio),
-                            _fmt(row.elapsed_seconds),
-                            row.reps,
-                            row.failed,
-                        ]
-                    )
+                writer.writerows(_record(row, _fmt).values() for row in rows)
         elif fmt == "json":
-            payload = [
-                {
-                    "method": row.method,
-                    "ell": row.ell,
-                    "fro_ratio": _json_float(row.fro_ratio),
-                    "spec_ratio": _json_float(row.spec_ratio),
-                    "elapsed_seconds": _json_float(row.elapsed_seconds),
-                    "reps": row.reps,
-                    "failed": row.failed,
-                }
-                for row in rows
-            ]
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(payload, fh, indent=2)
+                json.dump([_record(row, _json_float) for row in rows], fh, indent=2)
                 fh.write("\n")
         else:
             raise ValueError(f"unknown output format '{fmt}'")

@@ -15,10 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .bench import (
+    DATASET_FORMATS,
     emit_results,
     load_config,
     load_dataset_file,
@@ -58,8 +60,7 @@ def _build_parser() -> _Parser:
 
     sk = sub.add_parser("sketch", help="sketch a matrix file once")
     sk.add_argument("--input", required=True)
-    sk.add_argument("--format", choices=["svmlight", "matrixmarket", "edges"],
-                    required=True)
+    sk.add_argument("--format", choices=DATASET_FORMATS, required=True)
     sk.add_argument("--method", required=True,
                     help="fd, spemb, normsamp, dct or spfd<q>")
     sk.add_argument("--ell", type=int, required=True)
@@ -73,6 +74,7 @@ def _build_parser() -> _Parser:
     be.add_argument("--output", default=None, help="override output path")
     be.add_argument("--out-format", choices=["csv", "json"], default=None)
     be.add_argument("--methods", default=None,
+                    type=lambda ids: tuple(m.strip() for m in ids.split(",")),
                     help="override method list, comma separated")
 
     net = sub.add_parser("network", help="hub/authority ranking of a graph")
@@ -115,20 +117,10 @@ def _cmd_sketch(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = load_config(args.config)
-    changes = {}
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.output is not None:
-        changes["output"] = args.output
-    if args.out_format is not None:
-        changes["format"] = args.out_format
-    if args.methods is not None:
-        changes["methods"] = tuple(m.strip() for m in args.methods.split(","))
-    if changes:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **changes)
+    overrides = {"seed": args.seed, "output": args.output,
+                 "format": args.out_format, "methods": args.methods}
+    cfg = replace(load_config(args.config),
+                  **{k: v for k, v in overrides.items() if v is not None})
     if cfg.output is None:
         raise ValueError("no output path: set 'output' in the config or --output")
     rows = run_benchmark(cfg)

@@ -24,6 +24,7 @@ __all__ = [
     "SvdResult",
     "as_dense",
     "as_csr",
+    "check_finite",
     "fro_norm",
     "row_norms",
     "svd",
@@ -35,6 +36,13 @@ Matrix = Union[np.ndarray, sparse.csr_matrix]
 
 class NumericalError(RuntimeError):
     """A numerical kernel failed to converge (never silently ignored)."""
+
+
+def check_finite(a: Matrix) -> None:
+    """Raise ``ValueError`` if a dense array, or the stored entries of a
+    sparse matrix, hold NaN or Inf."""
+    if not np.isfinite(a.data if sparse.issparse(a) else a).all():
+        raise ValueError("matrix contains NaN or Inf entries")
 
 
 def as_dense(a) -> np.ndarray:
@@ -49,8 +57,7 @@ def as_dense(a) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got ndim={out.ndim}")
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise ValueError(f"matrix must be at least 1x1, got {out.shape}")
-    if not np.isfinite(out).all():
-        raise ValueError("matrix contains NaN or Inf entries")
+    check_finite(out)
     return out
 
 
@@ -66,8 +73,7 @@ def as_csr(a) -> sparse.csr_matrix:
     out.sum_duplicates()
     out.sort_indices()
     out.eliminate_zeros()
-    if not np.isfinite(out.data).all():
-        raise ValueError("matrix contains NaN or Inf entries")
+    check_finite(out)
     return out
 
 

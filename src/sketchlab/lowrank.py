@@ -22,7 +22,9 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
-from .linalg import Matrix, NumericalError, _fix_svd_signs, as_dense, fro_norm, svd
+from .linalg import (
+    Matrix, NumericalError, _fix_svd_signs, as_dense, check_finite, fro_norm, svd,
+)
 
 __all__ = [
     "LowRankFactors",
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-8
+_LANCZOS_TOL = 1e-12
 # Below this ratio of squared residual to squared norm, the factor-algebra
 # Frobenius residual would lose more than ~1e-8 of its value to cancellation.
 _FRO_CANCEL = 1e8 * np.finfo(np.float64).eps
@@ -100,9 +103,9 @@ class ErrorReport:
                 )
 
 
-def _check_orthonormal(v: np.ndarray, tol: float = _ORTHO_TOL) -> None:
+def _check_orthonormal(v: np.ndarray) -> None:
     gram = v.T @ v
-    if np.abs(gram - np.eye(v.shape[1])).max() > tol:
+    if np.abs(gram - np.eye(v.shape[1])).max() > _ORTHO_TOL:
         raise ValueError("basis columns are not orthonormal")
 
 
@@ -121,8 +124,7 @@ def _r_factor(x: Matrix) -> np.ndarray:
     Non-finite entries raise ``ValueError``.
     """
     if sparse.issparse(x):
-        if not np.isfinite(x.data).all():
-            raise ValueError("matrix contains NaN or Inf entries")
+        check_finite(x)
         gram = (x.T @ x).toarray()
     else:
         x = as_dense(x)
@@ -242,7 +244,6 @@ class SpectralNorm(float):
 def residual_spectral_norm(
     a: Matrix,
     factors: LowRankFactors,
-    tol: float = 1e-12,
     max_iter: int = 1000,
 ) -> SpectralNorm:
     """Spectral norm of ``a - left @ right_basis.T`` by a Lanczos solve.
@@ -252,10 +253,10 @@ def residual_spectral_norm(
     product with ``a`` (or ``a.T``) plus O((n+d)k) factor work.  The start
     vector is one step of the residual's normal operator applied to a fixed
     ``default_rng(0)`` draw, so results are deterministic; if that step
-    vanishes the residual is zero.  ``tol`` is ARPACK's relative tolerance.
-    More than ``max_iter`` residual products, or an ARPACK failure, raise
-    `NumericalError`.  A residual with one row or one column has rank one,
-    and its Frobenius norm is returned.
+    vanishes the residual is zero.  ARPACK's relative tolerance is
+    ``_LANCZOS_TOL`` (1e-12).  More than ``max_iter`` residual products, or
+    an ARPACK failure, raise `NumericalError`.  A residual with one row or
+    one column has rank one, and its Frobenius norm is returned.
     """
     n, d = a.shape
     if min(n, d) == 1:
@@ -282,7 +283,7 @@ def residual_spectral_norm(
     if not start.any():
         return SpectralNorm(0.0, matvecs)
     try:
-        sigma = svds(op, k=1, tol=tol, v0=start, return_singular_vectors=False)
+        sigma = svds(op, k=1, tol=_LANCZOS_TOL, v0=start, return_singular_vectors=False)
     except ArpackError as exc:
         raise NumericalError(f"residual spectral norm: {exc}") from exc
     return SpectralNorm(sigma[0], matvecs)

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse as sparse
 
-from .linalg import Matrix, _fix_svd_signs, row_norms, svd, thin_qr
+from .linalg import Matrix, _fix_svd_signs, check_finite, row_norms, svd, thin_qr
 
 __all__ = [
     "SpEmbSpec",
@@ -288,8 +288,7 @@ def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
     The matrix is checked for NaN and Inf once, here; the rounds do not
     check again.
     """
-    if not np.isfinite(a.data if sparse.issparse(a) else a).all():
-        raise ValueError("matrix contains NaN or Inf entries")
+    check_finite(a)
     d = a.shape[1]
     blocks = _row_blocks(a, ell)
     first = next(blocks)

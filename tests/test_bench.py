@@ -50,6 +50,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(repetitions=(0, 1))
 
+    @pytest.mark.parametrize(
+        "methods, first, second",
+        [(("fd", "fd", "FD"), "fd", "fd"), (("spfd5", "fd", " SPFD5"), "spfd5", " SPFD5")],
+        ids=["same", "respelled"],
+    )
+    def test_repeated_method_rejected(self, methods, first, second):
+        # a repeated sketcher would pool its repetitions into one row
+        message = f"methods '{first}' and '{second}' name the same sketcher"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_cfg(methods=methods)
+
     def test_ells_inclusive(self):
         assert small_cfg(ell_sweep=(3, 10, 23)).ells == [3, 13, 23]
 
@@ -394,6 +405,35 @@ class TestEmit:
         emit_results([ResultRow("fd", 1, 1.0 / 3.0, 1.0, 0.1, 1)], path, "csv")
         body = path.read_text().splitlines()[2]
         assert "0.3333333333" in body
+
+    def test_golden_bytes(self, tmp_path):
+        # the whole file: column and key order, number formats, indentation
+        rows = [
+            ResultRow("fd", 10, 1.0 / 3.0, 1.0, 1e-05, 4, failed=1),
+            ResultRow("spemb", 10, None, None, None, 0, failed=3),
+            ResultRow("spfd50", 150, 1.0123456789123, 1.25, 0.5, 5),
+        ]
+        emit_results(rows, tmp_path / "out.csv", "csv")
+        emit_results(rows, tmp_path / "out.json", "json")
+        assert (tmp_path / "out.csv").read_bytes() == (
+            b"# medians use the lower-median convention (even repetition counts"
+            b" report the smaller central value) over completed repetitions only\n"
+            b"method,ell,fro_ratio,spec_ratio,elapsed_seconds,reps,failed\n"
+            b"fd,10,0.3333333333,1,1e-05,4,1\n"
+            b"spemb,10,nan,nan,nan,0,3\n"
+            b"spfd50,150,1.012345679,1.25,0.5,5,0\n"
+        )
+        assert (tmp_path / "out.json").read_bytes() == (
+            b'[\n  {\n    "method": "fd",\n    "ell": 10,\n'
+            b'    "fro_ratio": 0.3333333333,\n    "spec_ratio": 1.0,\n'
+            b'    "elapsed_seconds": 1e-05,\n    "reps": 4,\n    "failed": 1\n  },\n'
+            b'  {\n    "method": "spemb",\n    "ell": 10,\n    "fro_ratio": null,\n'
+            b'    "spec_ratio": null,\n    "elapsed_seconds": null,\n'
+            b'    "reps": 0,\n    "failed": 3\n  },\n'
+            b'  {\n    "method": "spfd50",\n    "ell": 150,\n'
+            b'    "fro_ratio": 1.012345679,\n    "spec_ratio": 1.25,\n'
+            b'    "elapsed_seconds": 0.5,\n    "reps": 5,\n    "failed": 0\n  }\n]\n'
+        )
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError, match="cannot write"):

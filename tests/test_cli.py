@@ -117,6 +117,22 @@ class TestBench:
         assert "normsamp" in out.read_text()
         assert "fd," not in out.read_text()
 
+    def test_repeated_method_override_rejected(self, tmp_path, capsys):
+        cfg = {
+            "schema_version": 1,
+            "dataset": {"type": "synthetic", "n": 60, "d": 12, "k": 3},
+            "methods": ["fd"],
+            "k": 3,
+            "ell_sweep": "3:3:3",
+            "output": str(tmp_path / "results.csv"),
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(cfg_path),
+                     "--methods", "fd,spemb,FD"]) == 2
+        assert "methods 'fd' and 'FD' name the same sketcher" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
 
 class TestNetwork:
     def test_json_schema(self, tmp_path):

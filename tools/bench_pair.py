@@ -12,8 +12,9 @@ benchmark's ``run_seconds``, serially, with the side that runs first
 alternating from seed to seed.  The output file holds, per workload
 and end-to-end metric, each side's median and quartiles and the pairs each
 side won, every run's values, ``crit7_ratio`` from the ``dense-fd`` run
-records, the tier-1 wall time of each side and the environment of the
-first run's record, with the BLAS thread count added.
+records, the tier-1 wall time and ``src_lines`` (the line count of each
+``src/sketchlab/*.py`` module, and their total) of each side, and the
+environment of the first run's record, with the BLAS thread count added.
 """
 
 from __future__ import annotations
@@ -87,6 +88,12 @@ def tier1_seconds(root: Path) -> dict:
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": time.perf_counter() - t0, "exit": proc.returncode,
             "summary": lines[-1] if lines else ""}
+
+
+def src_lines(root: Path) -> dict:
+    counts = {path.name: path.read_bytes().count(b"\n")
+              for path in sorted((root / "src" / "sketchlab").glob("*.py"))}
+    return {"modules": counts, "total": sum(counts.values())}
 
 
 def blas_threads():
@@ -176,6 +183,7 @@ def main(argv=None) -> int:
                                         for s in roots}
             out["workloads"][workload] = entry
         out["tier1"] = {side: tier1_seconds(root) for side, root in roots.items()}
+        out["src_lines"] = {side: src_lines(root) for side, root in roots.items()}
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     for workload, entry in out["workloads"].items():
         for name, m in entry["metrics"].items():
