@@ -11,6 +11,9 @@ the singular values that `best_rank_k` keeps from its one SVD:
 approximate residual's norms: the Frobenius norm by factor algebra, the
 spectral norm by a Lanczos solve (ARPACK through ``scipy.sparse.linalg.svds``)
 on the implicitly represented residual.  No ``n x d`` residual is formed.
+For a tall ``a = Q R`` whose reference keeps its ``d x d`` R factor, an
+approximation in projection form (``left = a @ Z``, ``Z = right_basis``) has
+the residual norms of ``R - (R Z) Z^T``, so both numerators are taken on R.
 """
 
 from __future__ import annotations
@@ -57,13 +60,21 @@ class LowRankFactors:
     ``d x k`` with orthonormal columns.  ``spectrum`` holds all
     ``min(n, d)`` singular values of the approximated matrix, descending,
     when they are known: `best_rank_k` keeps them, and `error_report`
-    requires them of its exact reference.
+    requires them of its exact reference.  ``r_factor`` is the ``d x d``
+    upper-triangular R of a tall approximated matrix ``a = Q R``, which
+    `best_rank_k` keeps (``None`` for square or wide input).
+    ``projection`` marks factors in projection form, ``left = a @
+    right_basis``, as `best_rank_k` and `approx_from_basis` build them;
+    `error_report` takes such an approximation's residual norms on the
+    reference's R factor.
     """
 
     left: np.ndarray
     right_basis: np.ndarray
     k: int
     spectrum: Optional[np.ndarray] = None
+    r_factor: Optional[np.ndarray] = None
+    projection: bool = False
 
     def __post_init__(self):
         if self.left.shape[1] != self.k or self.right_basis.shape[1] != self.k:
@@ -84,7 +95,9 @@ class ApproxSvd:
 class ErrorReport:
     """Error ratios of an approximation against the optimal one, plus the
     wall time spent constructing the approximation and ``spec_matvecs``,
-    the residual products the spectral numerator's Lanczos solve took."""
+    the residual products the spectral numerator's Lanczos solve took:
+    ``d x d`` products with ``R - (R Z) Z^T`` on the R route of
+    `error_report`, products with the ``n x d`` residual otherwise."""
 
     fro_ratio: float
     spec_ratio: float
@@ -146,10 +159,13 @@ def _r_factor(x: Matrix) -> np.ndarray:
         return np.linalg.qr(as_dense(x), mode="r")
 
 
-def _top_k(x: Matrix, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(left, w, sigma)`` with ``left = x @ w = U_k diag(sigma_k)``, ``w``
-    the top-k right singular vectors of ``x`` and ``sigma`` all its
-    ``min(n, d)`` singular values, from one ``svd`` call.
+def _top_k(
+    x: Matrix, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """``(left, w, sigma, r)`` with ``left = x @ w = U_k diag(sigma_k)``,
+    ``w`` the top-k right singular vectors of ``x``, ``sigma`` all its
+    ``min(n, d)`` singular values, from one ``svd`` call, and ``r`` the R
+    factor of a tall ``x`` (``None`` otherwise).
 
     A tall ``x`` (more rows than columns) is reduced to its ``d x d`` R
     factor first (`_r_factor`: CholeskyQR2 from the Gram matrix, sparse
@@ -161,12 +177,13 @@ def _top_k(x: Matrix, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n, d = x.shape
     if n <= d:
         res = svd(x)
-        return res.u[:, :k] * res.sigma[:k], res.vt[:k].T, res.sigma
-    res = svd(_r_factor(x))
+        return res.u[:, :k] * res.sigma[:k], res.vt[:k].T, res.sigma, None
+    r = _r_factor(x)
+    res = svd(r)
     wt = res.vt[:k].copy()
     left = x @ wt.T
     _fix_svd_signs(left, wt)
-    return left, wt.T, res.sigma
+    return left, wt.T, res.sigma, r
 
 
 def best_rank_k(a: Matrix, k: int) -> LowRankFactors:
@@ -179,14 +196,16 @@ def best_rank_k(a: Matrix, k: int) -> LowRankFactors:
     product for CSR ``a``, which is never densified), or from a
     Householder QR when the first pass leaves its Q more than 0.1 from
     orthonormal (``cond(a)`` beyond about 1e7, or rank deficiency).
-    ``spectrum`` keeps every singular value that SVD computed.
+    ``spectrum`` keeps every singular value that SVD computed, and
+    ``r_factor`` the R factor of a tall ``a``.
     """
     n, d = a.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k={k} outside 1..min{(n, d)}")
-    left, w, sigma = _top_k(a, k)
+    left, w, sigma, r = _top_k(a, k)
     return LowRankFactors(
-        left=left, right_basis=np.ascontiguousarray(w), k=k, spectrum=sigma
+        left=left, right_basis=np.ascontiguousarray(w), k=k, spectrum=sigma,
+        r_factor=r, projection=True,
     )
 
 
@@ -206,8 +225,8 @@ def approx_from_basis(a: Matrix, v: np.ndarray, k: int) -> LowRankFactors:
         raise ValueError("k must be >= 1")
     v = as_dense(v)
     _check_orthonormal(v)
-    left, w, _ = _top_k(a @ v, k)
-    return LowRankFactors(left=left, right_basis=v @ w, k=k)
+    left, w, _, _ = _top_k(a @ v, k)
+    return LowRankFactors(left=left, right_basis=v @ w, k=k, projection=True)
 
 
 def approx_svd(a: Matrix, v: np.ndarray) -> ApproxSvd:
@@ -323,8 +342,12 @@ def error_report(
     ``exact`` must carry its ``spectrum`` (as `best_rank_k` factors do): the
     optimal residuals are ``sigma_{k+1}`` (0 when ``k = min(n, d)``) and
     ``sqrt(sum_{i>k} sigma_i^2)``, read from it without touching ``a``.
-    The numerators are ``approx``'s residual norms, the spectral one from
-    `residual_spectral_norm`.
+    The numerators are ``approx``'s residual norms, from `_residual_fro`
+    and `residual_spectral_norm`.  When ``exact`` carries the R factor of a
+    tall ``a`` and ``approx`` is marked as projection form (``left = a @
+    Z``), they run on ``R`` and ``R @ Z`` in place of ``a`` and ``left``:
+    ``a = Q R`` with orthonormal ``Q`` gives ``a - left Z^T = Q (R - R Z
+    Z^T)``, so each Lanczos product costs ``d^2``, not ``n d``.
 
     When the exact residual vanishes (input of rank <= k) the ratio is
     defined as 1 provided the approximate residual also vanishes; otherwise
@@ -337,6 +360,15 @@ def error_report(
         raise ValueError(
             "exact factors carry no spectrum; build them with best_rank_k"
         )
+    r = exact.r_factor
+    if r is not None:
+        if r.shape != (a.shape[1],) * 2:
+            raise ValueError(
+                f"exact factors carry a {r.shape} R factor for {a.shape[1]} columns"
+            )
+        if approx.projection:
+            z = approx.right_basis
+            a, approx = r, LowRankFactors(left=r @ z, right_basis=z, k=approx.k)
     tail = exact.spectrum[exact.k :]
     fro_den = float(np.sqrt(np.sum(tail**2)))
     spec_den = float(tail[0]) if tail.size else 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -515,6 +517,94 @@ class TestSpectrumDenominators:
         assert sketched.spectrum is None
         with pytest.raises(ValueError, match="spectrum"):
             error_report(a, f, sketched, 0.0)
+
+
+def residual_first_args(monkeypatch) -> list:
+    """Record the shape of the matrix each residual product gets."""
+    shapes = []
+    for name in ("_matvec_residual", "_rmatvec_residual"):
+        real = getattr(sketchlab.lowrank, name)
+
+        def recorded(a, *args, real=real):
+            shapes.append(a.shape)
+            return real(a, *args)
+
+        monkeypatch.setattr(sketchlab.lowrank, name, recorded)
+    return shapes
+
+
+def denominators(exact: LowRankFactors) -> tuple[float, float]:
+    """``(fro_den, spec_den)`` as `error_report` reads them."""
+    tail = exact.spectrum[exact.k :]
+    return float(np.sqrt(np.sum(tail**2))), float(tail[0])
+
+
+# name -> (tall matrix, k, sketch width, whether best_rank_k's R factor
+# comes from the Householder fallback)
+R_ROUTE_INPUTS = {
+    "dense": (random_dense(200, 30, seed=70), 5, 10, False),
+    "csr": (random_csr(300, 40, seed=71), 5, 10, False),
+    "kappa-1e12": (R_FACTOR_INPUTS["dense-1e+12"][0], 3, 8, True),
+    "rank-deficient": (rank_r(200, 20, 4, seed=72), 2, 6, True),
+}
+
+
+class TestRFactorNumerators:
+    """With a tall reference that keeps its R factor and an approximation
+    in projection form, ``error_report`` takes both numerators on
+    ``R - (R Z) Z^T``; every other case keeps the residual on ``a``."""
+
+    @pytest.mark.parametrize("name", list(R_ROUTE_INPUTS))
+    def test_numerators_match_explicit_residual(self, monkeypatch, name):
+        a, k, ell, falls_back = R_ROUTE_INPUTS[name]
+        d = a.shape[1]
+        qr_calls = count_qr_calls(monkeypatch)
+        exact = best_rank_k(a, k)
+        assert qr_calls == ([a.shape] if falls_back else [])
+        assert exact.r_factor.shape == (d, d) and exact.projection
+        approx = approx_from_basis(a, fd_sketch(a, ell).basis, k)
+        assert approx.projection and approx.r_factor is None
+        shapes = residual_first_args(monkeypatch)
+        rep = error_report(a, approx, exact, 0.0)
+        assert shapes and set(shapes) == {(d, d)}
+        dense = a.toarray() if sparse.issparse(a) else a
+        resid = dense - materialise(approx)
+        fro_den, spec_den = denominators(exact)
+        fro_ref = np.linalg.norm(resid) / fro_den
+        spec_ref = np.linalg.norm(resid, 2) / spec_den
+        assert abs(rep.fro_ratio - fro_ref) <= 1e-12 * fro_ref
+        assert abs(rep.spec_ratio - spec_ref) <= 1e-12 * spec_ref
+        assert rep.spec_matvecs == len(shapes)
+
+    @pytest.mark.parametrize("name", ["square", "wide", "tall-unmarked"])
+    def test_other_cases_run_on_a(self, monkeypatch, name):
+        a, k, _, ell = TOP_K_INPUTS["tall-dense" if name == "tall-unmarked" else name]
+        exact = best_rank_k(a, k)
+        approx = approx_from_basis(a, fd_sketch(a, ell).basis, k)
+        if name == "tall-unmarked":
+            assert exact.r_factor is not None
+            approx = LowRankFactors(left=approx.left, right_basis=approx.right_basis, k=k)
+        else:
+            assert exact.r_factor is None
+        shapes = residual_first_args(monkeypatch)
+        rep = error_report(a, approx, exact, 0.0)
+        assert shapes and set(shapes) == {a.shape}
+        fro_den, spec_den = denominators(exact)
+        fro_num = sketchlab.lowrank._residual_fro(a, approx, fro_norm(a) ** 2)
+        spec_num = residual_spectral_norm(a, approx)
+        assert rep.fro_ratio == fro_num / fro_den
+        assert rep.spec_ratio == spec_num / spec_den
+        assert rep.spec_matvecs == spec_num.matvecs
+
+    def test_mismatched_r_factor_rejected(self):
+        a = random_dense(40, 10, seed=73)
+        exact = best_rank_k(a, 3)
+        bad = dataclasses.replace(exact, r_factor=exact.r_factor[:-1, :-1])
+        with pytest.raises(ValueError, match="R factor"):
+            error_report(a, exact, bad, 0.0)
+        unmarked = LowRankFactors(left=exact.left, right_basis=exact.right_basis, k=3)
+        with pytest.raises(ValueError, match="R factor"):
+            error_report(a, unmarked, bad, 0.0)
 
 
 class TestFrobeniusResidual:

@@ -9,10 +9,12 @@ temporary directory, which is removed at the end; the repository's own
 ``.git`` is only read.  For every workload of ``BENCHMARK.json`` and each
 of ten seeds, ``perfbench/run.py --trace 0`` runs once on each side for the
 benchmark's ``run_seconds``, serially, with the side that runs first
-alternating from seed to seed.  The output file holds, per workload
-and end-to-end metric, each side's median and quartiles and the pairs each
-side won, every run's values, ``crit7_ratio`` from the ``dense-fd`` run
-records, the tier-1 wall time and ``src_lines`` (the line count of each
+alternating from seed to seed.  After the pairs, one ``--trace 1`` run
+per side at the first seed gives the per-layer metrics of ``TRACED``.  The
+output file holds, per workload and end-to-end metric, each side's median
+and quartiles and the pairs each side won, every run's values,
+``crit7_ratio`` from the ``dense-fd`` run records, each side's traced
+metrics, the tier-1 wall time and ``src_lines`` (the line count of each
 ``src/sketchlab/*.py`` module, and their total) of each side, and the
 environment of the first run's record, with the BLAS thread count added.
 """
@@ -39,6 +41,11 @@ PAIRS = 10
 # a gain needs this share of pairs won, as well as a median gap wider than
 # the distance between the parent's quartiles
 GAIN_SHARE = 0.9
+# per-layer metrics recorded from each side's traced run
+TRACED = ("lowrank.error_report_s", "lowrank.residual_spec_s",
+          "lowrank.residual_fro_s", "lowrank.power_iters", "sketch.shrink_rounds")
+TRACED_NOTE = ("sketch.shrink_rounds reads 0 while perfbench counts a round as "
+               "a sketch.svd call, which only fallback rounds make (ROADMAP item 1)")
 
 
 def git(*args: str) -> str:
@@ -56,9 +63,10 @@ def export(rev: str, dest: Path) -> None:
             tar.extractall(dest, filter="data")
 
 
-def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_perfbench(root: Path, workload: str, seed: int, seconds: float,
+                  trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
@@ -66,7 +74,7 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
-    record_file = root / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    record_file = root / ".perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
     record = json.loads(record_file.read_text(encoding="utf-8"))
     return {
         "correct": result["correct"],
@@ -181,6 +189,10 @@ def main(argv=None) -> int:
             if runs[0]["crit7_ratio"] is not None:
                 entry["crit7_ratio"] = {s: quartiles([r["crit7_ratio"] for r in by_side[s]])
                                         for s in roots}
+            entry["traced"] = {"seed": seeds[0], "note": TRACED_NOTE}
+            for side, root in roots.items():
+                metrics = run_perfbench(root, workload, seeds[0], seconds, trace=1)["metrics"]
+                entry["traced"][side] = {name: metrics[name] for name in TRACED}
             out["workloads"][workload] = entry
         out["tier1"] = {side: tier1_seconds(root) for side, root in roots.items()}
         out["src_lines"] = {side: src_lines(root) for side, root in roots.items()}
