@@ -21,7 +21,6 @@ from .linalg import (
     thin_qr,
 )
 from .lowrank import (
-    ApproxSvd,
     ErrorReport,
     LowRankFactors,
     approx_from_basis,

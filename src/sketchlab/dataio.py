@@ -143,10 +143,8 @@ def load_matrix_market(path: PathLike) -> Matrix:
 def save_matrix_market(path: PathLike, a: Matrix) -> None:
     """Write a matrix in MatrixMarket format (coordinate for sparse input,
     array for dense), at full float64 round-trip precision."""
-    if sparse.issparse(a):
-        scipy.io.mmwrite(str(path), as_csr(a), precision=17)
-    else:
-        scipy.io.mmwrite(str(path), as_dense(a), precision=17)
+    a = as_csr(a) if sparse.issparse(a) else as_dense(a)
+    scipy.io.mmwrite(str(path), a, precision=17)
 
 
 def load_edge_list(path: PathLike, one_indexed: bool = True) -> sparse.csr_matrix:

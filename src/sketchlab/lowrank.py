@@ -26,12 +26,12 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
 from .linalg import (
-    Matrix, NumericalError, _fix_svd_signs, as_dense, check_finite, fro_norm, svd,
+    Matrix, NumericalError, SvdResult, _fix_svd_signs, as_dense, check_finite,
+    fro_norm, svd,
 )
 
 __all__ = [
     "LowRankFactors",
-    "ApproxSvd",
     "ErrorReport",
     "best_rank_k",
     "approx_from_basis",
@@ -79,16 +79,6 @@ class LowRankFactors:
     def __post_init__(self):
         if self.left.shape[1] != self.k or self.right_basis.shape[1] != self.k:
             raise ValueError("factor widths must equal k")
-
-
-@dataclass(frozen=True)
-class ApproxSvd:
-    """Approximate singular triplet ``a ~ u @ diag(sigma) @ v.T`` obtained by
-    decomposing the projection of ``a`` onto a sketch basis."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -229,17 +219,17 @@ def approx_from_basis(a: Matrix, v: np.ndarray, k: int) -> LowRankFactors:
     return LowRankFactors(left=left, right_basis=v @ w, k=k, projection=True)
 
 
-def approx_svd(a: Matrix, v: np.ndarray) -> ApproxSvd:
+def approx_svd(a: Matrix, v: np.ndarray) -> SvdResult:
     """Approximate SVD of ``a`` through the projection ``a @ v @ v.T``.
 
     Decomposes ``b = a @ v``, then rotates the small right factor back with
-    ``v`` so that ``u @ diag(sigma) @ v_out.T`` equals the projection.
+    ``v`` so that ``u @ diag(sigma) @ vt`` equals the projection.
     """
     v = as_dense(v)
     _check_orthonormal(v)
     b = a @ v
     res = svd(b)
-    return ApproxSvd(u=res.u, sigma=res.sigma, v=v @ res.vt.T)
+    return SvdResult(u=res.u, sigma=res.sigma, vt=(v @ res.vt.T).T)
 
 
 def _matvec_residual(a, left, right_basis, x):

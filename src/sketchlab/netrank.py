@@ -86,6 +86,17 @@ def _check_square(adj) -> sparse.csr_matrix:
     return adj
 
 
+def _unit(x: np.ndarray):
+    """``x`` scaled to unit 2-norm, or ``None`` for a zero vector."""
+    norm = np.linalg.norm(x)
+    return None if norm == 0.0 else x / norm
+
+
+def _peak_positive(x: np.ndarray) -> np.ndarray:
+    """``x`` with the sign that makes its largest-magnitude entry positive."""
+    return -x if x[np.argmax(np.abs(x))] < 0 else x
+
+
 def hits(
     adj,
     tol: float = 1e-3,
@@ -107,28 +118,17 @@ def hits(
     n = adj.shape[0]
     rng = np.random.default_rng(rng)
     t0 = time.perf_counter()
-    auth = rng.standard_normal(n)
-    hub = rng.standard_normal(n)
-    auth /= np.linalg.norm(auth)
-    hub /= np.linalg.norm(hub)
+    auth = _unit(rng.standard_normal(n))
+    hub = _unit(rng.standard_normal(n))
     status = "unconverged"
     for _ in range(max_iter):
-        auth_new = adj.T @ hub
-        norm = np.linalg.norm(auth_new)
-        if norm == 0.0:
+        auth_new = _unit(adj.T @ hub)
+        hub_new = None if auth_new is None else _unit(adj @ auth_new)
+        if hub_new is None:
             return _result(
                 np.zeros(n), np.zeros(n), "hits",
                 time.perf_counter() - t0, top_k, status="degenerate",
             )
-        auth_new /= norm
-        hub_new = adj @ auth_new
-        norm = np.linalg.norm(hub_new)
-        if norm == 0.0:
-            return _result(
-                np.zeros(n), np.zeros(n), "hits",
-                time.perf_counter() - t0, top_k, status="degenerate",
-            )
-        hub_new /= norm
         moved = max(
             np.linalg.norm(auth_new - auth), np.linalg.norm(hub_new - hub)
         )
@@ -136,11 +136,10 @@ def hits(
         if moved <= tol:
             status = "ok"
             break
-    if auth[np.argmax(np.abs(auth))] < 0:
-        auth = -auth
-    if hub[np.argmax(np.abs(hub))] < 0:
-        hub = -hub
-    return _result(hub, auth, "hits", time.perf_counter() - t0, top_k, status)
+    return _result(
+        _peak_positive(hub), _peak_positive(auth), "hits",
+        time.perf_counter() - t0, top_k, status,
+    )
 
 
 def _check_cosh(sigma: np.ndarray) -> None:
@@ -234,7 +233,7 @@ def expm_scores_sketched(
             raise ValueError(f"sketch size k+p={ell} exceeds n={n}")
         basis = _sketch_basis(adj, method, ell, rng)
     approx = approx_svd(adj, basis)
-    hub, auth = _cosh_scores(approx.u, approx.v, approx.sigma)
+    hub, auth = _cosh_scores(approx.u, approx.vt.T, approx.sigma)
     return _result(hub, auth, method, time.perf_counter() - t0, k)
 
 

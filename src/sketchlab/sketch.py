@@ -9,8 +9,7 @@ and a ``d x ell`` orthonormal basis ``V`` for the sketch's row space:
 ``fd_sketch``
     frequent directions: deterministic streaming pass that repeatedly
     decomposes a ``2*ell``-row buffer and shrinks all squared singular
-    values by the (ell+1)-th one.  Each round is one ``eigh`` of the
-    buffer's smaller Gram matrix (``2*ell x 2*ell`` or ``d x d``).
+    values by the (ell+1)-th one.
 ``spfd_sketch``
     block sparse embedding feeding frequent directions: the shuffled input
     rows are compressed in ``q`` blocks by independent sparse embeddings,
@@ -28,6 +27,7 @@ bit-reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -114,8 +114,7 @@ class SpEmbSpec:
 class SketchOutput:
     """Sketch ``B`` (ell x d), orthonormal row-space basis ``V`` (d x ell),
     the shrinkage amount of every frequent-directions round, and
-    ``gram_fallbacks``, the rounds, of any buffer shape, whose Gram route
-    was redone with the buffer's own SVD."""
+    ``gram_fallbacks``, the rounds that fell back to the buffer's SVD."""
 
     sketch: np.ndarray
     basis: np.ndarray
@@ -189,6 +188,8 @@ def spemb_sketch(a: Matrix, ell: int, rng: RngLike) -> SketchOutput:
 
 
 def _check_ell(a: Matrix, ell: int) -> None:
+    if a.shape[0] < 1:
+        raise ValueError(f"cannot sketch a matrix with no rows, got shape {a.shape}")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if ell > a.shape[1]:
@@ -198,8 +199,9 @@ def _check_ell(a: Matrix, ell: int) -> None:
         )
 
 
-# CSR input to the frequent-directions loop is densified about this many
-# entries at a time, in whole ell-row blocks, instead of block by block.
+# The frequent-directions loop reads its input about this many entries at
+# a time, in whole ell-row blocks; a CSR chunk is densified at once instead
+# of block by block.
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -207,7 +209,7 @@ def _row_blocks(a: Matrix, ell: int):
     """The rows of ``a`` as consecutive dense blocks of ``ell`` rows, the
     last one possibly shorter."""
     n, d = a.shape
-    step = ell * max(1, _CHUNK_ENTRIES // (ell * d)) if sparse.issparse(a) else n
+    step = ell * max(1, _CHUNK_ENTRIES // (ell * d))
     for lo in range(0, n, step):
         chunk = a[lo : lo + step]
         if sparse.issparse(chunk):
@@ -227,58 +229,46 @@ def _row_blocks(a: Matrix, ell: int):
 _GRAM_FLOOR = 1e-9
 
 
-def _gram_round(buf: np.ndarray, ell: int):
-    """Squared singular values of ``buf`` and its top right singular
-    directions, from one ``eigh`` of the smaller Gram matrix.
+def _shrink_round(buf: np.ndarray, ell: int):
+    """One frequent-directions decomposition of the buffer: its squared
+    singular values ``sq``, its top right singular directions ``vt`` (at
+    most ``ell`` rows) and whether the round fell back to ``svd(buf)``.
 
+    The round first takes one ``eigh`` of the buffer's smaller Gram matrix.
     A wide buffer (fewer rows than columns) takes ``buf @ buf.T``, whose
     eigenvectors are the left singular vectors ``u``, and forms the
     directions as ``u.T @ buf / sigma``; a tall or square one takes
     ``buf.T @ buf``, whose eigenvectors are the directions themselves.
-    Eigenvalues below the rounding level of the Gram entries (``terms *
-    eps`` times the largest, for inner products of ``terms`` entries) are
-    exact zeros, so a rank-deficient buffer shrinks by 0 and only the
-    directions of nonzero top-``ell`` eigenvalues are formed.  Signs follow
-    ``linalg.svd``: the largest-magnitude entry of each left singular
-    vector is positive.  Returns ``None`` when a formed direction's
+    Eigenvalues below the rounding level of the Gram entries
+    (``max(buf.shape) * eps`` times the largest, as each entry is an inner
+    product of that many terms) are exact zeros, so a rank-deficient buffer
+    shrinks by 0 and only the directions of nonzero top-``ell`` eigenvalues
+    are formed.  Signs follow ``linalg.svd``: the largest-magnitude entry
+    of each left singular vector is positive.  When a formed direction's
     eigenvalue is below the floor (``_GRAM_FLOOR`` when wide, its square
-    root otherwise) times the largest.
+    root otherwise) times the largest, or ``eigh`` raises ``LinAlgError``,
+    the round is redone with the buffer's own SVD.
     """
-    terms = max(buf.shape)
     wide = buf.shape[0] < buf.shape[1]
-    lam, vecs = np.linalg.eigh(buf @ buf.T if wide else buf.T @ buf)
-    lam, vecs = lam[::-1], vecs[:, ::-1]
-    lam = np.where(lam > terms * np.finfo(float).eps * lam[0], lam, 0.0)
-    rank = int(np.count_nonzero(lam[:ell]))
-    floor = _GRAM_FLOOR if wide else np.sqrt(_GRAM_FLOOR)
-    if rank and lam[rank - 1] < floor * lam[0]:
-        return None
-    vecs = vecs[:, :rank]
-    if wide:
-        left, vt = vecs, (vecs / np.sqrt(lam[:rank])).T @ buf
-    else:
-        left, vt = buf @ vecs, vecs.T
-    _fix_svd_signs(left, vt)
-    return lam, vt
-
-
-def _shrink_round(buf: np.ndarray, ell: int):
-    """One frequent-directions decomposition of the buffer: its squared
-    singular values ``sq``, its top right singular directions ``vt`` (at
-    most ``ell`` rows) and the route taken, ``"gram"`` or ``"svd"``.
-
-    The Gram route (``_gram_round``) serves every buffer shape; a round it
-    declines, or whose ``eigh`` raises ``LinAlgError``, is redone with the
-    buffer's own SVD.
-    """
     try:
-        found = _gram_round(buf, ell)
+        lam, vecs = np.linalg.eigh(buf @ buf.T if wide else buf.T @ buf)
     except np.linalg.LinAlgError:
-        found = None
-    if found is None:
-        res = svd(buf)
-        return res.sigma**2, res.vt[:ell], "svd"
-    return (*found, "gram")
+        pass
+    else:
+        lam, vecs = lam[::-1], vecs[:, ::-1]
+        lam = np.where(lam > max(buf.shape) * np.finfo(float).eps * lam[0], lam, 0.0)
+        rank = int(np.count_nonzero(lam[:ell]))
+        floor = _GRAM_FLOOR if wide else np.sqrt(_GRAM_FLOOR)
+        if not rank or lam[rank - 1] >= floor * lam[0]:
+            vecs = vecs[:, :rank]
+            if wide:
+                left, vt = vecs, (vecs / np.sqrt(lam[:rank])).T @ buf
+            else:
+                left, vt = buf @ vecs, vecs.T
+            _fix_svd_signs(left, vt)
+            return lam, vt, False
+    res = svd(buf)
+    return res.sigma**2, res.vt[:ell], True
 
 
 def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
@@ -296,28 +286,17 @@ def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
     buf[: len(first)] = first
     deltas: list[float] = []
     fallbacks = 0
-
-    def shrink_round() -> np.ndarray:
-        nonlocal fallbacks
-        sq, vt, route = _shrink_round(buf, ell)
-        fallbacks += route == "svd"
+    # an input of at most ell rows takes its single round on an empty block
+    for block in itertools.chain([next(blocks, first[:0])], blocks):
+        # rows past a short last block stay zero: each round clears buf[ell:]
+        buf[ell : ell + len(block)] = block
+        sq, vt, fell_back = _shrink_round(buf, ell)
+        fallbacks += fell_back
         delta = float(sq[ell]) if sq.size > ell else 0.0
         shrunk = np.sqrt(np.maximum(sq[: len(vt)] - delta, 0.0))
         buf[:] = 0.0
         buf[: len(vt)] = shrunk[:, None] * vt
         deltas.append(delta)
-        return vt
-
-    vt = None
-    for block in blocks:
-        # rows past a short last block stay zero: each round clears buf[ell:]
-        buf[ell : ell + len(block)] = block
-        vt = shrink_round()
-    if vt is None:
-        # Fewer rows than ell: the loop never runs, so perform the single
-        # decomposition round here to define the basis (the shrink is a
-        # no-op up to roundoff because the buffer rank is at most ell).
-        vt = shrink_round()
     # Orthonormalise the last round's directions; the zero columns of a
     # rank-deficient round become an orthonormal completion.
     v = np.zeros((d, ell))
@@ -335,20 +314,11 @@ def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
 def fd_sketch(a: Matrix, ell: int) -> SketchOutput:
     """Deterministic frequent-directions sketch (no randomness involved).
 
-    Runs ``max(ceil(n/ell) - 1, 1)`` shrink rounds and records one entry of
-    ``deltas`` per round; an input with ``n <= 2*ell`` rows takes a single
-    round.  Each round needs the squared singular values and the top
-    ``ell`` right singular directions of the ``2*ell x d`` buffer, and gets
-    them from one ``eigh`` of the smaller Gram matrix: ``buf @ buf.T`` for
-    a wide buffer (``2*ell < d``), with the directions formed as
-    ``diag(1/sigma) U^T buf``, and ``buf.T @ buf`` otherwise.  Eigenvalues
-    at the Gram rounding level count as zeros.  A round that keeps an
-    eigenvalue below 1e-9 times the largest (about 3e-5 for ``buf.T @
-    buf``, whose eigenvectors lose accuracy faster), or whose ``eigh``
-    fails, is redone with an SVD of the buffer and counted in ``gram_fallbacks``,
-    whatever the buffer's shape.  NaN or Inf input raises ``ValueError``
-    before the first round.  The basis is the thin QR of the last round's
-    directions, with ``diag(R) >= 0``.
+    Runs ``max(ceil(n/ell) - 1, 1)`` shrink rounds of the ``2*ell x d``
+    buffer and records one entry of ``deltas`` per round; an input with
+    ``n <= 2*ell`` rows takes a single round.  NaN or Inf input raises
+    ``ValueError`` before the first round.  The basis is the thin QR of the
+    last round's directions, with ``diag(R) >= 0``.
     """
     _check_ell(a, ell)
     return _fd_rounds(a, ell)
@@ -401,6 +371,7 @@ def norm_sampling_sketch(a: Matrix, ell: int, rng: RngLike) -> SketchOutput:
     """Sample ``ell`` rows i.i.d. with probability proportional to their
     squared norm, each rescaled by ``1/sqrt(ell * p_i)`` for unbiasedness."""
     _check_ell(a, ell)
+    check_finite(a)
     rng = np.random.default_rng(rng)
     norms_sq = row_norms(a) ** 2
     total = norms_sq.sum()

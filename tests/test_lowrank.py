@@ -337,7 +337,7 @@ class TestApproxSvd:
         a = random_dense(7, 5, seed=21)
         v = svd(a).vt.T
         res = approx_svd(a, v)
-        recon = (res.u * res.sigma) @ res.v.T
+        recon = (res.u * res.sigma) @ res.vt
         assert fro_norm(recon - a) <= 1e-8 * fro_norm(a)
 
     def test_orthonormal_outputs(self):
@@ -345,7 +345,7 @@ class TestApproxSvd:
         out = fd_sketch(a, 3)
         res = approx_svd(a, out.basis)
         assert np.abs(res.u.T @ res.u - np.eye(3)).max() <= 1e-10
-        assert np.abs(res.v.T @ res.v - np.eye(3)).max() <= 1e-10
+        assert np.abs(res.vt @ res.vt.T - np.eye(3)).max() <= 1e-10
 
     def test_matches_dense_projection_oracle(self):
         a = random_dense(12, 12, seed=23)
@@ -354,7 +354,7 @@ class TestApproxSvd:
         proj = a @ out.basis @ out.basis.T
         ref_sigma = np.linalg.svd(proj, compute_uv=False)
         assert np.abs(res.sigma - ref_sigma[:6]).max() <= 1e-8 * ref_sigma[0]
-        recon = (res.u * res.sigma) @ res.v.T
+        recon = (res.u * res.sigma) @ res.vt
         assert fro_norm(recon - proj) <= 1e-8 * fro_norm(a)
 
     def test_interlacing_under_projection(self):

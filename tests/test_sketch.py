@@ -353,6 +353,16 @@ def count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+def run_sketcher(method, a, ell):
+    """``method``'s sketch of ``a`` at a fixed seed."""
+    if method == "fd":
+        return fd_sketch(a, ell)
+    if method == "spfd":
+        return spfd_sketch(a, SpfdConfig(ell=ell, q=4, seed=0))
+    return {"spemb": spemb_sketch, "normsamp": norm_sampling_sketch,
+            "dct": dct_sketch}[method](a, ell, rng=0)
+
+
 def graded_rank_ell(n, d, ell, span, seed):
     """Rank-``ell`` input whose singular values fall geometrically from 1
     to ``span``, mixed by a Gaussian so every buffer sees the whole spread."""
@@ -511,17 +521,24 @@ class TestNonFiniteInput:
     # wide (2*ell < d), then tall
     @pytest.mark.parametrize("d, ell", [(30, 5), (40, 30), (8, 5)])
     @pytest.mark.parametrize("kind", ["dense", "csr"])
-    @pytest.mark.parametrize("method", ["fd", "spfd"])
+    @pytest.mark.parametrize("method", ["fd", "spfd", "spemb", "normsamp", "dct"])
     def test_rejected(self, bad, d, ell, kind, method):
         a = random_dense(100, d, seed=d)
         a[37, d // 2] = bad
         if kind == "csr":
             a = sparse.csr_matrix(a)
         with pytest.raises(ValueError, match="NaN or Inf"):
-            if method == "fd":
-                fd_sketch(a, ell)
-            else:
-                spfd_sketch(a, SpfdConfig(ell=ell, q=4, seed=0))
+            run_sketcher(method, a, ell)
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+@pytest.mark.parametrize("method", ["fd", "spfd", "spemb", "normsamp", "dct"])
+def test_no_rows_rejected(kind, method):
+    a = np.zeros((0, 5))
+    if kind == "csr":
+        a = sparse.csr_matrix(a)
+    with pytest.raises(ValueError, match=re.escape("no rows, got shape (0, 5)")):
+        run_sketcher(method, a, 2)
 
 
 @pytest.mark.parametrize("n", [36, 40])

@@ -12,7 +12,8 @@ benchmark's ``run_seconds``, serially, with the side that runs first
 alternating from seed to seed.  After the pairs, one ``--trace 1`` run
 per side at the first seed gives the per-layer metrics of ``TRACED``.  The
 output file holds, per workload and end-to-end metric, each side's median
-and quartiles and the pairs each side won, every run's values,
+and quartiles and the pairs each side won, every run's values and its
+hypervisor steal time (``steal_s``, ``None`` where unreadable),
 ``crit7_ratio`` from the ``dense-fd`` run records, each side's traced
 metrics, the tier-1 wall time and ``src_lines`` (the line count of each
 ``src/sketchlab/*.py`` module, and their total) of each side, and the
@@ -171,11 +172,11 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     run = run_perfbench(roots[side], workload, seed, seconds)
+                    env = run.pop("environment")
                     if "environment" not in out:
-                        out["environment"] = dict(run["environment"],
-                                                  blas_threads=blas_threads())
-                    del run["environment"]
-                    run.update(side=side, seed=seed, first=order[0])
+                        out["environment"] = dict(env, blas_threads=blas_threads())
+                    run.update(side=side, seed=seed, first=order[0],
+                               steal_s=env.get("steal_s"))
                     runs.append(run)
                     print(f"{workload} seed {seed} {side}: pass_s "
                           f"{run['metrics'].get('pass_s', float('nan')):.4g}", flush=True)
