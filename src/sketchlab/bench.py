@@ -113,6 +113,8 @@ class BenchConfig:
             raise ValueError(f"invalid ell sweep {self.ell_sweep}")
         if self.repetitions[0] < 1 or self.repetitions[1] < 1:
             raise ValueError("repetition counts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.methods:
             raise ValueError("at least one method is required")
         seen = {}

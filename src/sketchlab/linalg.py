@@ -83,6 +83,18 @@ def fro_norm(a: Matrix) -> float:
     return float(np.linalg.norm(a, "fro"))
 
 
+_CHUNK_ENTRIES = 1 << 20
+
+
+def _row_chunks(a: Matrix, multiple: int = 1):
+    """Slices of consecutive rows of ``a`` for loops that stream it: each
+    spans about ``_CHUNK_ENTRIES`` entries and, but for the last, a whole
+    ``multiple`` of rows."""
+    n, d = a.shape
+    step = multiple * max(1, _CHUNK_ENTRIES // (multiple * d))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
 def row_norms(a: Matrix) -> np.ndarray:
     """Euclidean norm of every row, for dense or CSR input."""
     if sparse.issparse(a):

@@ -8,7 +8,7 @@ so that the full ``n x d`` approximation is never materialised.
 Error ratios against the optimal truncated SVD take their denominators from
 the singular values that `best_rank_k` keeps from its one SVD:
 ``sigma_{k+1}`` and ``sqrt(sum_{i>k} sigma_i^2)``.  The numerators are the
-approximate residual's norms: the Frobenius norm by factor algebra, the
+approximate residual's norms: the Frobenius norm summed over row chunks, the
 spectral norm by a Lanczos solve (ARPACK through ``scipy.sparse.linalg.svds``)
 on the implicitly represented residual.  No ``n x d`` residual is formed.
 For a tall ``a = Q R`` whose reference keeps its ``d x d`` R factor, an
@@ -26,8 +26,8 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
 from .linalg import (
-    Matrix, NumericalError, SvdResult, _fix_svd_signs, as_dense, check_finite,
-    fro_norm, svd,
+    Matrix, NumericalError, SvdResult, _fix_svd_signs, _row_chunks, as_dense,
+    check_finite, fro_norm, svd,
 )
 
 __all__ = [
@@ -43,10 +43,6 @@ __all__ = [
 
 _ORTHO_TOL = 1e-8
 _LANCZOS_TOL = 1e-12
-# Below this ratio of squared residual to squared norm, the factor-algebra
-# Frobenius residual would lose more than ~1e-8 of its value to cancellation.
-_FRO_CANCEL = 1e8 * np.finfo(np.float64).eps
-_BLOCK_ENTRIES = 1 << 20
 # CholeskyQR2 falls back to Householder when its first-pass Q deviates from
 # orthonormal by more than this; the deviation grows like cond(x)^2 * eps.
 _CHOLQR_TOL = 0.1
@@ -120,7 +116,7 @@ def _r_factor(x: Matrix) -> np.ndarray:
     ``R1 = chol(x^T x)^T``, ``Q1 = x R1^-1``, ``R2 = chol(Q1^T Q1)^T`` and
     ``R = R2 R1``.  The Gram matrix of CSR input is the sparse product
     ``x^T x``; ``x`` itself is never densified, and ``Q1`` is formed and
-    reduced one block of about ``_BLOCK_ENTRIES`` entries at a time.  When
+    reduced one `linalg._row_chunks` slice of ``x`` at a time.  When
     either Cholesky factorisation fails, or ``Q1`` is more than
     ``_CHOLQR_TOL`` from orthonormal (condition numbers beyond about 1e7,
     rank deficiency), R comes from a Householder QR of ``x`` instead.
@@ -132,14 +128,13 @@ def _r_factor(x: Matrix) -> np.ndarray:
     else:
         x = as_dense(x)
         gram = x.T @ x
-    n, d = x.shape
-    step = max(1, _BLOCK_ENTRIES // d)
+    d = x.shape[1]
     try:
         r1 = np.linalg.cholesky(gram).T
         r1_inv = np.linalg.inv(r1)
         gram = np.zeros((d, d))
-        for lo in range(0, n, step):
-            q1 = x[lo : lo + step] @ r1_inv
+        for rows in _row_chunks(x):
+            q1 = x[rows] @ r1_inv
             gram += q1.T @ q1
         # written so that a NaN deviation also falls back
         if not np.abs(gram - np.eye(d)).max() <= _CHOLQR_TOL:
@@ -269,7 +264,7 @@ def residual_spectral_norm(
     """
     n, d = a.shape
     if min(n, d) == 1:
-        return SpectralNorm(_residual_fro(a, factors, fro_norm(a) ** 2), 0)
+        return SpectralNorm(_residual_fro(a, factors), 0)
     matvecs = 0
 
     def product(apply, x):
@@ -298,25 +293,15 @@ def residual_spectral_norm(
     return SpectralNorm(sigma[0], matvecs)
 
 
-def _residual_fro(a: Matrix, factors: LowRankFactors, norm_a_sq: float) -> float:
-    # ||a - l r^T||_F^2 = ||a||^2 - 2 tr(r l^T a) + ||l||^2 with orthonormal
-    # r; the trace term streams through a without forming n x d products.
-    # That sum cancels when the residual is tiny next to ||a||; then the
-    # residual is summed over row blocks instead.
-    ar = a @ factors.right_basis
-    overlap = float(np.vdot(factors.left, ar))
-    norm_factors_sq = float(np.vdot(factors.left, factors.left))
-    resid_sq = norm_a_sq - 2.0 * overlap + norm_factors_sq
-    if resid_sq >= _FRO_CANCEL * norm_a_sq:
-        return float(np.sqrt(resid_sq))
-    n, d = a.shape
-    step = max(1, _BLOCK_ENTRIES // d)
+def _residual_fro(a: Matrix, factors: LowRankFactors) -> float:
+    # summed over row chunks of the residual itself, which does not cancel
+    # near rank k and does not need right_basis to be orthonormal
     resid_sq = 0.0
-    for lo in range(0, n, step):
-        block = a[lo : lo + step]
+    for rows in _row_chunks(a):
+        block = a[rows]
         if sparse.issparse(block):
             block = block.toarray()
-        block = block - factors.left[lo : lo + step] @ factors.right_basis.T
+        block = block - factors.left[rows] @ factors.right_basis.T
         resid_sq += float(np.vdot(block, block))
     return float(np.sqrt(resid_sq))
 
@@ -363,7 +348,7 @@ def error_report(
     fro_den = float(np.sqrt(np.sum(tail**2)))
     spec_den = float(tail[0]) if tail.size else 0.0
     norm_a = fro_norm(a)
-    fro_num = _residual_fro(a, approx, norm_a**2)
+    fro_num = _residual_fro(a, approx)
     spec_num = residual_spectral_norm(a, approx)
 
     def ratio(num: float, den: float) -> float:

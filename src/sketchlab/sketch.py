@@ -35,7 +35,9 @@ import numpy as np
 import scipy.fft
 import scipy.sparse as sparse
 
-from .linalg import Matrix, _fix_svd_signs, check_finite, row_norms, svd, thin_qr
+from .linalg import (
+    Matrix, _fix_svd_signs, _row_chunks, check_finite, row_norms, svd, thin_qr,
+)
 
 __all__ = [
     "SpEmbSpec",
@@ -187,9 +189,13 @@ def spemb_sketch(a: Matrix, ell: int, rng: RngLike) -> SketchOutput:
     return SketchOutput(sketch=b, basis=_basis_from_sketch(b))
 
 
-def _check_ell(a: Matrix, ell: int) -> None:
+def _check_rows(a: Matrix) -> None:
     if a.shape[0] < 1:
         raise ValueError(f"cannot sketch a matrix with no rows, got shape {a.shape}")
+
+
+def _check_ell(a: Matrix, ell: int) -> None:
+    _check_rows(a)
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if ell > a.shape[1]:
@@ -199,19 +205,11 @@ def _check_ell(a: Matrix, ell: int) -> None:
         )
 
 
-# The frequent-directions loop reads its input about this many entries at
-# a time, in whole ell-row blocks; a CSR chunk is densified at once instead
-# of block by block.
-_CHUNK_ENTRIES = 1 << 20
-
-
 def _row_blocks(a: Matrix, ell: int):
-    """The rows of ``a`` as consecutive dense blocks of ``ell`` rows, the
-    last one possibly shorter."""
-    n, d = a.shape
-    step = ell * max(1, _CHUNK_ENTRIES // (ell * d))
-    for lo in range(0, n, step):
-        chunk = a[lo : lo + step]
+    """The rows of ``a`` as consecutive dense blocks of ``ell`` rows (the last
+    possibly shorter), densifying CSR input a whole chunk at a time."""
+    for rows in _row_chunks(a, ell):
+        chunk = a[rows]
         if sparse.issparse(chunk):
             chunk = chunk.toarray()
         for start in range(0, len(chunk), ell):
@@ -338,8 +336,10 @@ def spfd_intermediate(a: Matrix, cfg: SpfdConfig) -> np.ndarray:
     embedding) are statements about this operator alone.
 
     The seed discipline is fixed: the row permutation is drawn first, then
-    each block's bucket map and signs, in block order.
+    each block's bucket map and signs, in block order.  A matrix with no
+    rows raises ``ValueError``; ``ell`` may exceed the column count.
     """
+    _check_rows(a)
     rng = np.random.default_rng(cfg.seed)
     n = a.shape[0]
     per_block = -(-n // cfg.q)

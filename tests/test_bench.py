@@ -50,6 +50,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(repetitions=(0, 1))
 
+    def test_negative_seed(self):
+        # SeedSequence would refuse it only once the campaign runs
+        with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+            small_cfg(seed=-1)
+
     @pytest.mark.parametrize(
         "methods, first, second",
         [(("fd", "fd", "FD"), "fd", "fd"), (("spfd5", "fd", " SPFD5"), "spfd5", " SPFD5")],

@@ -117,6 +117,24 @@ class TestBench:
         assert "normsamp" in out.read_text()
         assert "fd," not in out.read_text()
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, where):
+        cfg = {
+            "schema_version": 1,
+            "dataset": {"type": "synthetic", "n": 60, "d": 12, "k": 3},
+            "methods": ["fd"],
+            "k": 3,
+            "ell_sweep": "3:3:3",
+            "seed": -1 if where == "config" else 5,
+            "output": str(tmp_path / "results.csv"),
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        flag = ["--seed", "-1"] if where == "flag" else []
+        assert main(["bench", "--config", str(cfg_path), *flag]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
     def test_repeated_method_override_rejected(self, tmp_path, capsys):
         cfg = {
             "schema_version": 1,

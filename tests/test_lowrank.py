@@ -268,7 +268,7 @@ class TestCholeskyQR2:
         dense = x.toarray() if sparse.issparse(x) else x
         ref = np.linalg.svd(np.linalg.qr(dense, mode="r"), compute_uv=False)
         # Q1 in row blocks: 40 rows for d = 25 (the last one short), 50 for d = 20
-        monkeypatch.setattr(sketchlab.lowrank, "_BLOCK_ENTRIES", 1000)
+        monkeypatch.setattr(sketchlab.linalg, "_CHUNK_ENTRIES", 1000)
         calls = count_qr_calls(monkeypatch)
         r = sketchlab.lowrank._r_factor(x)
         assert r.shape == (x.shape[1],) * 2
@@ -590,7 +590,7 @@ class TestRFactorNumerators:
         rep = error_report(a, approx, exact, 0.0)
         assert shapes and set(shapes) == {a.shape}
         fro_den, spec_den = denominators(exact)
-        fro_num = sketchlab.lowrank._residual_fro(a, approx, fro_norm(a) ** 2)
+        fro_num = sketchlab.lowrank._residual_fro(a, approx)
         spec_num = residual_spectral_norm(a, approx)
         assert rep.fro_ratio == fro_num / fro_den
         assert rep.spec_ratio == spec_num / spec_den
@@ -608,20 +608,37 @@ class TestRFactorNumerators:
 
 
 class TestFrobeniusResidual:
-    """Near rank k the factor-algebra Frobenius residual cancels; it is
-    then summed over row blocks of ``a - left @ right_basis.T``."""
+    """``_residual_fro`` sums ``a - left @ right_basis.T`` over row chunks,
+    so it matches the dense norm near rank k, where the expansion
+    ``||a||^2 - 2<left, a Z> + ||left||^2`` would cancel, as well as on
+    well-conditioned input and across chunk boundaries."""
+
+    @staticmethod
+    def check(a, k, rel, fmt, ell=None):
+        if fmt == "csr":
+            a = sparse.csr_matrix(a)
+        f = best_rank_k(a, k) if ell is None else approx_from_basis(
+            a, fd_sketch(a, ell).basis, k)
+        dense = a.toarray() if sparse.issparse(a) else a
+        ref = np.linalg.norm(dense - materialise(f))
+        got = sketchlab.lowrank._residual_fro(a, f)
+        assert abs(got - ref) <= rel * ref
 
     @pytest.mark.parametrize("fmt", ["dense", "csr"])
     def test_near_rank_k_matches_dense_norm(self, fmt):
         a = rank_r(500, 50, 5, seed=67)
         a += 1e-7 * random_dense(500, 50, seed=68)
-        if fmt == "csr":
-            a = sparse.csr_matrix(a)
-        f = best_rank_k(a, 5)
-        dense = a.toarray() if sparse.issparse(a) else a
-        ref = np.linalg.norm(dense - materialise(f))
-        got = sketchlab.lowrank._residual_fro(a, f, fro_norm(a) ** 2)
-        assert abs(got - ref) <= 1e-10 * ref
+        self.check(a, 5, 1e-10, fmt)
+
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    def test_well_conditioned_matches_dense_norm(self, fmt):
+        self.check(random_dense(300, 40, seed=74), 5, 1e-12, fmt, ell=10)
+
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    def test_chunks_match_dense_norm(self, monkeypatch, fmt):
+        # chunks of 25 rows for d = 40: twelve whole ones and a 10-row one
+        monkeypatch.setattr(sketchlab.linalg, "_CHUNK_ENTRIES", 1000)
+        self.check(random_dense(310, 40, seed=75), 5, 1e-12, fmt, ell=10)
 
 
 class TestErrorReport:

@@ -532,20 +532,25 @@ class TestNonFiniteInput:
 
 
 @pytest.mark.parametrize("kind", ["dense", "csr"])
-@pytest.mark.parametrize("method", ["fd", "spfd", "spemb", "normsamp", "dct"])
+@pytest.mark.parametrize(
+    "method", ["fd", "spfd", "spemb", "normsamp", "dct", "spfd_intermediate"]
+)
 def test_no_rows_rejected(kind, method):
     a = np.zeros((0, 5))
     if kind == "csr":
         a = sparse.csr_matrix(a)
     with pytest.raises(ValueError, match=re.escape("no rows, got shape (0, 5)")):
-        run_sketcher(method, a, 2)
+        if method == "spfd_intermediate":
+            spfd_intermediate(a, SpfdConfig(ell=2, q=3))
+        else:
+            run_sketcher(method, a, 2)
 
 
 @pytest.mark.parametrize("n", [36, 40])
 def test_fd_csr_chunks_equal_dense(monkeypatch, n):
     # chunks of 9 rows (three 3-row blocks): n = 36 ends on a whole chunk,
     # n = 40 on a 4-row chunk whose last block has one row
-    monkeypatch.setattr(sketchlab.sketch, "_CHUNK_ENTRIES", 100)
+    monkeypatch.setattr(sketchlab.linalg, "_CHUNK_ENTRIES", 100)
     a = random_csr(n, 10, seed=n)
     out = fd_sketch(a, 3)
     ref = fd_sketch(a.toarray(), 3)

@@ -15,15 +15,18 @@ output file holds, per workload and end-to-end metric, each side's median
 and quartiles and the pairs each side won, every run's values and its
 hypervisor steal time (``steal_s``, ``None`` where unreadable),
 ``crit7_ratio`` from the ``dense-fd`` run records, each side's traced
-metrics, the tier-1 wall time and ``src_lines`` (the line count of each
-``src/sketchlab/*.py`` module, and their total) of each side, and the
-environment of the first run's record, with the BLAS thread count added.
+metrics, the tier-1 wall time and ``src_lines`` of each side (per
+``src/sketchlab/*.py`` module and in total: its lines, and its code lines,
+those that are not blank, comments or docstrings), and the environment of
+the first run's record, with the BLAS thread count added.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import ctypes
+import io
 import json
 import os
 import subprocess
@@ -31,6 +34,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +47,7 @@ PAIRS = 10
 # the distance between the parent's quartiles
 GAIN_SHARE = 0.9
 # per-layer metrics recorded from each side's traced run
-TRACED = ("lowrank.error_report_s", "lowrank.residual_spec_s",
+TRACED = ("lowrank.exact_ref_s", "lowrank.error_report_s", "lowrank.residual_spec_s",
           "lowrank.residual_fro_s", "lowrank.power_iters", "sketch.shrink_rounds")
 TRACED_NOTE = ("sketch.shrink_rounds reads 0 while perfbench counts a round as "
                "a sketch.svd call, which only fallback rounds make (ROADMAP item 1)")
@@ -99,10 +103,29 @@ def tier1_seconds(root: Path) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
+def code_lines(source: str) -> int:
+    """Lines of ``source`` that hold a token other than a comment or a
+    module, class or function docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
+            docstrings.add((node.body[0].lineno, node.body[0].col_offset))
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in skip and tok.start not in docstrings:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
 def src_lines(root: Path) -> dict:
-    counts = {path.name: path.read_bytes().count(b"\n")
-              for path in sorted((root / "src" / "sketchlab").glob("*.py"))}
-    return {"modules": counts, "total": sum(counts.values())}
+    paths = sorted((root / "src" / "sketchlab").glob("*.py"))
+    counts = {path.name: path.read_bytes().count(b"\n") for path in paths}
+    code = {path.name: code_lines(path.read_text(encoding="utf-8")) for path in paths}
+    return {"modules": counts, "total": sum(counts.values()),
+            "code_modules": code, "code_total": sum(code.values())}
 
 
 def blas_threads():
