@@ -187,6 +187,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        # every subcommand has --seed; checked here so that all four exit 2
+        # on a negative one, as bench's config check does
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,6 +49,8 @@ class SyntheticSpec:
             raise ValueError("zeta must be positive")
         if self.m is not None and self.m < self.k:
             raise ValueError("m must be >= k")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def effective_m(self) -> int:

@@ -8,8 +8,9 @@ collapsing repeated edges) is explicit.
 from __future__ import annotations
 
 import logging
+from itertools import islice
 from pathlib import Path
-from typing import Optional, Union
+from typing import NoReturn, Optional, Union
 
 import numpy as np
 import scipy.io
@@ -30,55 +31,44 @@ __all__ = [
 PathLike = Union[str, Path]
 
 
+# lines parsed per bulk step of ``load_svmlight``: its Python token lists
+# never hold more than one chunk, whatever the file size
+_SVMLIGHT_CHUNK_LINES = 4096
+_INT64_MAX = np.iinfo(np.int64).max
+_COLON, _SPACE = ord(":"), ord(" ")
+
+
 def load_svmlight(path: PathLike, n_cols: Optional[int] = None) -> sparse.csr_matrix:
     """Load the feature matrix of an svmlight/libsvm file as CSR.
 
     Lines look like ``label idx:val idx:val ...`` with 1-indexed, strictly
     increasing feature ids.  Labels are discarded.  The column count is the
-    largest feature id seen unless ``n_cols`` overrides it.  Index 0 or
-    non-increasing ids raise with the line number.
+    largest feature id seen unless ``n_cols`` overrides it.  Index 0,
+    non-increasing ids or ids beyond int64 raise with the line number.
+
+    The file is parsed in bulk, ``_SVMLIGHT_CHUNK_LINES`` lines at a time:
+    each chunk's tokens are converted by numpy (Python's ``int``/``float``
+    grammar) and checked with vectorised comparisons, and only its numpy
+    arrays are kept, so the parser's memory beyond the result is bounded by
+    one chunk.  When a chunk fails a check, its lines are walked one by one
+    to report the first fault with its line number.
     """
-    data: list[float] = []
-    indices: list[int] = []
-    indptr = [0]
-    max_col = 0
+    chunks = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                raise ValueError(f"{path}:{lineno}: malformed line '{line}'")
-            parts = line.split()
-            prev = 0
-            for token in parts[1:]:
-                try:
-                    idx_str, val_str = token.split(":", 1)
-                    idx = int(idx_str)
-                    val = float(val_str)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{path}:{lineno}: malformed feature '{token}'"
-                    ) from exc
-                if idx == 0:
-                    raise ValueError(
-                        f"{path}:{lineno}: feature ids are 1-indexed, got 0"
-                    )
-                if idx < 0:
-                    raise ValueError(f"{path}:{lineno}: negative feature id {idx}")
-                if idx <= prev:
-                    raise ValueError(
-                        f"{path}:{lineno}: feature ids must be strictly "
-                        f"increasing, got {idx} after {prev}"
-                    )
-                prev = idx
-                indices.append(idx - 1)
-                data.append(val)
-                max_col = max(max_col, idx)
-            indptr.append(len(data))
-    n_rows = len(indptr) - 1
+        first = 1
+        while lines := list(islice(fh, _SVMLIGHT_CHUNK_LINES)):
+            try:
+                chunks.append(_parse_svmlight_chunk(lines))
+            except (ValueError, OverflowError) as exc:
+                _raise_svmlight_fault(path, lines, first, exc)
+            first += len(lines)
+    n_rows = sum(counts.size for _, _, counts in chunks)
     if n_rows == 0:
         raise ValueError(f"{path}: empty file")
+    data, indices, counts = map(np.concatenate, zip(*chunks))
+    del chunks
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    max_col = int(indices.max()) + 1 if indices.size else 0
     if n_cols is None:
         n_cols = max_col
     elif n_cols < max_col:
@@ -89,11 +79,84 @@ def load_svmlight(path: PathLike, n_cols: Optional[int] = None) -> sparse.csr_ma
     if n_cols == 0:
         raise ValueError(f"{path}: no features found and no n_cols override")
     return as_csr(
-        sparse.csr_matrix(
-            (np.asarray(data), np.asarray(indices, dtype=np.int64), indptr),
-            shape=(n_rows, n_cols),
-        )
+        sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
     )
+
+
+def _parse_svmlight_chunk(lines: list[str]):
+    """``(values, indices, counts)`` of the rows in ``lines``: 0-based
+    column indices and each row's feature count.  Raises ``ValueError`` or
+    ``OverflowError`` on any fault, without saying where."""
+    rows = list(filter(None, map(str.split, lines)))
+    if any(row[0].startswith("#") for row in rows):
+        raise ValueError("comment line")
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) - 1
+    joined = " ".join([token for row in rows for token in row[1:]])
+    # every feature holds exactly one ':' iff the separators of the joined
+    # features alternate ':' and ' ' (both ASCII, so utf-8 bytes serve)
+    raw = np.frombuffer(joined.encode(), dtype=np.uint8)
+    seps = raw[(raw == _COLON) | (raw == _SPACE)]
+    if (
+        seps.size != max(2 * int(counts.sum()) - 1, 0)
+        or (seps[0::2] != _COLON).any()
+        or (seps[1::2] != _SPACE).any()
+    ):
+        raise ValueError("feature without exactly one ':'")
+    fields = joined.replace(":", " ").split(" ") if joined else []
+    idx = np.array(fields[0::2], dtype=np.int64)
+    val = np.array(fields[1::2], dtype=np.float64)
+    # ids >= 1 and strictly increasing within each row: the steps that
+    # cross a row boundary are set aside
+    steps = np.diff(idx)
+    ends = np.cumsum(counts)[:-1]
+    steps[ends[(ends > 0) & (ends < idx.size)] - 1] = 1
+    if idx.size and (idx.min() < 1 or steps.min(initial=1) < 1):
+        raise ValueError("feature ids not positive and increasing")
+    idx -= 1
+    return val, idx, counts
+
+
+def _raise_svmlight_fault(
+    path: PathLike, lines: list[str], first: int, cause: Exception
+) -> NoReturn:
+    """Raise the line-numbered error for the first fault in ``lines``, whose
+    first line is line ``first`` of the file."""
+    for lineno, line in enumerate(lines, start=first):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            raise ValueError(f"{path}:{lineno}: malformed line '{line}'")
+        prev = 0
+        for token in line.split()[1:]:
+            try:
+                idx_str, val_str = token.split(":", 1)
+                idx = int(idx_str)
+                float(val_str)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: malformed feature '{token}'"
+                ) from exc
+            if idx == 0:
+                raise ValueError(
+                    f"{path}:{lineno}: feature ids are 1-indexed, got 0"
+                )
+            if idx < 0:
+                raise ValueError(f"{path}:{lineno}: negative feature id {idx}")
+            if idx <= prev:
+                raise ValueError(
+                    f"{path}:{lineno}: feature ids must be strictly "
+                    f"increasing, got {idx} after {prev}"
+                )
+            if idx > _INT64_MAX:
+                raise ValueError(
+                    f"{path}:{lineno}: feature id {idx} does not fit in int64"
+                )
+            prev = idx
+    raise RuntimeError(
+        f"{path}:{first}-{first + len(lines) - 1}: the bulk parse rejected "
+        "lines that the line-by-line check accepts"
+    ) from cause
 
 
 def save_svmlight(path: PathLike, a: Matrix) -> None:
@@ -183,8 +246,22 @@ def load_edge_list(path: PathLike, one_indexed: bool = True) -> sparse.csr_matri
     if not srcs:
         raise ValueError(f"{path}: no edges found")
     offset = 1 if one_indexed else 0
-    row = np.asarray(srcs) - offset
-    col = np.asarray(dsts) - offset
+    try:
+        row = np.asarray(srcs, dtype=np.int64) - offset
+        col = np.asarray(dsts, dtype=np.int64) - offset
+    except OverflowError as exc:
+        # only now walk the lines again, to name the first id beyond int64
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                for node in map(int, line.split()):
+                    if node > _INT64_MAX:
+                        raise ValueError(
+                            f"{path}:{lineno}: node id {node} does not fit in int64"
+                        ) from exc
+        raise
     n = int(max(row.max(), col.max())) + 1
     adj = sparse.csr_matrix(
         (np.ones(len(row)), (row, col)), shape=(n, n)

@@ -141,6 +141,8 @@ class SpfdConfig:
             raise ValueError("ell must be >= 1")
         if self.q < 1:
             raise ValueError("q must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _embedding(rows, cols, signs, shape) -> sparse.csr_matrix:

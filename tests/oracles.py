@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sparse
 
-from sketchlab.linalg import svd
+from sketchlab.linalg import as_csr, svd
 
 
 def spemb_matrix(h: np.ndarray, signs: np.ndarray, n_out: int) -> np.ndarray:
@@ -136,3 +137,72 @@ def expm_diag_oracle(adj: np.ndarray):
     big[n:, :n] = adj.T
     e = scipy.linalg.expm(big)
     return np.diag(e)[:n].copy(), np.diag(e)[n:].copy()
+
+
+def load_svmlight_oracle(path, n_cols=None) -> sparse.csr_matrix:
+    """The per-token svmlight loader that ``dataio.load_svmlight``'s bulk
+    parse replaced, kept as the reference for its arrays and errors.
+
+    Load the feature matrix of an svmlight/libsvm file as CSR.
+
+    Lines look like ``label idx:val idx:val ...`` with 1-indexed, strictly
+    increasing feature ids.  Labels are discarded.  The column count is the
+    largest feature id seen unless ``n_cols`` overrides it.  Index 0 or
+    non-increasing ids raise with the line number.
+    """
+    data: list[float] = []
+    indices: list[int] = []
+    indptr = [0]
+    max_col = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                raise ValueError(f"{path}:{lineno}: malformed line '{line}'")
+            parts = line.split()
+            prev = 0
+            for token in parts[1:]:
+                try:
+                    idx_str, val_str = token.split(":", 1)
+                    idx = int(idx_str)
+                    val = float(val_str)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}:{lineno}: malformed feature '{token}'"
+                    ) from exc
+                if idx == 0:
+                    raise ValueError(
+                        f"{path}:{lineno}: feature ids are 1-indexed, got 0"
+                    )
+                if idx < 0:
+                    raise ValueError(f"{path}:{lineno}: negative feature id {idx}")
+                if idx <= prev:
+                    raise ValueError(
+                        f"{path}:{lineno}: feature ids must be strictly "
+                        f"increasing, got {idx} after {prev}"
+                    )
+                prev = idx
+                indices.append(idx - 1)
+                data.append(val)
+                max_col = max(max_col, idx)
+            indptr.append(len(data))
+    n_rows = len(indptr) - 1
+    if n_rows == 0:
+        raise ValueError(f"{path}: empty file")
+    if n_cols is None:
+        n_cols = max_col
+    elif n_cols < max_col:
+        raise ValueError(
+            f"{path}: n_cols={n_cols} is smaller than the largest feature id "
+            f"{max_col}"
+        )
+    if n_cols == 0:
+        raise ValueError(f"{path}: no features found and no n_cols override")
+    return as_csr(
+        sparse.csr_matrix(
+            (np.asarray(data), np.asarray(indices, dtype=np.int64), indptr),
+            shape=(n_rows, n_cols),
+        )
+    )

@@ -183,6 +183,21 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("command", ["gen", "sketch", "network"])
+    def test_negative_seed_names_flag(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        edges = write_graph(tmp_path)
+        argv = {
+            "gen": ["gen", "--n", "20", "--d", "5", "--k", "2", "--out", str(out)],
+            "sketch": ["sketch", "--input", str(edges), "--format", "edges",
+                       "--method", "spfd2", "--ell", "2", "--out-b", str(out)],
+            "network": ["network", "--edges", str(edges), "--methods", "hits",
+                        "--out", str(out)],
+        }[command]
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code = main([
             "sketch", "--input", str(tmp_path / "nope.mtx"),

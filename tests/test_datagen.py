@@ -17,6 +17,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SyntheticSpec(n=10, d=6, k=4, m=3)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SyntheticSpec(n=20, d=5, k=2, seed=-1)
+
     def test_default_experimental_setting(self):
         # the benchmark default: 10000 x 1000, signal rank 10, noise /10
         spec = SyntheticSpec(n=10000, d=1000, k=10)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+import sketchlab.dataio
+from oracles import load_svmlight_oracle
 from sketchlab.dataio import (
     load_edge_list,
     load_matrix_market,
@@ -65,6 +67,96 @@ class TestSvmlight:
         p.write_text("1 5:1.0\n")
         with pytest.raises(ValueError, match="n_cols"):
             load_svmlight(p, n_cols=3)
+
+    def test_id_beyond_int64_names_line(self, tmp_path):
+        p = tmp_path / "a.svm"
+        p.write_text("0 1:1\n0 1:1 99999999999999999999:1\n")
+        with pytest.raises(ValueError, match=r"a\.svm:2: feature id 99999999999999999999 "
+                                             "does not fit in int64"):
+            load_svmlight(p)
+
+    def test_bulk_reject_without_line_fault_raises(self, tmp_path, monkeypatch):
+        def reject(lines):
+            raise ValueError("bulk check")
+
+        monkeypatch.setattr(sketchlab.dataio, "_parse_svmlight_chunk", reject)
+        p = tmp_path / "a.svm"
+        p.write_text("0 1:1\n")
+        with pytest.raises(RuntimeError, match="line-by-line check accepts"):
+            load_svmlight(p)
+
+
+CHUNK = sketchlab.dataio._SVMLIGHT_CHUNK_LINES
+
+
+def several_chunks(*tail: str) -> str:
+    """Valid rows over two chunks, blank and label-only lines included,
+    followed by the lines of ``tail``, the first of which opens the third
+    chunk."""
+    rows = [f"{i % 3} {i % 7 + 1}:{i}.5 {i % 7 + 9}:-{i}" for i in range(2 * CHUNK)]
+    rows[5] = ""
+    rows[CHUNK - 1] = "1"
+    rows[CHUNK] = "  "
+    return "\n".join(rows + list(tail)) + "\n"
+
+
+DIFFERENTIAL_INPUTS = {
+    "double_colon_label": ("1:2:3 4\n", None),
+    "double_colon_feature": ("0 1:2:3 4\n", None),
+    "empty_value": ("0 1:\n", None),
+    "empty_id": ("0 :5\n", None),
+    "qid": ("0 qid:3 1:1\n", None),
+    "comment_line": ("0 1:1\n# header\n0 2:1\n", None),
+    "comment_line_like_a_row": ("0 1:1\n#5 2:1\n", None),
+    "inline_comment": ("0 1:1 # note\n", None),
+    "blank_lines": ("\n0 1:1\n\n   \n0 2:1\n\n", None),
+    "crlf": ("0 1:1\r\n0 2:1 3:4\r\n", None),
+    "lone_cr": ("0 1:1\r0 2:1\r", None),
+    "form_feed_inside_line": ("0 1:1\x0c 2:1\n", None),
+    "unicode_spaces_inside_line": ("0 1:1\x85 2:1\u2028 3:1\x1c 4:1\n", None),
+    "label_only_line": ("1\n0 2:1\n", None),
+    "ids_restart_per_row": ("0 5:1 6:1\n1\n0 1:1\n", None),
+    "duplicate_ids": ("0 3:1 3:1\n", None),
+    "zero_id": ("0 0:1\n", None),
+    "negative_id": ("0 -2:1\n", None),
+    "nan_value": ("0 1:nan\n", None),
+    "inf_value": ("0 1:inf\n", None),
+    "explicit_zero": ("0 3:0 4:1\n", None),
+    "subnormal": ("0 1:1e-320\n", None),
+    "underscore_id": ("0 1_0:1\n", None),
+    "unicode_digit_ids": ("0 \u0661:1 \u0663:2.5\n", None),
+    "n_cols_below_largest_id": ("0 5:1\n", 3),
+    "n_cols_above_largest_id": ("0 2:1\n", 6),
+    "empty_file": ("", None),
+    "no_features_no_n_cols": ("1\n-1\n", None),
+    "no_features_with_n_cols": ("1\n-1\n", 4),
+    "several_chunks": (several_chunks("0 1:1", "", "0 3:2"), None),
+    "several_chunks_fault_first_in_chunk": (
+        several_chunks("0 2:1 1:1", "0 1:1", "0 0:1"), None),
+    "several_chunks_comment_first_in_chunk": (several_chunks("#1 2:3", "0 0:1"), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_INPUTS))
+def test_load_svmlight_matches_per_token_oracle(tmp_path, name):
+    text, n_cols = DIFFERENTIAL_INPUTS[name]
+    p = tmp_path / "a.svm"
+    p.write_bytes(text.encode("utf-8"))
+    outcomes = []
+    for load in (load_svmlight_oracle, load_svmlight):
+        try:
+            outcomes.append(load(p, n_cols=n_cols))
+        except Exception as exc:
+            outcomes.append(exc)
+    ref, got = outcomes
+    if isinstance(ref, Exception):
+        assert (type(got), str(got)) == (type(ref), str(ref))
+        return
+    assert not isinstance(got, Exception), got
+    assert got.shape == ref.shape
+    for field in ("data", "indices", "indptr"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
 class TestMatrixMarket:
@@ -178,4 +270,11 @@ class TestEdgeList:
         p = tmp_path / "g.txt"
         p.write_text("1 2 3\n")
         with pytest.raises(ValueError, match="tokens"):
+            load_edge_list(p)
+
+    def test_id_beyond_int64_names_line(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_text("# comment\n1 2\n99999999999999999999 1\n")
+        with pytest.raises(ValueError, match=r"g\.txt:3: node id 99999999999999999999 "
+                                             "does not fit in int64"):
             load_edge_list(p)

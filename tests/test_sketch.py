@@ -294,6 +294,10 @@ class TestSpfdSketch:
         assert (out.basis == v_ref).all()
         assert out.deltas.size == 0
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SpfdConfig(ell=2, q=2, seed=-1)
+
     def test_zero_matrix(self):
         out = spfd_sketch(np.zeros((8, 3)), SpfdConfig(ell=2, q=2, seed=0))
         assert (out.sketch == 0).all()
