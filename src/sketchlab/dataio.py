@@ -241,27 +241,18 @@ def load_edge_list(path: PathLike, one_indexed: bool = True) -> sparse.csr_matri
                 raise ValueError(
                     f"{path}:{lineno}: node id 0 in a one-indexed edge list"
                 )
+            for node in (i, j):
+                if node > _INT64_MAX:
+                    raise ValueError(
+                        f"{path}:{lineno}: node id {node} does not fit in int64"
+                    )
             srcs.append(i)
             dsts.append(j)
     if not srcs:
         raise ValueError(f"{path}: no edges found")
     offset = 1 if one_indexed else 0
-    try:
-        row = np.asarray(srcs, dtype=np.int64) - offset
-        col = np.asarray(dsts, dtype=np.int64) - offset
-    except OverflowError as exc:
-        # only now walk the lines again, to name the first id beyond int64
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                for node in map(int, line.split()):
-                    if node > _INT64_MAX:
-                        raise ValueError(
-                            f"{path}:{lineno}: node id {node} does not fit in int64"
-                        ) from exc
-        raise
+    row = np.asarray(srcs, dtype=np.int64) - offset
+    col = np.asarray(dsts, dtype=np.int64) - offset
     n = int(max(row.max(), col.max())) + 1
     adj = sparse.csr_matrix(
         (np.ones(len(row)), (row, col)), shape=(n, n)

@@ -2,8 +2,13 @@
 
 Given a basis ``V`` for the row space of a sketch, the rank-k approximation
 is the best rank-k matrix inside that row space: truncate ``A @ V`` to rank
-k and rotate back.  The factors are kept separate (`left @ right_basis.T`)
-so that the full ``n x d`` approximation is never materialised.
+k and rotate back.  The top directions of ``A @ V`` come from the kernel of
+the frequent-directions shrink rounds, `linalg._gram_eigh` (one ``eigh`` of
+the smaller Gram matrix), with one SVD of ``A @ V`` when it declines or
+``A @ V`` has too few nonzero directions.  The factors are kept separate
+(`left @ right_basis.T`) so that the full ``n x d`` approximation is never
+materialised.  The exact reference `best_rank_k` takes one SVD, of the
+``d x d`` CholeskyQR2 R factor when ``A`` is tall.
 
 Error ratios against the optimal truncated SVD take their denominators from
 the singular values that `best_rank_k` keeps from its one SVD:
@@ -26,8 +31,8 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
 from .linalg import (
-    Matrix, NumericalError, SvdResult, _fix_svd_signs, _row_chunks, as_dense,
-    check_finite, fro_norm, svd,
+    Matrix, NumericalError, SvdResult, _fix_svd_signs, _gram_eigh, _row_chunks,
+    as_dense, check_finite, fro_norm, svd,
 )
 
 __all__ = [
@@ -102,12 +107,6 @@ class ErrorReport:
                 )
 
 
-def _check_orthonormal(v: np.ndarray) -> None:
-    gram = v.T @ v
-    if np.abs(gram - np.eye(v.shape[1])).max() > _ORTHO_TOL:
-        raise ValueError("basis columns are not orthonormal")
-
-
 def _r_factor(x: Matrix) -> np.ndarray:
     """A ``d x d`` upper-triangular R with ``x = Q R`` for some ``Q`` with
     orthonormal columns, for a tall dense or CSR ``x``.
@@ -144,54 +143,64 @@ def _r_factor(x: Matrix) -> np.ndarray:
         return np.linalg.qr(as_dense(x), mode="r")
 
 
-def _top_k(
-    x: Matrix, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """``(left, w, sigma, r)`` with ``left = x @ w = U_k diag(sigma_k)``,
-    ``w`` the top-k right singular vectors of ``x``, ``sigma`` all its
-    ``min(n, d)`` singular values, from one ``svd`` call, and ``r`` the R
-    factor of a tall ``x`` (``None`` otherwise).
-
-    A tall ``x`` (more rows than columns) is reduced to its ``d x d`` R
-    factor first (`_r_factor`: CholeskyQR2 from the Gram matrix, sparse
-    for CSR input, with a Householder fallback), whose right singular
-    vectors are those of ``x``, so no ``n``-row singular vectors are
-    formed.  The sign of each pair is fixed as ``linalg.svd`` fixes it:
-    the largest-magnitude entry of every ``left`` column is positive.
-    """
-    n, d = x.shape
-    if n <= d:
-        res = svd(x)
-        return res.u[:, :k] * res.sigma[:k], res.vt[:k].T, res.sigma, None
-    r = _r_factor(x)
-    res = svd(r)
-    wt = res.vt[:k].copy()
-    left = x @ wt.T
-    _fix_svd_signs(left, wt)
-    return left, wt.T, res.sigma, r
-
-
 def best_rank_k(a: Matrix, k: int) -> LowRankFactors:
     """Optimal rank-k factors via truncated SVD.
 
     ``right_basis`` holds the top-k right singular vectors ``W_k`` and
-    ``left = a @ W_k``; a tall ``a`` is decomposed through the SVD of its
-    ``d x d`` R factor, never forming the ``n x d`` left singular vectors.
-    That R comes from CholeskyQR2 on the Gram matrix ``a^T a`` (a sparse
-    product for CSR ``a``, which is never densified), or from a
-    Householder QR when the first pass leaves its Q more than 0.1 from
-    orthonormal (``cond(a)`` beyond about 1e7, or rank deficiency).
-    ``spectrum`` keeps every singular value that SVD computed, and
-    ``r_factor`` the R factor of a tall ``a``.
+    ``left = a @ W_k``, with the sign rule of ``linalg.svd``: the
+    largest-magnitude entry of every ``left`` column is positive.  A tall
+    ``a`` is decomposed through the SVD of its ``d x d`` R factor, whose
+    right singular vectors are those of ``a``, never forming the ``n x d``
+    left singular vectors.  That R comes from CholeskyQR2 on the Gram
+    matrix ``a^T a`` (a sparse product for CSR ``a``, which is never
+    densified), or from a Householder QR when the first pass leaves its Q
+    more than 0.1 from orthonormal (``cond(a)`` beyond about 1e7, or rank
+    deficiency).  ``spectrum`` keeps every singular value that SVD
+    computed, and ``r_factor`` the R factor of a tall ``a``.
     """
     n, d = a.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k={k} outside 1..min{(n, d)}")
-    left, w, sigma, r = _top_k(a, k)
+    r = _r_factor(a) if n > d else None
+    res = svd(a if r is None else r)
+    wt = res.vt[:k].copy()
+    if r is None:
+        left = res.u[:, :k] * res.sigma[:k]
+    else:
+        left = a @ wt.T
+        _fix_svd_signs(left, wt)
     return LowRankFactors(
-        left=left, right_basis=np.ascontiguousarray(w), k=k, spectrum=sigma,
-        r_factor=r, projection=True,
+        left=left, right_basis=np.ascontiguousarray(wt.T), k=k,
+        spectrum=res.sigma, r_factor=r, projection=True,
     )
+
+
+def _top_triplets(a: Matrix, v: np.ndarray, count: int) -> SvdResult:
+    """The top ``count`` singular triplets of the projection ``a @ v @
+    v.T``: those of ``b = a @ v``, with the right vectors rotated back by
+    ``v``.
+
+    ``v`` is checked for orthonormal columns, and ``a`` for NaN and Inf,
+    here at the boundary.  The right vectors ``W`` of ``b`` come from
+    `linalg._gram_eigh`, one ``eigh`` of its smaller Gram matrix, and ``u
+    = b @ W / sigma``.  When that route declines, or ``b`` has fewer than
+    ``count`` nonzero singular values, the triplets come from one
+    ``svd(b)`` instead.
+    """
+    v = as_dense(v)
+    if np.abs(v.T @ v - np.eye(v.shape[1])).max() > _ORTHO_TOL:
+        raise ValueError("basis columns are not orthonormal")
+    check_finite(a)
+    b = a @ v
+    out = _gram_eigh(b, count)
+    if out is not None and len(out[1]) == count:
+        sq, wt = out
+        sigma = np.sqrt(sq[:count])
+        u = b @ wt.T / sigma
+    else:
+        res = svd(b)
+        u, sigma, wt = res.u[:, :count], res.sigma[:count], res.vt[:count]
+    return SvdResult(u=u, sigma=sigma, vt=(v @ wt.T).T)
 
 
 def approx_from_basis(a: Matrix, v: np.ndarray, k: int) -> LowRankFactors:
@@ -199,32 +208,29 @@ def approx_from_basis(a: Matrix, v: np.ndarray, k: int) -> LowRankFactors:
     orthonormal columns of ``v``.
 
     This is the rank-k truncation of ``b = a @ v`` rotated back with ``v``:
-    with ``W_k`` the top-k right singular vectors of ``b`` (taken from its
-    R factor when ``b`` is tall), ``left = b @ W_k`` and
-    ``right_basis = v @ W_k``.  Up to rounding, these are the factors of
-    the first k triplets of ``approx_svd(a, v)``.
+    the first k triplets of ``approx_svd(a, v)``, taken as that function
+    takes them, give ``left = u diag(sigma) = b @ W_k`` and ``right_basis
+    = v @ W_k``, with ``W_k`` the top-k right singular vectors of ``b``.
+    NaN or Inf in ``a`` raise ``ValueError``.
     """
     if k > v.shape[1]:
         raise ValueError(f"k={k} exceeds the basis width {v.shape[1]}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    v = as_dense(v)
-    _check_orthonormal(v)
-    left, w, _, _ = _top_k(a @ v, k)
-    return LowRankFactors(left=left, right_basis=v @ w, k=k, projection=True)
+    res = _top_triplets(a, v, k)
+    return LowRankFactors(res.u * res.sigma, res.vt.T, k, projection=True)
 
 
 def approx_svd(a: Matrix, v: np.ndarray) -> SvdResult:
     """Approximate SVD of ``a`` through the projection ``a @ v @ v.T``.
 
-    Decomposes ``b = a @ v``, then rotates the small right factor back with
-    ``v`` so that ``u @ diag(sigma) @ vt`` equals the projection.
+    Decomposes ``b = a @ v`` into its ``min(n, ell)`` triplets, from one
+    ``eigh`` of its smaller Gram matrix or, when that route declines or
+    ``b`` is rank-deficient, from ``svd(b)``.  The small right factor is
+    rotated back with ``v``, so that ``u @ diag(sigma) @ vt`` equals the
+    projection.  NaN or Inf in ``a`` raise ``ValueError``.
     """
-    v = as_dense(v)
-    _check_orthonormal(v)
-    b = a @ v
-    res = svd(b)
-    return SvdResult(u=res.u, sigma=res.sigma, vt=(v @ res.vt.T).T)
+    return _top_triplets(a, v, min(a.shape[0], v.shape[1]))
 
 
 def _matvec_residual(a, left, right_basis, x):

@@ -9,7 +9,9 @@ and a ``d x ell`` orthonormal basis ``V`` for the sketch's row space:
 ``fd_sketch``
     frequent directions: deterministic streaming pass that repeatedly
     decomposes a ``2*ell``-row buffer and shrinks all squared singular
-    values by the (ell+1)-th one.
+    values by the (ell+1)-th one.  Each round takes the buffer's
+    decomposition from `linalg._gram_eigh`, one ``eigh`` of its smaller
+    Gram matrix, and falls back to the buffer's SVD when that declines.
 ``spfd_sketch``
     block sparse embedding feeding frequent directions: the shuffled input
     rows are compressed in ``q`` blocks by independent sparse embeddings,
@@ -36,7 +38,7 @@ import scipy.fft
 import scipy.sparse as sparse
 
 from .linalg import (
-    Matrix, _fix_svd_signs, _row_chunks, check_finite, row_norms, svd, thin_qr,
+    Matrix, _gram_eigh, _row_chunks, check_finite, row_norms, svd, thin_qr,
 )
 
 __all__ = [
@@ -218,55 +220,19 @@ def _row_blocks(a: Matrix, ell: int):
             yield chunk[start : start + ell]
 
 
-# A direction recovered from the Gram matrix loses accuracy as its
-# eigenvalue falls relative to the largest one.  Formed as ``u.T @ buf /
-# sigma`` from ``buf @ buf.T``, it still agrees with the buffer's SVD to
-# ~2e-11 just above this ratio (the oracle tests ask for 1e-10).  Taken
-# straight from the eigenvectors of ``buf.T @ buf``, its error grows with
-# the ratio's reciprocal rather than its square root (4e-9 at 1e-8, 1e-12
-# at 1e-4 on graded spectra), so that route takes the floor's square root.
-# A round needing a smaller eigenvalue is redone with the buffer's SVD.
-_GRAM_FLOOR = 1e-9
-
-
 def _shrink_round(buf: np.ndarray, ell: int):
     """One frequent-directions decomposition of the buffer: its squared
     singular values ``sq``, its top right singular directions ``vt`` (at
     most ``ell`` rows) and whether the round fell back to ``svd(buf)``.
 
-    The round first takes one ``eigh`` of the buffer's smaller Gram matrix.
-    A wide buffer (fewer rows than columns) takes ``buf @ buf.T``, whose
-    eigenvectors are the left singular vectors ``u``, and forms the
-    directions as ``u.T @ buf / sigma``; a tall or square one takes
-    ``buf.T @ buf``, whose eigenvectors are the directions themselves.
-    Eigenvalues below the rounding level of the Gram entries
-    (``max(buf.shape) * eps`` times the largest, as each entry is an inner
-    product of that many terms) are exact zeros, so a rank-deficient buffer
-    shrinks by 0 and only the directions of nonzero top-``ell`` eigenvalues
-    are formed.  Signs follow ``linalg.svd``: the largest-magnitude entry
-    of each left singular vector is positive.  When a formed direction's
-    eigenvalue is below the floor (``_GRAM_FLOOR`` when wide, its square
-    root otherwise) times the largest, or ``eigh`` raises ``LinAlgError``,
-    the round is redone with the buffer's own SVD.
+    The round takes its decomposition from `linalg._gram_eigh`, one
+    ``eigh`` of the buffer's smaller Gram matrix, so a rank-deficient buffer
+    shrinks by 0 and forms only its nonzero directions.  When that route
+    declines, the round is redone with the buffer's own SVD.
     """
-    wide = buf.shape[0] < buf.shape[1]
-    try:
-        lam, vecs = np.linalg.eigh(buf @ buf.T if wide else buf.T @ buf)
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        lam, vecs = lam[::-1], vecs[:, ::-1]
-        lam = np.where(lam > max(buf.shape) * np.finfo(float).eps * lam[0], lam, 0.0)
-        rank = int(np.count_nonzero(lam[:ell]))
-        floor = _GRAM_FLOOR if wide else np.sqrt(_GRAM_FLOOR)
-        if not rank or lam[rank - 1] >= floor * lam[0]:
-            vecs = vecs[:, :rank]
-            if wide:
-                left, vt = vecs, (vecs / np.sqrt(lam[:rank])).T @ buf
-            else:
-                left, vt = buf @ vecs, vecs.T
-            _fix_svd_signs(left, vt)
-            return lam, vt, False
+    out = _gram_eigh(buf, ell)
+    if out is not None:
+        return *out, False
     res = svd(buf)
     return res.sigma**2, res.vt[:ell], True
 

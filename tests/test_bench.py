@@ -278,6 +278,33 @@ class TestRunBenchmark:
             assert row.fro_ratio is None and row.spec_ratio is None
             assert row.elapsed_seconds >= 0.0
 
+    def test_tall_csr_cap_counts_its_r_factor(self, monkeypatch, tmp_path):
+        # a tall CSR reference allocates a d x d R factor: 225 cells under a
+        # cap of 1000, although the matrix spans 1800
+        from sketchlab.dataio import save_svmlight
+
+        rng = np.random.default_rng(4)
+        a = np.where(rng.random((120, 15)) < 0.3, rng.standard_normal((120, 15)), 0.0)
+        path = tmp_path / "data.svm"
+        save_svmlight(path, a)
+        monkeypatch.setattr(bench, "EXACT_REFERENCE_CELL_CAP", 1000)
+        rows = run_benchmark(small_cfg(dataset=(str(path), "svmlight")))
+        assert rows
+        for row in rows:
+            assert row.fro_ratio >= 1.0 - 1e-8 and row.spec_ratio >= 1.0 - 1e-8
+
+    def test_wide_cap_counts_the_matrix(self, monkeypatch, caplog):
+        # a wide reference is densified for its SVD: 20 x 40 = 800 cells
+        # exceed a cap of 500, although its smaller side squared does not
+        monkeypatch.setattr(bench, "EXACT_REFERENCE_CELL_CAP", 500)
+        cfg = small_cfg(dataset=SyntheticSpec(n=20, d=40, k=3, zeta=5.0))
+        with caplog.at_level(logging.WARNING, logger="sketchlab.bench"):
+            rows = run_benchmark(cfg)
+        assert rows
+        for row in rows:
+            assert row.fro_ratio is None and row.spec_ratio is None
+        assert "skipping exact reference" in caplog.text
+
     def test_file_dataset(self, tmp_path):
         from sketchlab.dataio import save_matrix_market
 

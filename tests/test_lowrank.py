@@ -173,10 +173,12 @@ def check_top_k(x, k, rank, left, w):
 
 
 class TestRFactorRoute:
-    """``best_rank_k`` and ``approx_from_basis`` take the top-k right
-    singular vectors ``W_k`` of ``x`` (``a``, resp. ``a @ v``) from one
-    ``svd`` call: on the ``d x d`` R factor when ``x`` is tall, else on
-    ``x`` itself; ``left = x @ W_k`` with the largest-|u| sign rule."""
+    """``best_rank_k`` takes the top-k right singular vectors ``W_k`` of
+    ``a`` from one ``svd`` call: on the ``d x d`` R factor when ``a`` is
+    tall, else on ``a`` itself.  ``approx_from_basis`` takes those of ``b =
+    a @ v`` from one ``eigh`` of its smaller Gram matrix, and calls ``svd``
+    on ``b`` only when ``rank(b) < k``.  Both give ``left = x @ W_k`` with
+    the largest-|u| sign rule."""
 
     @pytest.mark.parametrize("name", list(TOP_K_INPUTS))
     def test_best_rank_k(self, monkeypatch, name):
@@ -194,7 +196,7 @@ class TestRFactorRoute:
         v, _ = thin_qr(random_dense(d, ell, seed=55))
         calls = count_svd_calls(monkeypatch)
         f = approx_from_basis(a, v, k)
-        assert calls == [(min(n, ell), ell)]
+        assert calls == ([(n, ell)] if rank < k else [])
         b = a @ v
         w = v.T @ f.right_basis
         check_top_k(b, k, min(rank, ell), f.left, w)
@@ -330,6 +332,85 @@ class TestCholeskyQR2:
             best_rank_k(x, 3)
             v, _ = thin_qr(random_dense(x.shape[1], 8, seed=67))
             approx_from_basis(x, v, 3)
+
+
+def count_eigh_calls(monkeypatch) -> list:
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+# name -> (matrix, basis width, k, whether svd(b) runs); b = a @ v is tall
+# dense, tall CSR, wide, tall with condition number 1e4 (a kept eigenvalue
+# of the Gram matrix below the floor) or 1e12 (below its rounding level),
+# and tall of rank 3 < k (too few nonzero directions)
+KERNEL_INPUTS = {
+    "tall-dense": (random_dense(200, 30, seed=70), 10, 5, False),
+    "tall-csr": (random_csr(300, 40, seed=71), 10, 5, False),
+    "wide": (random_dense(20, 50, seed=72), 30, 5, False),
+    "kappa-1e4": (conditioned(300, 25, 1e4, seed=73), 25, 25, True),
+    "kappa-1e12": (conditioned(300, 25, 1e12, seed=73), 25, 25, True),
+    "rank-deficient": (rank_r(100, 20, 3, seed=74), 8, 6, True),
+}
+
+
+class TestGramKernel:
+    """``approx_from_basis`` and ``approx_svd`` take the top right singular
+    vectors of ``b = a @ v`` from one ``eigh`` of its smaller Gram matrix,
+    and make one ``svd(b)`` exactly when that route declines or ``rank(b)``
+    is below the directions they need.  Both agree with ``np.linalg.svd``
+    of ``b`` to 1e-12 either way."""
+
+    @pytest.mark.parametrize("name", list(KERNEL_INPUTS))
+    def test_approx_from_basis_matches_svd(self, monkeypatch, name):
+        a, ell, k, falls_back = KERNEL_INPUTS[name]
+        v, _ = thin_qr(random_dense(a.shape[1], ell, seed=75))
+        b = a @ v
+        svds = count_svd_calls(monkeypatch)
+        eighs = count_eigh_calls(monkeypatch)
+        f = approx_from_basis(a, v, k)
+        assert svds == ([b.shape] if falls_back else [])
+        assert len(eighs) == 1
+        rank = np.linalg.matrix_rank(b)
+        check_top_k(b, k, rank, f.left, v.T @ f.right_basis)
+        assert np.abs(f.right_basis - v @ (v.T @ f.right_basis)).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", list(KERNEL_INPUTS))
+    def test_approx_svd_matches_svd(self, monkeypatch, name):
+        a, ell, _, falls_back = KERNEL_INPUTS[name]
+        v, _ = thin_qr(random_dense(a.shape[1], ell, seed=75))
+        b = a @ v
+        svds = count_svd_calls(monkeypatch)
+        eighs = count_eigh_calls(monkeypatch)
+        res = approx_svd(a, v)
+        assert svds == ([b.shape] if falls_back else [])
+        assert len(eighs) == 1
+        count = min(b.shape)
+        assert res.u.shape == (b.shape[0], count) and res.vt.shape == (count, a.shape[1])
+        ref = np.linalg.svd(b.toarray() if sparse.issparse(b) else b, compute_uv=False)
+        assert np.abs(res.sigma - ref).max() <= 1e-12 * ref[0]
+        rank = np.linalg.matrix_rank(b)
+        check_top_k(b, count, rank, res.u * res.sigma, v.T @ res.vt.T)
+        m = min(count, rank)
+        assert np.abs(res.u[:, :m].T @ res.u[:, :m] - np.eye(m)).max() <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_dense_rejected_before_eigh(self, monkeypatch, bad):
+        a = random_dense(40, 8, seed=76)
+        a[5, 3] = bad
+        v, _ = thin_qr(random_dense(8, 4, seed=77))
+        eighs = count_eigh_calls(monkeypatch)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            approx_from_basis(a, v, 2)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            approx_svd(a, v)
+        assert eighs == []
 
 
 class TestApproxSvd:
