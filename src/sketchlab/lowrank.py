@@ -208,10 +208,11 @@ def approx_from_basis(a: Matrix, v: np.ndarray, k: int) -> LowRankFactors:
     orthonormal columns of ``v``.
 
     This is the rank-k truncation of ``b = a @ v`` rotated back with ``v``:
-    the first k triplets of ``approx_svd(a, v)``, taken as that function
-    takes them, give ``left = u diag(sigma) = b @ W_k`` and ``right_basis
-    = v @ W_k``, with ``W_k`` the top-k right singular vectors of ``b``.
-    NaN or Inf in ``a`` raise ``ValueError``.
+    with ``W_k`` the top-k right singular vectors of ``b``, taken as
+    `approx_svd` takes its triplets, ``left = b @ W_k`` and ``right_basis =
+    v @ W_k``.  Up to rounding, these are the factors of the first k
+    triplets of ``approx_svd(a, v)``.  NaN or Inf in ``a`` raise
+    ``ValueError``.
     """
     if k > v.shape[1]:
         raise ValueError(f"k={k} exceeds the basis width {v.shape[1]}")
