@@ -63,10 +63,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Above this many cells of what the exact reference allocates, it is skipped
-# and only timings are reported: a tall matrix is reduced to its d x d R
-# factor (CSR input is never densified), a square or wide one is densified
-# for its SVD.
+# Above this many matrix cells the exact reference SVD is skipped and only
+# timings are reported.  A tall matrix counts all n*d cells, although its
+# CholeskyQR2 R factor holds d*d: the Householder fallback (rank deficiency,
+# cond beyond about 1e7) densifies it.
 EXACT_REFERENCE_CELL_CAP = 5 * 10**7
 
 MEDIAN_NOTE = (
@@ -328,7 +328,7 @@ def run_method(a: Matrix, method: str, ell: int, k: int, seed: int):
 
 def _exact_reference(a: Matrix, k: int):
     n, d = a.shape
-    if (d * d if n > d else n * d) > EXACT_REFERENCE_CELL_CAP:
+    if n * d > EXACT_REFERENCE_CELL_CAP:
         log.warning(
             "matrix %s exceeds %d cells; skipping exact reference, "
             "error ratios will be omitted",

@@ -3,8 +3,8 @@
 Everything downstream (sketchers, low-rank pipeline, network ranking) goes
 through the helpers here so that numerical conventions are fixed in exactly
 one place: economy SVD with a deterministic sign convention, thin QR, and
-`_gram_eigh`, the top right singular directions from one ``eigh`` of the
-smaller Gram matrix, which every frequent-directions shrink round and every
+`_gram_eigh`, the top singular triplets from one ``eigh`` of the smaller
+Gram matrix, which every frequent-directions shrink round and every
 reconstruction from a basis (`lowrank.approx_from_basis`,
 `lowrank.approx_svd`) tries before an SVD.
 
@@ -141,15 +141,16 @@ _GRAM_FLOOR = 1e-9
 
 
 def _gram_eigh(x: np.ndarray, count: int):
-    """``(sq, vt)`` from one ``eigh`` of the smaller Gram matrix of a dense
-    ``x``: all ``min(x.shape)`` squared singular values ``sq``, descending,
-    and the top right singular directions ``vt`` (at most ``count`` rows),
-    or ``None`` when the Gram route declines.
+    """``(sq, u, vt)`` from one ``eigh`` of the smaller Gram matrix of a
+    dense ``x``: all ``min(x.shape)`` squared singular values ``sq``,
+    descending, and the top left and right singular vectors ``u`` and
+    ``vt`` (at most ``count`` of each), or ``None`` when the Gram route
+    declines.
 
     A wide ``x`` (fewer rows than columns) takes ``x @ x.T``, whose
-    eigenvectors are the left singular vectors ``u``, and forms the
-    directions as ``u.T @ x / sigma``; a tall or square one takes ``x.T @
-    x``, whose eigenvectors are the directions themselves.  Eigenvalues
+    eigenvectors are ``u``, and forms ``vt`` as ``u.T @ x / sigma``; a tall
+    or square one takes ``x.T @ x``, whose eigenvectors are ``vt.T``, and
+    forms ``u`` as ``x @ vt.T / sigma``.  Eigenvalues
     below the rounding level of the Gram entries (``max(x.shape) * eps``
     times the largest, as each entry is an inner product of that many
     terms) are exact zeros, so a rank-deficient ``x`` gives fewer than
@@ -171,13 +172,13 @@ def _gram_eigh(x: np.ndarray, count: int):
     floor = _GRAM_FLOOR if wide else np.sqrt(_GRAM_FLOOR)
     if rank and lam[rank - 1] < floor * lam[0]:
         return None
-    vecs = vecs[:, :rank]
+    vecs, sigma = vecs[:, :rank], np.sqrt(lam[:rank])
     if wide:
-        left, vt = vecs, (vecs / np.sqrt(lam[:rank])).T @ x
+        u, vt = vecs, (vecs / sigma).T @ x
     else:
-        left, vt = x @ vecs, vecs.T
-    _fix_svd_signs(left, vt)
-    return lam, vt
+        u, vt = x @ vecs, vecs.T
+    _fix_svd_signs(u, vt)
+    return lam, u if wide else u / sigma, vt
 
 
 def svd(a: Matrix) -> SvdResult:

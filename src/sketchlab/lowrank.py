@@ -114,11 +114,11 @@ def _r_factor(x: Matrix) -> np.ndarray:
     CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014):
     ``R1 = chol(x^T x)^T``, ``Q1 = x R1^-1``, ``R2 = chol(Q1^T Q1)^T`` and
     ``R = R2 R1``.  The Gram matrix of CSR input is the sparse product
-    ``x^T x``; ``x`` itself is never densified, and ``Q1`` is formed and
-    reduced one `linalg._row_chunks` slice of ``x`` at a time.  When
-    either Cholesky factorisation fails, or ``Q1`` is more than
-    ``_CHOLQR_TOL`` from orthonormal (condition numbers beyond about 1e7,
-    rank deficiency), R comes from a Householder QR of ``x`` instead.
+    ``x^T x``, and ``Q1`` is formed and reduced one `linalg._row_chunks`
+    slice of ``x`` at a time.  When either Cholesky factorisation fails,
+    or ``Q1`` is more than ``_CHOLQR_TOL`` from orthonormal (condition
+    numbers beyond about 1e7, rank deficiency), R comes from a Householder
+    QR of the densified ``x`` instead.
     Non-finite entries raise ``ValueError``.
     """
     if sparse.issparse(x):
@@ -152,8 +152,8 @@ def best_rank_k(a: Matrix, k: int) -> LowRankFactors:
     ``a`` is decomposed through the SVD of its ``d x d`` R factor, whose
     right singular vectors are those of ``a``, never forming the ``n x d``
     left singular vectors.  That R comes from CholeskyQR2 on the Gram
-    matrix ``a^T a`` (a sparse product for CSR ``a``, which is never
-    densified), or from a Householder QR when the first pass leaves its Q
+    matrix ``a^T a`` (a sparse product for CSR ``a``), or from a
+    Householder QR of the densified ``a`` when the first pass leaves its Q
     more than 0.1 from orthonormal (``cond(a)`` beyond about 1e7, or rank
     deficiency).  ``spectrum`` keeps every singular value that SVD
     computed, and ``r_factor`` the R factor of a tall ``a``.
@@ -180,23 +180,23 @@ def _top_triplets(a: Matrix, v: np.ndarray, count: int) -> SvdResult:
     v.T``: those of ``b = a @ v``, with the right vectors rotated back by
     ``v``.
 
-    ``v`` is checked for orthonormal columns, and ``a`` for NaN and Inf,
-    here at the boundary.  The right vectors ``W`` of ``b`` come from
-    `linalg._gram_eigh`, one ``eigh`` of its smaller Gram matrix, and ``u
-    = b @ W / sigma``.  When that route declines, or ``b`` has fewer than
-    ``count`` nonzero singular values, the triplets come from one
-    ``svd(b)`` instead.
+    ``v`` is checked for orthonormal columns, and ``b`` for NaN and Inf
+    before any decomposition: NaN or Inf in ``a`` reach every column of
+    their rows of ``b``.  The triplets of ``b`` come from
+    `linalg._gram_eigh`, one ``eigh`` of its smaller Gram matrix.  When
+    that route declines, or ``b`` has fewer than ``count`` nonzero singular
+    values, they come from one ``svd(b)`` instead.
     """
     v = as_dense(v)
     if np.abs(v.T @ v - np.eye(v.shape[1])).max() > _ORTHO_TOL:
         raise ValueError("basis columns are not orthonormal")
-    check_finite(a)
-    b = a @ v
+    with np.errstate(invalid="ignore"):  # Inf * 0 in a rejected a
+        b = a @ v
+    check_finite(b)
     out = _gram_eigh(b, count)
-    if out is not None and len(out[1]) == count:
-        sq, wt = out
+    if out is not None and len(out[2]) == count:
+        sq, u, wt = out
         sigma = np.sqrt(sq[:count])
-        u = b @ wt.T / sigma
     else:
         res = svd(b)
         u, sigma, wt = res.u[:, :count], res.sigma[:count], res.vt[:count]

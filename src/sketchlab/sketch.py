@@ -232,7 +232,7 @@ def _shrink_round(buf: np.ndarray, ell: int):
     """
     out = _gram_eigh(buf, ell)
     if out is not None:
-        return *out, False
+        return out[0], out[2], False
     res = svd(buf)
     return res.sigma**2, res.vt[:ell], True
 

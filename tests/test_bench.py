@@ -278,20 +278,40 @@ class TestRunBenchmark:
             assert row.fro_ratio is None and row.spec_ratio is None
             assert row.elapsed_seconds >= 0.0
 
-    def test_tall_csr_cap_counts_its_r_factor(self, monkeypatch, tmp_path):
-        # a tall CSR reference allocates a d x d R factor: 225 cells under a
-        # cap of 1000, although the matrix spans 1800
+    def test_tall_cap_counts_the_whole_matrix(self, monkeypatch, tmp_path, caplog):
+        # an all-zero column makes the Gram matrix singular, so the R factor
+        # of this tall CSR falls back to a Householder QR of the densified
+        # matrix: its 120 x 15 = 1800 cells exceed a cap of 1000, although
+        # the d x d R factor holds 225, and nothing is densified
+        import sketchlab.lowrank
         from sketchlab.dataio import save_svmlight
 
         rng = np.random.default_rng(4)
         a = np.where(rng.random((120, 15)) < 0.3, rng.standard_normal((120, 15)), 0.0)
+        a[:, 5] = 0.0
         path = tmp_path / "data.svm"
         save_svmlight(path, a)
+        cfg = small_cfg(dataset=(str(path), "svmlight"))
+        densified = []
+        real = sketchlab.lowrank.as_dense
+
+        def recorded(x):
+            densified.append(x.shape)
+            return real(x)
+
+        monkeypatch.setattr(sketchlab.lowrank, "as_dense", recorded)
+        monkeypatch.setattr(bench, "EXACT_REFERENCE_CELL_CAP", 10**6)
+        assert all(row.fro_ratio >= 1.0 - 1e-8 for row in run_benchmark(cfg))
+        assert a.shape in densified
+        densified.clear()
         monkeypatch.setattr(bench, "EXACT_REFERENCE_CELL_CAP", 1000)
-        rows = run_benchmark(small_cfg(dataset=(str(path), "svmlight")))
+        with caplog.at_level(logging.WARNING, logger="sketchlab.bench"):
+            rows = run_benchmark(cfg)
         assert rows
         for row in rows:
-            assert row.fro_ratio >= 1.0 - 1e-8 and row.spec_ratio >= 1.0 - 1e-8
+            assert row.fro_ratio is None and row.spec_ratio is None
+        assert "skipping exact reference" in caplog.text
+        assert a.shape not in densified
 
     def test_wide_cap_counts_the_matrix(self, monkeypatch, caplog):
         # a wide reference is densified for its SVD: 20 x 40 = 800 cells

@@ -140,14 +140,40 @@ def count_svd_calls(monkeypatch) -> list:
     return calls
 
 
-# name -> (matrix, k, rank, basis width for approx_from_basis); the basis
-# widths make ``a @ v`` tall, tall, square, wide and tall of rank 3 < k
+def count_eigh_calls(monkeypatch) -> list:
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def conditioned(n, d, kappa, seed):
+    """Dense ``n x d`` input with singular values spaced geometrically from
+    1 to ``1/kappa``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return (u * np.logspace(0, -np.log10(kappa), d)) @ v.T
+
+
+# name -> (matrix, k, rank, basis width for approx_from_basis, whether the
+# Gram route declines on ``b = a @ v``, for k directions as for all
+# min(n, ell)); the basis widths make ``b`` tall, tall, square, wide, tall
+# of rank 3 < k, and tall with condition number 1e4 (a kept eigenvalue of
+# the Gram matrix below the floor) or 1e12 (below its rounding level)
 TOP_K_INPUTS = {
-    "tall-dense": (random_dense(200, 30, seed=50), 5, 30, 10),
-    "tall-csr": (random_csr(300, 40, seed=51), 5, 40, 10),
-    "square": (random_dense(40, 40, seed=52), 5, 40, 40),
-    "wide": (random_dense(20, 50, seed=53), 5, 20, 30),
-    "rank-deficient": (rank_r(100, 20, 3, seed=54), 6, 3, 8),
+    "tall-dense": (random_dense(200, 30, seed=50), 5, 30, 10, False),
+    "tall-csr": (random_csr(300, 40, seed=51), 5, 40, 10, False),
+    "square": (random_dense(40, 40, seed=52), 5, 40, 40, False),
+    "wide": (random_dense(20, 50, seed=53), 5, 20, 30, False),
+    "rank-deficient": (rank_r(100, 20, 3, seed=54), 6, 3, 8, True),
+    "kappa-1e4": (conditioned(300, 25, 1e4, seed=73), 25, 25, 25, True),
+    "kappa-1e12": (conditioned(300, 25, 1e12, seed=73), 25, 25, 25, True),
 }
 
 
@@ -177,12 +203,12 @@ class TestRFactorRoute:
     ``a`` from one ``svd`` call: on the ``d x d`` R factor when ``a`` is
     tall, else on ``a`` itself.  ``approx_from_basis`` takes those of ``b =
     a @ v`` from one ``eigh`` of its smaller Gram matrix, and calls ``svd``
-    on ``b`` only when ``rank(b) < k``.  Both give ``left = x @ W_k`` with
+    on ``b`` exactly when that route declines or ``rank(b) < k``.  Both give ``left = x @ W_k`` with
     the largest-|u| sign rule."""
 
     @pytest.mark.parametrize("name", list(TOP_K_INPUTS))
     def test_best_rank_k(self, monkeypatch, name):
-        a, k, rank, _ = TOP_K_INPUTS[name]
+        a, k, rank, _, _ = TOP_K_INPUTS[name]
         calls = count_svd_calls(monkeypatch)
         f = best_rank_k(a, k)
         n, d = a.shape
@@ -191,25 +217,18 @@ class TestRFactorRoute:
 
     @pytest.mark.parametrize("name", list(TOP_K_INPUTS))
     def test_approx_from_basis(self, monkeypatch, name):
-        a, k, rank, ell = TOP_K_INPUTS[name]
+        a, k, rank, ell, falls_back = TOP_K_INPUTS[name]
         n, d = a.shape
         v, _ = thin_qr(random_dense(d, ell, seed=55))
         calls = count_svd_calls(monkeypatch)
+        eighs = count_eigh_calls(monkeypatch)
         f = approx_from_basis(a, v, k)
-        assert calls == ([(n, ell)] if rank < k else [])
+        assert calls == ([(n, ell)] if falls_back else [])
+        assert len(eighs) == 1
         b = a @ v
         w = v.T @ f.right_basis
         check_top_k(b, k, min(rank, ell), f.left, w)
         assert np.abs(f.right_basis - v @ w).max() <= 1e-12
-
-
-def conditioned(n, d, kappa, seed):
-    """Dense ``n x d`` input with singular values spaced geometrically from
-    1 to ``1/kappa``."""
-    rng = np.random.default_rng(seed)
-    u, _ = np.linalg.qr(rng.standard_normal((n, d)))
-    v, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    return (u * np.logspace(0, -np.log10(kappa), d)) @ v.T
 
 
 def conditioned_csr(n, d, kappa, seed, groups=5):
@@ -334,56 +353,15 @@ class TestCholeskyQR2:
             approx_from_basis(x, v, 3)
 
 
-def count_eigh_calls(monkeypatch) -> list:
-    calls = []
-    real = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return calls
-
-
-# name -> (matrix, basis width, k, whether svd(b) runs); b = a @ v is tall
-# dense, tall CSR, wide, tall with condition number 1e4 (a kept eigenvalue
-# of the Gram matrix below the floor) or 1e12 (below its rounding level),
-# and tall of rank 3 < k (too few nonzero directions)
-KERNEL_INPUTS = {
-    "tall-dense": (random_dense(200, 30, seed=70), 10, 5, False),
-    "tall-csr": (random_csr(300, 40, seed=71), 10, 5, False),
-    "wide": (random_dense(20, 50, seed=72), 30, 5, False),
-    "kappa-1e4": (conditioned(300, 25, 1e4, seed=73), 25, 25, True),
-    "kappa-1e12": (conditioned(300, 25, 1e12, seed=73), 25, 25, True),
-    "rank-deficient": (rank_r(100, 20, 3, seed=74), 8, 6, True),
-}
-
-
 class TestGramKernel:
-    """``approx_from_basis`` and ``approx_svd`` take the top right singular
-    vectors of ``b = a @ v`` from one ``eigh`` of its smaller Gram matrix,
-    and make one ``svd(b)`` exactly when that route declines or ``rank(b)``
-    is below the directions they need.  Both agree with ``np.linalg.svd``
-    of ``b`` to 1e-12 either way."""
+    """``approx_svd`` takes its triplets of ``b = a @ v`` from one ``eigh``
+    of the smaller Gram matrix of ``b``, and makes one ``svd(b)`` exactly
+    when that route declines or ``rank(b)`` is below ``min(n, ell)``.  It
+    agrees with ``np.linalg.svd`` of ``b`` to 1e-12 either way."""
 
-    @pytest.mark.parametrize("name", list(KERNEL_INPUTS))
-    def test_approx_from_basis_matches_svd(self, monkeypatch, name):
-        a, ell, k, falls_back = KERNEL_INPUTS[name]
-        v, _ = thin_qr(random_dense(a.shape[1], ell, seed=75))
-        b = a @ v
-        svds = count_svd_calls(monkeypatch)
-        eighs = count_eigh_calls(monkeypatch)
-        f = approx_from_basis(a, v, k)
-        assert svds == ([b.shape] if falls_back else [])
-        assert len(eighs) == 1
-        rank = np.linalg.matrix_rank(b)
-        check_top_k(b, k, rank, f.left, v.T @ f.right_basis)
-        assert np.abs(f.right_basis - v @ (v.T @ f.right_basis)).max() <= 1e-12
-
-    @pytest.mark.parametrize("name", list(KERNEL_INPUTS))
+    @pytest.mark.parametrize("name", list(TOP_K_INPUTS))
     def test_approx_svd_matches_svd(self, monkeypatch, name):
-        a, ell, _, falls_back = KERNEL_INPUTS[name]
+        a, _, _, ell, falls_back = TOP_K_INPUTS[name]
         v, _ = thin_qr(random_dense(a.shape[1], ell, seed=75))
         b = a @ v
         svds = count_svd_calls(monkeypatch)
@@ -569,7 +547,7 @@ class TestSpectrumDenominators:
 
     @pytest.mark.parametrize("name", ["tall-dense", "tall-csr", "square", "wide"])
     def test_denominators_match_svd(self, monkeypatch, name):
-        a, k, _, _ = TOP_K_INPUTS[name]
+        a, k, *_ = TOP_K_INPUTS[name]
         dense = a.toarray() if sparse.issparse(a) else a
         s = np.linalg.svd(dense, compute_uv=False)
         exact = best_rank_k(a, k)
@@ -659,7 +637,7 @@ class TestRFactorNumerators:
 
     @pytest.mark.parametrize("name", ["square", "wide", "tall-unmarked"])
     def test_other_cases_run_on_a(self, monkeypatch, name):
-        a, k, _, ell = TOP_K_INPUTS["tall-dense" if name == "tall-unmarked" else name]
+        a, k, _, ell, _ = TOP_K_INPUTS["tall-dense" if name == "tall-unmarked" else name]
         exact = best_rank_k(a, k)
         approx = approx_from_basis(a, fd_sketch(a, ell).basis, k)
         if name == "tall-unmarked":
