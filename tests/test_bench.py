@@ -313,18 +313,6 @@ class TestRunBenchmark:
         assert "skipping exact reference" in caplog.text
         assert a.shape not in densified
 
-    def test_wide_cap_counts_the_matrix(self, monkeypatch, caplog):
-        # a wide reference is densified for its SVD: 20 x 40 = 800 cells
-        # exceed a cap of 500, although its smaller side squared does not
-        monkeypatch.setattr(bench, "EXACT_REFERENCE_CELL_CAP", 500)
-        cfg = small_cfg(dataset=SyntheticSpec(n=20, d=40, k=3, zeta=5.0))
-        with caplog.at_level(logging.WARNING, logger="sketchlab.bench"):
-            rows = run_benchmark(cfg)
-        assert rows
-        for row in rows:
-            assert row.fro_ratio is None and row.spec_ratio is None
-        assert "skipping exact reference" in caplog.text
-
     def test_file_dataset(self, tmp_path):
         from sketchlab.dataio import save_matrix_market
 
