@@ -3,7 +3,8 @@
 A hub points at important nodes; an authority is pointed at by important
 hubs.  We compare the classic alternating power iteration (dominant
 eigenvector only), the matrix-exponential scores (all spectral information,
-dense SVD) and the sketched approximation of the latter, which touches only
+one dense eigendecomposition of the Gram matrix of the graph's distinct
+columns) and the sketched approximation of the latter, which touches only
 k + p singular triplets and scales to graphs where the dense route is
 hopeless.
 """

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from itertools import islice
 from pathlib import Path
-from typing import NoReturn, Optional, Union
+from typing import Iterable, NoReturn, Optional, Union
 
 import numpy as np
 import scipy.io
@@ -51,12 +51,14 @@ def load_svmlight(path: PathLike, n_cols: Optional[int] = None) -> sparse.csr_ma
     grammar) and checked with vectorised comparisons, and only its numpy
     arrays are kept, so the parser's memory beyond the result is bounded by
     one chunk.  When a chunk fails a check, its lines are walked one by one
-    to report the first fault with its line number.
+    to report the first fault with its line number.  Faults are reported in
+    line order: a line that is not utf-8 raises ``UnicodeDecodeError`` only
+    when no earlier line is malformed.
     """
     chunks = []
     with open(path, "r", encoding="utf-8") as fh:
         first = 1
-        while lines := list(islice(fh, _SVMLIGHT_CHUNK_LINES)):
+        while lines := _read_svmlight_chunk(path, fh, first):
             try:
                 chunks.append(_parse_svmlight_chunk(lines))
             except (ValueError, OverflowError) as exc:
@@ -116,12 +118,32 @@ def _parse_svmlight_chunk(lines: list[str]):
     return val, idx, counts
 
 
+def _read_svmlight_chunk(path: PathLike, fh, first: int) -> list[str]:
+    """The next ``_SVMLIGHT_CHUNK_LINES`` lines of ``fh``, whose first is
+    line ``first`` of the file.  When the read meets bytes that are not
+    utf-8, the lines from ``first`` on are walked again, so a malformed
+    line before the undecodable one is the fault reported."""
+    try:
+        return list(islice(fh, _SVMLIGHT_CHUNK_LINES))
+    except UnicodeDecodeError as exc:
+        # undecodable bytes read back as lone surrogates, which the walk
+        # stops at; newlines split the lines as in the strict read
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as raw:
+            _raise_svmlight_fault(path, islice(raw, first - 1, None), first, exc)
+
+
 def _raise_svmlight_fault(
-    path: PathLike, lines: list[str], first: int, cause: Exception
+    path: PathLike, lines: Iterable[str], first: int, cause: Exception
 ) -> NoReturn:
     """Raise the line-numbered error for the first fault in ``lines``, whose
-    first line is line ``first`` of the file."""
+    first line is line ``first`` of the file.  A ``UnicodeDecodeError``
+    cause is raised again at the first line that holds undecodable bytes."""
     for lineno, line in enumerate(lines, start=first):
+        if isinstance(cause, UnicodeDecodeError) and not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise cause from None
         line = line.strip()
         if not line:
             continue

@@ -6,9 +6,13 @@ Three routes to the scores of each node:
   ``A^T A`` (authorities) and ``A A^T`` (hubs);
 * ``expm_scores_exact`` - diagonal entries of the exponential of the
   symmetric bipartite embedding ``[[0, A], [A^T, 0]]``.  Its diagonal
-  blocks are ``cosh(sqrt(A A^T))`` and ``I + A^T g(A A^T) A`` with
-  ``g(lam) = (cosh(sqrt(lam)) - 1) / lam``, so one dense symmetric
-  eigendecomposition ``A A^T = U diag(lam) U^T`` gives both score vectors;
+  blocks are ``cosh(sqrt(A A^T))`` and ``cosh(sqrt(A^T A))``.  Only the
+  nonzero spectrum of ``A A^T`` enters them, and identical ("twin") columns
+  of ``A`` give the same ``A A^T`` as one column scaled by the square root
+  of their count, so one symmetric eigendecomposition of the Gram matrix of
+  the twin-merged columns, ``C^T C = Y diag(lam) Y^T``, gives both score
+  vectors (``A^T`` is merged instead when its columns, the rows of ``A``,
+  have fewer distinct nonempty members);
 * ``expm_scores_sketched`` - the same quantities from an approximate SVD
   obtained through any of the sketchers, so only ``ell = k + p`` singular
   triplets are ever formed.
@@ -156,40 +160,102 @@ def _cosh_scores(u: np.ndarray, v: np.ndarray, sigma: np.ndarray):
     return (u**2) @ weights, (v**2) @ weights
 
 
+def _twins(csr: sparse.csr_matrix):
+    """Groups of identical nonempty rows of a canonical CSR matrix.
+
+    Returns ``(first, group, count)``: the first row of each group in
+    ascending order, the group of every row (-1 for an empty row) and the
+    size of each group.  Canonical CSR stores equal rows as equal index
+    and value bytes."""
+    group = np.full(csr.shape[0], -1, dtype=np.intp)
+    first = []
+    seen = {}
+    ptr = csr.indptr.tolist()
+    idx, val = csr.indices.tobytes(), csr.data.tobytes()
+    wi, wv = csr.indices.itemsize, csr.data.itemsize
+    for i in np.flatnonzero(np.diff(csr.indptr)).tolist():
+        lo, hi = ptr[i], ptr[i + 1]
+        key = (idx[wi * lo : wi * hi], val[wv * lo : wv * hi])
+        g = group[i] = seen.setdefault(key, len(first))
+        if g == len(first):
+            first.append(i)
+    count = np.bincount(group[group >= 0], minlength=len(first))
+    return np.array(first, dtype=np.intp), group, count
+
+
+def _spread(scores: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Per-node scores from per-group ones; empty nodes (group -1) pick
+    the appended 1, the score of a node without edges."""
+    return np.append(scores, 1.0)[group]
+
+
+def _merged_scores(x_t: sparse.csr_matrix, rows, cols):
+    """Diagonals of ``cosh(sqrt(X X^T))`` and ``cosh(sqrt(X^T X))`` for the
+    ``X`` whose transpose is the CSR ``x_t``, from one ``eigh`` of the Gram
+    matrix of ``X``'s twin-merged columns; ``rows`` and ``cols`` are the
+    ``_twins`` of ``X``'s rows and columns."""
+    row_first, row_group, _ = rows
+    first, group, count = cols
+    c_t = x_t[first]  # the distinct nonempty columns of X, as rows
+    c_t.data *= np.repeat(np.sqrt(count), np.diff(c_t.indptr))
+    try:
+        lam, y = np.linalg.eigh((c_t @ c_t.T).toarray())
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigh of the merged Gram failed to converge: {exc}") from exc
+    lam = np.maximum(lam, 0.0)
+    sigma = np.sqrt(lam)
+    _check_cosh(sigma)
+    cosh_m1 = 2.0 * np.sinh(sigma / 2.0) ** 2
+    g = np.divide(cosh_m1, lam, out=np.full(lam.size, 0.5), where=lam > 0.0)
+    cy = c_t[:, row_first].T @ y  # one row per distinct nonempty row of X
+    np.square(cy, out=cy)
+    row_scores = 1.0 + cy @ g
+    np.square(y, out=y)
+    col_scores = 1.0 + (y @ cosh_m1) / count
+    return _spread(row_scores, row_group), _spread(col_scores, group)
+
+
 def expm_scores_exact(adj, top_k: int = 10) -> RankingResult:
-    """Exponential-based scores from one dense eigendecomposition of A A^T.
+    """Exponential-based scores from one ``eigh`` of a twin-merged Gram matrix.
 
     hub_i and authority_i are the i-th diagonal entries of the two diagonal
-    blocks of the exponential of ``[[0, A], [A^T, 0]]``.  With
-    ``A A^T = U diag(lam) U^T`` (``lam`` clamped at 0) and ``W = A^T U``::
+    blocks of the exponential of ``[[0, A], [A^T, 0]]``, ``cosh(sqrt(A A^T))``
+    and ``cosh(sqrt(A^T A))``.  The nonempty columns of ``A`` fall into
+    groups of identical ("twin") columns; ``C`` holds one column per group,
+    scaled by the square root of the group's size ``m_c``, so that
+    ``C C^T = A A^T``.  With ``C^T C = Y diag(lam) Y^T`` (``lam`` clamped at
+    0)::
 
-        hub  = 1 + (U * U) @ (cosh(sqrt(lam)) - 1)
-        auth = 1 + (W * W) @ g(lam),  g(lam) = (cosh(sqrt(lam)) - 1) / lam
+        hub    = 1 + ((C Y) * (C Y)) @ g(lam),  g(lam) = (cosh(sqrt(lam)) - 1) / lam
+        auth_j = 1 + ((Y * Y) @ (cosh(sqrt(lam)) - 1))_c / m_c   (column j in group c)
 
-    with ``g(0) = 1/2``.  ``cosh(s) - 1`` is evaluated as ``2 sinh(s/2)^2``,
-    which does not cancel for small ``s``.  Both functions are analytic in
-    ``lam``, so working with the squared spectrum costs no accuracy.
+    with ``g(0) = 1/2``, so nothing is divided by a small singular value,
+    and ``auth_j = 1`` for an empty column.  ``cosh(s) - 1`` is evaluated as
+    ``2 sinh(s/2)^2``, which does not cancel for small ``s``.  Both functions
+    are analytic in ``lam``, so working with the squared spectrum costs no
+    accuracy.  When ``A`` has fewer distinct nonempty rows than columns, the
+    same computation runs on ``A^T`` with the two score vectors swapped, so
+    the Gram matrix is ``m x m`` with ``m`` the smaller of the two counts.
+
+    Scores are computed once per twin group and copied to its members, so
+    twin rows have bit-equal hub scores and twin columns bit-equal authority
+    scores, and the top lists order twins by ascending node id.
     """
     adj = _check_square(adj)
     n = adj.shape[0]
     if n > _EXACT_SIZE_GUARD:
         raise ValueError(
-            f"exact scores need a dense n x n eigendecomposition of A A^T; "
-            f"n={n} exceeds the guard {_EXACT_SIZE_GUARD}"
+            f"exact scores take a dense eigendecomposition of up to n x n "
+            f"(the twin-merged Gram of A); n={n} exceeds the guard "
+            f"{_EXACT_SIZE_GUARD}"
         )
     t0 = time.perf_counter()
-    try:
-        lam, u = np.linalg.eigh((adj @ adj.T).toarray())
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigh of A A^T failed to converge: {exc}") from exc
-    lam = np.maximum(lam, 0.0)
-    sigma = np.sqrt(lam)
-    _check_cosh(sigma)
-    cosh_m1 = 2.0 * np.sinh(sigma / 2.0) ** 2
-    g = np.divide(cosh_m1, lam, out=np.full(n, 0.5), where=lam > 0.0)
-    w = adj.T @ u
-    hub = 1.0 + (u**2) @ cosh_m1
-    auth = 1.0 + (w**2) @ g
+    adj_t = adj.T.tocsr()
+    rows, cols = _twins(adj), _twins(adj_t)
+    if rows[0].size < cols[0].size:
+        auth, hub = _merged_scores(adj, cols, rows)
+    else:
+        hub, auth = _merged_scores(adj_t, rows, cols)
     return _result(hub, auth, "expm", time.perf_counter() - t0, top_k)
 
 

@@ -75,6 +75,15 @@ class TestSvmlight:
                                              "does not fit in int64"):
             load_svmlight(p)
 
+    def test_fault_before_undecodable_bytes_names_line(self, tmp_path):
+        # the per-token reference decodes 8 KiB blocks, so it raises
+        # UnicodeDecodeError here; faults are reported in line order
+        p = tmp_path / "a.svm"
+        p.write_bytes(several_chunks("0 2:1 1:1", "0 1:1").encode() + b"0 \xff:1\n")
+        with pytest.raises(ValueError, match=rf"a\.svm:{2 * CHUNK + 1}: feature ids "
+                                             "must be strictly increasing"):
+            load_svmlight(p)
+
     def test_bulk_reject_without_line_fault_raises(self, tmp_path, monkeypatch):
         def reject(lines):
             raise ValueError("bulk check")
@@ -134,6 +143,10 @@ DIFFERENTIAL_INPUTS = {
     "several_chunks_fault_first_in_chunk": (
         several_chunks("0 2:1 1:1", "0 1:1", "0 0:1"), None),
     "several_chunks_comment_first_in_chunk": (several_chunks("#1 2:3", "0 0:1"), None),
+    # bytes that are not utf-8, on line 3003 of one chunk
+    "undecodable_after_fault": (
+        b"0 1:1\n0 2:1 1:1\n" + b"0 1:1\n" * 3000 + b"0 1:\xff\n", None),
+    "undecodable_first_fault": (b"0 1:1\n" * 3002 + b"0 1:\xff\n", None),
 }
 
 
@@ -141,7 +154,7 @@ DIFFERENTIAL_INPUTS = {
 def test_load_svmlight_matches_per_token_oracle(tmp_path, name):
     text, n_cols = DIFFERENTIAL_INPUTS[name]
     p = tmp_path / "a.svm"
-    p.write_bytes(text.encode("utf-8"))
+    p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     outcomes = []
     for load in (load_svmlight_oracle, load_svmlight):
         try:

@@ -53,6 +53,58 @@ def two_pointer_graph():
     return sparse.csr_matrix(adj)
 
 
+def twin_heavy():
+    # 24 nodes whose rows and columns repeat those of a 6x8 pattern
+    rng = np.random.default_rng(30)
+    pattern = (rng.random((6, 8)) < 0.25).astype(float)
+    adj = pattern[np.ix_(rng.integers(0, 6, 24), rng.integers(0, 8, 24))]
+    return sparse.csr_matrix(adj)
+
+
+def sink_heavy():
+    # 50 nodes of which only the first 12 have out-edges
+    adj = random_digraph(50, seed=31, density=0.3).toarray()
+    adj[12:, :] = 0.0
+    return sparse.csr_matrix(adj)
+
+
+def scaled_twin_columns():
+    # column 3 is twice column 2 and column 5 equals column 4
+    adj = weighted().toarray()
+    adj[:, 3] = 2.0 * adj[:, 2]
+    adj[:, 5] = adj[:, 4]
+    return sparse.csr_matrix(adj)
+
+
+def tied_twins():
+    # row 5 equals row 4 and column 7 equals column 6, all four dense
+    # enough to head their top lists
+    rng = np.random.default_rng(34)
+    adj = random_digraph(40, seed=34).toarray()
+    adj[4] = adj[5] = rng.random(40) < 0.6
+    col = rng.random(40) < 0.6
+    col[5] = col[4]
+    adj[:, 6] = adj[:, 7] = col
+    return sparse.csr_matrix(adj)
+
+
+def distinct_nonempty(dense):
+    """Distinct nonzero rows and distinct nonzero columns of ``dense``."""
+    rows = np.unique(dense[dense.any(axis=1)], axis=0)
+    cols = np.unique(dense.T[dense.any(axis=0)], axis=0)
+    return len(rows), len(cols)
+
+
+def expm_scores_unmerged(adj):
+    """Scores from a dense eigendecomposition of the whole of A A^T."""
+    lam, u = np.linalg.eigh((adj @ adj.T).toarray())
+    lam = np.maximum(lam, 0.0)
+    cosh_m1 = 2.0 * np.sinh(np.sqrt(lam) / 2.0) ** 2
+    g = np.divide(cosh_m1, lam, out=np.full(lam.size, 0.5), where=lam > 0.0)
+    w = adj.T @ u
+    return 1.0 + (u**2) @ cosh_m1, 1.0 + (w**2) @ g
+
+
 class TestHits:
     def test_star_authority(self):
         res = hits(two_pointer_graph(), rng=0)
@@ -177,6 +229,60 @@ class TestExpmExact:
         with pytest.raises(ValueError, match="guard"):
             expm_scores_exact(sparse.csr_matrix((4001, 4001)))
 
+
+    @pytest.mark.parametrize(
+        "adj",
+        [twin_heavy(), sink_heavy(), scaled_twin_columns(), tied_twins(),
+         sparse.csr_matrix((6, 6)), sparse.csr_matrix(np.array([[0.0]])),
+         sparse.csr_matrix(np.array([[2.5]]))],
+        ids=["twin_heavy", "sink_heavy", "scaled_twin_columns", "tied_twins",
+             "empty", "1x1_zero", "1x1_loop"],
+    )
+    def test_merged_gram_matches_oracle(self, adj):
+        res = expm_scores_exact(adj)
+        hub_ref, auth_ref = expm_diag_oracle(adj.toarray())
+        assert np.abs(res.hub_scores - hub_ref).max() <= 1e-8
+        assert np.abs(res.authority_scores - auth_ref).max() <= 1e-8
+
+    @pytest.mark.parametrize(
+        "graph", [twin_heavy, sink_heavy, scaled_twin_columns, tied_twins,
+                  sources_and_sinks, rank_deficient]
+    )
+    def test_merged_gram_matches_unmerged_eigh(self, graph):
+        adj = graph()
+        res = expm_scores_exact(adj)
+        hub_ref, auth_ref = expm_scores_unmerged(adj)
+        scale = max(hub_ref.max(), auth_ref.max())
+        assert np.abs(res.hub_scores - hub_ref).max() <= 1e-12 * scale
+        assert np.abs(res.authority_scores - auth_ref).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "graph", [twin_heavy, sink_heavy, scaled_twin_columns, random_digraph]
+    )
+    def test_one_eigh_of_the_smaller_merged_side(self, graph, monkeypatch):
+        adj = graph(30, seed=32) if graph is random_digraph else graph()
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        expm_scores_exact(adj)
+        rows, cols = distinct_nonempty(adj.toarray())
+        assert shapes == [(min(rows, cols),) * 2]
+        if graph is sink_heavy:
+            assert rows < cols  # the row side is merged
+        if graph is scaled_twin_columns:
+            assert cols == 29  # 2x a column is not its twin
+
+    def test_twins_tie_bit_equal_and_rank_by_id(self):
+        res = expm_scores_exact(tied_twins(), top_k=4)
+        assert res.hub_scores[4] == res.hub_scores[5]
+        assert res.authority_scores[6] == res.authority_scores[7]
+        assert res.top_hubs[:2] == [4, 5]
+        assert res.top_authorities[:2] == [6, 7]
 
 class TestExpmSketched:
     def test_full_basis_reproduces_exact_rankings(self):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -37,3 +38,38 @@ def test_src_lines_counts_code_lines(tmp_path):
         "modules": {"fixture.py": 18}, "total": 18,
         "code_modules": {"fixture.py": 7}, "code_total": 7,
     }
+
+
+def fake_run(root, side, seed, pass_s, exact_s):
+    results = root / ".perfbench" / "results"
+    results.mkdir(parents=True, exist_ok=True)
+    record = {
+        "metrics": {"pass_s": {"value": pass_s, "unit": "s"}},
+        "ops": {"pass_s": {"median": pass_s, "n": 3, "samples": [pass_s] * 3},
+                "rank_s.expm_exact": {"median": exact_s, "n": 3,
+                                      "samples": [exact_s] * 3}},
+        "environment": {"steal_s": 0.0},
+    }
+    (results / f"network-expm-seed{seed}-trace0.json").write_text(
+        json.dumps(record), encoding="utf-8")
+    result = {"correct": True, "attempted": 3, "failed": 0}
+    run = bench_pair.read_run(root, "network-expm", seed, 0, result)
+    run.pop("environment")
+    run.update(side=side, seed=seed)
+    return run
+
+
+def test_ops_compared_per_pair(tmp_path):
+    runs = []
+    for seed in range(1, 5):
+        runs.append(fake_run(tmp_path / "parent", "parent", seed, 1.2, 0.9))
+        runs.append(fake_run(tmp_path / "change", "change", seed, 1.0 + seed / 100,
+                             0.7 if seed > 1 else 1.0))
+    assert runs[0]["ops"] == {"pass_s": 1.2, "rank_s.expm_exact": 0.9}
+    entry = bench_pair.compare_runs(runs, {"pass_s": "lower"})
+    assert set(entry["ops"]) == {"pass_s", "rank_s.expm_exact"}
+    exact = entry["ops"]["rank_s.expm_exact"]
+    assert (exact["change_wins"], exact["parent_wins"], exact["pairs"]) == (3, 1, 4)
+    assert exact["change"]["median"] == 0.7 and exact["parent"]["median"] == 0.9
+    assert entry["metrics"]["pass_s"]["change_wins"] == 4
+    assert "crit7_ratio" not in entry

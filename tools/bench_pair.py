@@ -11,9 +11,11 @@ of ten seeds, ``perfbench/run.py --trace 0`` runs once on each side for the
 benchmark's ``run_seconds``, serially, with the side that runs first
 alternating from seed to seed.  After the pairs, one ``--trace 1`` run
 per side at the first seed gives the per-layer metrics of ``TRACED``.  The
-output file holds, per workload and end-to-end metric, each side's median
-and quartiles and the pairs each side won, every run's values and its
-hypervisor steal time (``steal_s``, ``None`` where unreadable),
+output file holds, per workload, for each end-to-end metric and (under
+``ops``) for each operation's median time in a run, such as
+``rank_s.expm_exact``, each side's median and quartiles and the pairs each
+side won; every run's values and its hypervisor steal time (``steal_s``,
+``None`` where unreadable),
 ``crit7_ratio`` from the ``dense-fd`` run records, each side's traced
 metrics, the tier-1 wall time and ``src_lines`` of each side (per
 ``src/sketchlab/*.py`` module and in total: its lines, and its code lines,
@@ -79,7 +81,12 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float,
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
-    result = json.loads(lines[-1])
+    return read_run(root, workload, seed, trace, json.loads(lines[-1]))
+
+
+def read_run(root: Path, workload: str, seed: int, trace: int, result: dict) -> dict:
+    """One run's result line joined with its record file: metric values,
+    each operation's median time, ``crit7_ratio`` and the environment."""
     record_file = root / ".perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
     record = json.loads(record_file.read_text(encoding="utf-8"))
     return {
@@ -87,6 +94,7 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float,
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: m["value"] for k, m in record["metrics"].items()},
+        "ops": {k: op["median"] for k, op in record["ops"].items()},
         "crit7_ratio": record.get("crit7_ratio"),
         "environment": record["environment"],
     }
@@ -166,6 +174,26 @@ def compare(parent: list, change: list, better: str) -> dict:
     return out
 
 
+def compare_runs(runs: list, better: dict) -> dict:
+    """Per-pair comparisons of one workload's runs: every end-to-end metric
+    under ``metrics`` and every operation time both sides recorded in all
+    their runs under ``ops`` (lower is better)."""
+    by_side = {s: [r for r in runs if r["side"] == s] for s in ("parent", "change")}
+    entry = {"runs": runs, "metrics": {}, "ops": {}}
+    for name in runs[0]["metrics"]:
+        entry["metrics"][name] = compare(
+            [r["metrics"][name] for r in by_side["parent"]],
+            [r["metrics"][name] for r in by_side["change"]],
+            better.get(name, "lower"))
+    for name in sorted(set.intersection(*(set(r["ops"]) for r in runs))):
+        entry["ops"][name] = compare([r["ops"][name] for r in by_side["parent"]],
+                                     [r["ops"][name] for r in by_side["change"]], "lower")
+    if runs[0]["crit7_ratio"] is not None:
+        entry["crit7_ratio"] = {s: quartiles([r["crit7_ratio"] for r in side_runs])
+                                for s, side_runs in by_side.items()}
+    return entry
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="revision to compare against")
@@ -204,16 +232,7 @@ def main(argv=None) -> int:
                     runs.append(run)
                     print(f"{workload} seed {seed} {side}: pass_s "
                           f"{run['metrics'].get('pass_s', float('nan')):.4g}", flush=True)
-            by_side = {s: [r for r in runs if r["side"] == s] for s in roots}
-            entry = {"runs": runs, "metrics": {}}
-            for name in runs[0]["metrics"]:
-                entry["metrics"][name] = compare(
-                    [r["metrics"][name] for r in by_side["parent"]],
-                    [r["metrics"][name] for r in by_side["change"]],
-                    better.get(name, "lower"))
-            if runs[0]["crit7_ratio"] is not None:
-                entry["crit7_ratio"] = {s: quartiles([r["crit7_ratio"] for r in by_side[s]])
-                                        for s in roots}
+            entry = compare_runs(runs, better)
             entry["traced"] = {"seed": seeds[0], "note": TRACED_NOTE}
             for side, root in roots.items():
                 metrics = run_perfbench(root, workload, seeds[0], seconds, trace=1)["metrics"]
