@@ -139,7 +139,7 @@ def _raise_svmlight_fault(
     first line is line ``first`` of the file.  A ``UnicodeDecodeError``
     cause is raised again at the first line that holds undecodable bytes."""
     for lineno, line in enumerate(lines, start=first):
-        if isinstance(cause, UnicodeDecodeError) and not line.isascii():
+        if isinstance(cause, UnicodeDecodeError):
             try:
                 line.encode("utf-8")
             except UnicodeEncodeError:
