@@ -137,7 +137,9 @@ def _raise_svmlight_fault(
 ) -> NoReturn:
     """Raise the line-numbered error for the first fault in ``lines``, whose
     first line is line ``first`` of the file.  A ``UnicodeDecodeError``
-    cause is raised again at the first line that holds undecodable bytes."""
+    cause is raised again at the first line that holds undecodable bytes,
+    or after the last line if none does."""
+    lineno = first - 1
     for lineno, line in enumerate(lines, start=first):
         if isinstance(cause, UnicodeDecodeError):
             try:
@@ -175,8 +177,10 @@ def _raise_svmlight_fault(
                     f"{path}:{lineno}: feature id {idx} does not fit in int64"
                 )
             prev = idx
+    if isinstance(cause, UnicodeDecodeError):
+        raise cause from None
     raise RuntimeError(
-        f"{path}:{first}-{first + len(lines) - 1}: the bulk parse rejected "
+        f"{path}:{first}-{lineno}: the bulk parse rejected "
         "lines that the line-by-line check accepts"
     ) from cause
 

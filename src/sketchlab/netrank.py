@@ -11,8 +11,7 @@ Three routes to the scores of each node:
   of ``A`` give the same ``A A^T`` as one column scaled by the square root
   of their count, so one symmetric eigendecomposition of the Gram matrix of
   the twin-merged columns, ``C^T C = Y diag(lam) Y^T``, gives both score
-  vectors (``A^T`` is merged instead when its columns, the rows of ``A``,
-  have fewer distinct nonempty members);
+  vectors;
 * ``expm_scores_sketched`` - the same quantities from an approximate SVD
   obtained through any of the sketchers, so only ``ell = k + p`` singular
   triplets are ever formed.
@@ -189,14 +188,14 @@ def _spread(scores: np.ndarray, group: np.ndarray) -> np.ndarray:
     return np.append(scores, 1.0)[group]
 
 
-def _merged_scores(x_t: sparse.csr_matrix, rows, cols):
-    """Diagonals of ``cosh(sqrt(X X^T))`` and ``cosh(sqrt(X^T X))`` for the
-    ``X`` whose transpose is the CSR ``x_t``, from one ``eigh`` of the Gram
-    matrix of ``X``'s twin-merged columns; ``rows`` and ``cols`` are the
-    ``_twins`` of ``X``'s rows and columns."""
+def _merged_scores(adj_t: sparse.csr_matrix, rows, cols):
+    """Hub and authority scores of the ``A`` whose transpose is the CSR
+    ``adj_t``, from one ``eigh`` of the Gram matrix of ``A``'s twin-merged
+    columns; ``rows`` and ``cols`` are the ``_twins`` of ``A``'s rows and
+    columns."""
     row_first, row_group, _ = rows
     first, group, count = cols
-    c_t = x_t[first]  # the distinct nonempty columns of X, as rows
+    c_t = adj_t[first]  # the distinct nonempty columns of A, as rows
     c_t.data *= np.repeat(np.sqrt(count), np.diff(c_t.indptr))
     try:
         lam, y = np.linalg.eigh((c_t @ c_t.T).toarray())
@@ -207,7 +206,7 @@ def _merged_scores(x_t: sparse.csr_matrix, rows, cols):
     _check_cosh(sigma)
     cosh_m1 = 2.0 * np.sinh(sigma / 2.0) ** 2
     g = np.divide(cosh_m1, lam, out=np.full(lam.size, 0.5), where=lam > 0.0)
-    cy = c_t[:, row_first].T @ y  # one row per distinct nonempty row of X
+    cy = c_t[:, row_first].T @ y  # one row per distinct nonempty row of A
     np.square(cy, out=cy)
     row_scores = 1.0 + cy @ g
     np.square(y, out=y)
@@ -233,9 +232,8 @@ def expm_scores_exact(adj, top_k: int = 10) -> RankingResult:
     and ``auth_j = 1`` for an empty column.  ``cosh(s) - 1`` is evaluated as
     ``2 sinh(s/2)^2``, which does not cancel for small ``s``.  Both functions
     are analytic in ``lam``, so working with the squared spectrum costs no
-    accuracy.  When ``A`` has fewer distinct nonempty rows than columns, the
-    same computation runs on ``A^T`` with the two score vectors swapped, so
-    the Gram matrix is ``m x m`` with ``m`` the smaller of the two counts.
+    accuracy.  The Gram matrix is ``m x m``, ``m`` the number of distinct
+    nonempty columns of ``A``, so never larger than ``n x n``.
 
     Scores are computed once per twin group and copied to its members, so
     twin rows have bit-equal hub scores and twin columns bit-equal authority
@@ -251,11 +249,7 @@ def expm_scores_exact(adj, top_k: int = 10) -> RankingResult:
         )
     t0 = time.perf_counter()
     adj_t = adj.T.tocsr()
-    rows, cols = _twins(adj), _twins(adj_t)
-    if rows[0].size < cols[0].size:
-        auth, hub = _merged_scores(adj, cols, rows)
-    else:
-        hub, auth = _merged_scores(adj_t, rows, cols)
+    hub, auth = _merged_scores(adj_t, _twins(adj), _twins(adj_t))
     return _result(hub, auth, "expm", time.perf_counter() - t0, top_k)
 
 

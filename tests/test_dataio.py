@@ -94,6 +94,32 @@ class TestSvmlight:
         with pytest.raises(RuntimeError, match="line-by-line check accepts"):
             load_svmlight(p)
 
+    def test_bulk_reject_names_the_chunk_lines(self, tmp_path, monkeypatch):
+        def reject(lines):
+            raise ValueError("bulk check")
+
+        monkeypatch.setattr(sketchlab.dataio, "_parse_svmlight_chunk", reject)
+        p = tmp_path / "a.svm"
+        p.write_text("0 1:1\n0 2:1\n")
+        with pytest.raises(RuntimeError, match=r"a\.svm:1-2: the bulk parse"):
+            load_svmlight(p)
+
+    def test_undecodable_bytes_gone_on_reread_raise_decode_error(
+        self, tmp_path, monkeypatch
+    ):
+        # the file is mended between the strict read and the walk
+        p = tmp_path / "a.svm"
+        p.write_bytes(b"0 1:1\n0 \xff:1\n")
+
+        def mending_open(path, *args, errors=None, **kwargs):
+            if errors == "surrogateescape":
+                p.write_text("0 1:1\n0 2:1\n")
+            return open(path, *args, errors=errors, **kwargs)
+
+        monkeypatch.setattr(sketchlab.dataio, "open", mending_open, raising=False)
+        with pytest.raises(UnicodeDecodeError):
+            load_svmlight(p)
+
 
 CHUNK = sketchlab.dataio._SVMLIGHT_CHUNK_LINES
 
