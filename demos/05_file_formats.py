@@ -3,7 +3,8 @@
 svmlight sparse rows (1-indexed ``idx:val`` features, labels ignored),
 MatrixMarket (coordinate for sparse, array for dense) and directed edge
 lists (``src dst`` per line, ``#`` comments).  Loaders validate eagerly and
-report offending line numbers instead of silently dropping data.
+report offending line numbers instead of silently dropping data; bytes that
+are not utf-8 are one more line fault.
 """
 
 import tempfile
@@ -56,3 +57,11 @@ with tempfile.TemporaryDirectory(prefix="sketchlab_demo_") as tmp:
         load_svmlight(bad)
     except ValueError as exc:
         print(f"rejected bad file: {exc}")
+
+    # bytes that are not utf-8 are rejected with their line, like any fault
+    garbled = workdir / "garbled.txt"
+    garbled.write_bytes(b"1 2\n2 3\n3 \xff\n")
+    try:
+        load_edge_list(garbled)
+    except UnicodeDecodeError as exc:
+        print(f"rejected undecodable edge list: {exc}")

@@ -106,6 +106,8 @@ class BenchConfig:
     format: str = "csv"
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
         start, step, end = self.ell_sweep
         if start < self.k:
             raise ValueError(

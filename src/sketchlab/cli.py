@@ -85,7 +85,10 @@ def _build_parser() -> _Parser:
     net.add_argument("--p", type=int, default=5,
                      help="sketch oversampling, ell = k + p")
     net.add_argument("--methods", required=True,
-                     help="comma separated: hits, expm and/or sketcher ids")
+                     help="comma separated: hits, expm and/or sketcher ids; "
+                          "the exact expm scores, and every record's "
+                          "overlap with them, are computed only when expm "
+                          "is listed")
     net.add_argument("--tol", type=float, default=1e-3, help="hits tolerance")
     net.add_argument("--seed", type=int, default=0)
     net.add_argument("--out", required=True, help="JSON output path")
@@ -133,7 +136,7 @@ def _cmd_network(args) -> int:
     adj = load_edge_list(args.edges, one_indexed=not args.zero_indexed)
     methods = [m.strip().lower() for m in args.methods.split(",")]
     exact = None
-    if any(m != "hits" for m in methods):
+    if "expm" in methods:
         exact = expm_scores_exact(adj, top_k=args.k)
     # report nodes in the input file's numbering
     shift = 0 if args.zero_indexed else 1

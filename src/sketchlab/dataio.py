@@ -2,15 +2,19 @@
 
 Loaders never drop data silently: malformed content raises with the
 offending line number, and duplicate handling (summing coordinate entries,
-collapsing repeated edges) is explicit.
+collapsing repeated edges) is explicit.  Each loader opens its file once.
+The text loaders read undecodable bytes as lone surrogates
+(``surrogateescape``) and report them in line order like any other fault:
+a line that is not utf-8 raises its own ``UnicodeDecodeError``, with
+``path:line`` in its reason, only when no earlier line is malformed.
 """
 
 from __future__ import annotations
 
 import logging
-from itertools import islice
+from itertools import filterfalse, islice
 from pathlib import Path
-from typing import Iterable, NoReturn, Optional, Union
+from typing import NoReturn, Optional, Union
 
 import numpy as np
 import scipy.io
@@ -51,14 +55,12 @@ def load_svmlight(path: PathLike, n_cols: Optional[int] = None) -> sparse.csr_ma
     grammar) and checked with vectorised comparisons, and only its numpy
     arrays are kept, so the parser's memory beyond the result is bounded by
     one chunk.  When a chunk fails a check, its lines are walked one by one
-    to report the first fault with its line number.  Faults are reported in
-    line order: a line that is not utf-8 raises ``UnicodeDecodeError`` only
-    when no earlier line is malformed.
+    to report the first fault with its line number.
     """
     chunks = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         first = 1
-        while lines := _read_svmlight_chunk(path, fh, first):
+        while lines := list(islice(fh, _SVMLIGHT_CHUNK_LINES)):
             try:
                 chunks.append(_parse_svmlight_chunk(lines))
             except (ValueError, OverflowError) as exc:
@@ -89,6 +91,9 @@ def _parse_svmlight_chunk(lines: list[str]):
     """``(values, indices, counts)`` of the rows in ``lines``: 0-based
     column indices and each row's feature count.  Raises ``ValueError`` or
     ``OverflowError`` on any fault, without saying where."""
+    # undecodable bytes, read as lone surrogates, do not encode back
+    for line in filterfalse(str.isascii, lines):
+        line.encode("utf-8")
     rows = list(filter(None, map(str.split, lines)))
     if any(row[0].startswith("#") for row in rows):
         raise ValueError("comment line")
@@ -118,34 +123,24 @@ def _parse_svmlight_chunk(lines: list[str]):
     return val, idx, counts
 
 
-def _read_svmlight_chunk(path: PathLike, fh, first: int) -> list[str]:
-    """The next ``_SVMLIGHT_CHUNK_LINES`` lines of ``fh``, whose first is
-    line ``first`` of the file.  When the read meets bytes that are not
-    utf-8, the lines from ``first`` on are walked again, so a malformed
-    line before the undecodable one is the fault reported."""
-    try:
-        return list(islice(fh, _SVMLIGHT_CHUNK_LINES))
-    except UnicodeDecodeError as exc:
-        # undecodable bytes read back as lone surrogates, which the walk
-        # stops at; newlines split the lines as in the strict read
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as raw:
-            _raise_svmlight_fault(path, islice(raw, first - 1, None), first, exc)
+def _check_decodes(path: PathLike, lineno: int, line: str) -> None:
+    """Raise the ``UnicodeDecodeError`` of line ``lineno`` if it holds bytes
+    that are not utf-8, with ``path:lineno`` added to its reason."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            exc.reason = f"{path}:{lineno}: {exc.reason}"
+            raise
 
 
 def _raise_svmlight_fault(
-    path: PathLike, lines: Iterable[str], first: int, cause: Exception
+    path: PathLike, lines: list[str], first: int, cause: Exception
 ) -> NoReturn:
     """Raise the line-numbered error for the first fault in ``lines``, whose
-    first line is line ``first`` of the file.  A ``UnicodeDecodeError``
-    cause is raised again at the first line that holds undecodable bytes,
-    or after the last line if none does."""
-    lineno = first - 1
+    first line is line ``first`` of the file."""
     for lineno, line in enumerate(lines, start=first):
-        if isinstance(cause, UnicodeDecodeError):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise cause from None
+        _check_decodes(path, lineno, line)
         line = line.strip()
         if not line:
             continue
@@ -177,10 +172,8 @@ def _raise_svmlight_fault(
                     f"{path}:{lineno}: feature id {idx} does not fit in int64"
                 )
             prev = idx
-    if isinstance(cause, UnicodeDecodeError):
-        raise cause from None
     raise RuntimeError(
-        f"{path}:{first}-{lineno}: the bulk parse rejected "
+        f"{path}:{first}-{first + len(lines) - 1}: the bulk parse rejected "
         "lines that the line-by-line check accepts"
     ) from cause
 
@@ -204,18 +197,18 @@ def load_matrix_market(path: PathLike) -> Matrix:
     rejected explicitly.
     """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("latin1").strip().lower()
-    fields = header.split()
-    if len(fields) < 5 or not fields[0].startswith("%%matrixmarket"):
-        raise ValueError(f"{path}: not a MatrixMarket file")
-    _, obj, fmt, field, symmetry = fields[:5]
-    if obj != "matrix":
-        raise ValueError(f"{path}: unsupported object '{obj}'")
-    if field not in ("real", "integer"):
-        raise ValueError(f"{path}: unsupported field '{field}' (real only)")
-    if symmetry != "general":
-        raise ValueError(f"{path}: unsupported symmetry '{symmetry}'")
-    loaded = scipy.io.mmread(path)
+        fields = fh.readline().decode("latin1").strip().lower().split()
+        if len(fields) < 5 or not fields[0].startswith("%%matrixmarket"):
+            raise ValueError(f"{path}: not a MatrixMarket file")
+        _, obj, fmt, field, symmetry = fields[:5]
+        if obj != "matrix":
+            raise ValueError(f"{path}: unsupported object '{obj}'")
+        if field not in ("real", "integer"):
+            raise ValueError(f"{path}: unsupported field '{field}' (real only)")
+        if symmetry != "general":
+            raise ValueError(f"{path}: unsupported symmetry '{symmetry}'")
+        fh.seek(0)
+        loaded = scipy.io.mmread(fh)
     if sparse.issparse(loaded):
         parsed = loaded.nnz
         out = as_csr(loaded)
@@ -245,8 +238,9 @@ def load_edge_list(path: PathLike, one_indexed: bool = True) -> sparse.csr_matri
     """
     srcs: list[int] = []
     dsts: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            _check_decodes(path, lineno, line)
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

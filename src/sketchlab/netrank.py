@@ -117,6 +117,10 @@ def hits(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
     adj = _check_square(adj)
     n = adj.shape[0]
     rng = np.random.default_rng(rng)
@@ -239,6 +243,8 @@ def expm_scores_exact(adj, top_k: int = 10) -> RankingResult:
     twin rows have bit-equal hub scores and twin columns bit-equal authority
     scores, and the top lists order twins by ascending node id.
     """
+    if top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
     adj = _check_square(adj)
     n = adj.shape[0]
     if n > _EXACT_SIZE_GUARD:
@@ -283,6 +289,8 @@ def expm_scores_sketched(
     rank-(n-ell) tail of the exponential is truncated away, which preserves
     rankings when the retained spectrum dominates.
     """
+    if k < 1 or p < 0:
+        raise ValueError(f"need k >= 1 and p >= 0, got k={k}, p={p}")
     adj = _check_square(adj)
     n = adj.shape[0]
     rng = np.random.default_rng(rng)

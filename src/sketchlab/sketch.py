@@ -1,7 +1,14 @@
 """The five sketching algorithms.
 
 Each sketcher maps an ``n x d`` matrix to a small ``ell x d`` sketch ``B``
-and a ``d x ell`` orthonormal basis ``V`` for the sketch's row space:
+and a ``d x ell`` matrix ``V`` with orthonormal columns whose span holds
+the sketch's row space.  The two are equal when ``B`` has rank ``ell``.
+A rank-deficient sketch (an empty spemb bucket, a repeated sampled row, a
+rank-deficient FD round) has ``V`` completed by QR with orthonormal
+directions outside its row space, which the input does not determine:
+two identical columns of the input can get different rows of ``V``.
+
+The sketchers:
 
 ``spemb_sketch``
     sparse subspace embedding (CountSketch): one random +-1 per input row,
@@ -116,9 +123,11 @@ class SpEmbSpec:
 
 @dataclass(frozen=True)
 class SketchOutput:
-    """Sketch ``B`` (ell x d), orthonormal row-space basis ``V`` (d x ell),
-    the shrinkage amount of every frequent-directions round, and
-    ``gram_fallbacks``, the rounds that fell back to the buffer's SVD."""
+    """Sketch ``B`` (ell x d), orthonormal basis ``V`` (d x ell) whose span
+    holds ``B``'s row space (equal to it only when ``B`` has rank ell; see
+    the module docstring), the shrinkage amount of every frequent-directions
+    round, and ``gram_fallbacks``, the rounds that fell back to the
+    buffer's SVD."""
 
     sketch: np.ndarray
     basis: np.ndarray

@@ -50,6 +50,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(repetitions=(0, 1))
 
+    def test_k_below_one(self):
+        # best_rank_k would refuse it only once the first matrix is generated
+        with pytest.raises(ValueError, match=re.escape("k must be >= 1, got 0")):
+            small_cfg(k=0, ell_sweep=(3, 3, 6))
+
     def test_negative_seed(self):
         # SeedSequence would refuse it only once the campaign runs
         with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
@@ -137,6 +142,12 @@ class TestLoadConfig:
         cfg = load_config(self.write(tmp_path, payload))
         assert (cfg.k, cfg.ell_sweep, cfg.output) == (2, (2, 2, 6), None)
         assert all(type(v) is int for v in (cfg.k, *cfg.ell_sweep))
+
+    def test_k_below_one(self, tmp_path):
+        payload = self.valid_payload()
+        payload["k"] = 0
+        with pytest.raises(ValueError, match=re.escape("k must be >= 1, got 0")):
+            load_config(self.write(tmp_path, payload))
 
     def test_bad_sweep_string(self, tmp_path):
         payload = self.valid_payload()

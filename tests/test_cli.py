@@ -174,6 +174,24 @@ class TestNetwork:
         expm_rec = records[1]
         assert expm_rec["overlap_vs_exact"] == {"hubs": 10, "authorities": 10}
 
+    def test_exact_step_only_when_expm_listed(self, tmp_path, capsys):
+        # 4500 nodes exceed the exact step's guard of 4000
+        rng = np.random.default_rng(0)
+        src = np.arange(1, 4501)
+        dst = np.concatenate((rng.integers(1, 51, size=4000), src[-500:]))
+        graph = tmp_path / "big.txt"
+        graph.write_text("".join(f"{i} {j}\n" for i, j in zip(src, dst)))
+        out = tmp_path / "ranks.json"
+        argv = ["network", "--edges", str(graph), "--k", "5", "--out", str(out)]
+        assert main([*argv, "--methods", "hits,fd"]) == 0
+        records = json.loads(out.read_text())
+        assert [r["method"] for r in records] == ["hits", "fd"]
+        assert all(r["overlap_vs_exact"] is None for r in records)
+        out.unlink()
+        assert main([*argv, "--methods", "fd,expm"]) == 2
+        assert "n=4500 exceeds the guard 4000" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):

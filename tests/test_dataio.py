@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sparse
 
 import sketchlab.dataio
@@ -104,22 +107,6 @@ class TestSvmlight:
         with pytest.raises(RuntimeError, match=r"a\.svm:1-2: the bulk parse"):
             load_svmlight(p)
 
-    def test_undecodable_bytes_gone_on_reread_raise_decode_error(
-        self, tmp_path, monkeypatch
-    ):
-        # the file is mended between the strict read and the walk
-        p = tmp_path / "a.svm"
-        p.write_bytes(b"0 1:1\n0 \xff:1\n")
-
-        def mending_open(path, *args, errors=None, **kwargs):
-            if errors == "surrogateescape":
-                p.write_text("0 1:1\n0 2:1\n")
-            return open(path, *args, errors=errors, **kwargs)
-
-        monkeypatch.setattr(sketchlab.dataio, "open", mending_open, raising=False)
-        with pytest.raises(UnicodeDecodeError):
-            load_svmlight(p)
-
 
 CHUNK = sketchlab.dataio._SVMLIGHT_CHUNK_LINES
 
@@ -173,7 +160,18 @@ DIFFERENTIAL_INPUTS = {
     "undecodable_after_fault": (
         b"0 1:1\n0 2:1 1:1\n" + b"0 1:1\n" * 3000 + b"0 1:\xff\n", None),
     "undecodable_first_fault": (b"0 1:1\n" * 3002 + b"0 1:\xff\n", None),
+    "undecodable_label": (b"0 1:1\n\xff 2:1\n", None),
 }
+
+
+def first_undecodable_line(path) -> int:
+    lines = path.read_bytes().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+    raise AssertionError(f"{path} is utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_INPUTS))
@@ -188,6 +186,13 @@ def test_load_svmlight_matches_per_token_oracle(tmp_path, name):
         except Exception as exc:
             outcomes.append(exc)
     ref, got = outcomes
+    if isinstance(ref, UnicodeDecodeError):
+        # the reference decodes 8 KiB blocks, the loader one line, so the
+        # positions differ; the bytes, the reason and the line are compared
+        assert type(got) is UnicodeDecodeError
+        assert got.object[got.start:got.end] == ref.object[ref.start:ref.end]
+        assert got.reason == f"{p}:{first_undecodable_line(p)}: {ref.reason}"
+        return
     if isinstance(ref, Exception):
         assert (type(got), str(got)) == (type(ref), str(ref))
         return
@@ -317,3 +322,61 @@ class TestEdgeList:
         with pytest.raises(ValueError, match=r"g\.txt:3: node id 99999999999999999999 "
                                              "does not fit in int64"):
             load_edge_list(p)
+
+    def test_fault_before_undecodable_bytes_names_line(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_bytes(b"1 2\n1 x\n3 \xff\n")
+        with pytest.raises(ValueError, match=r"g\.txt:2: non-integer node id"):
+            load_edge_list(p)
+
+    def test_decode_error_names_its_line(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_bytes(b"# caf\xc3\xa9\n1 2\n3 4\xe9\n1 3\n")
+        with pytest.raises(UnicodeDecodeError) as info:
+            load_edge_list(p)
+        assert info.value.reason == f"{p}:3: invalid continuation byte"
+        assert info.value.object[info.value.start:info.value.end] == b"\xe9"
+
+
+SVMLIGHT_BAD = b"0 1:1\n0 \xff:1\n"
+MTX_OK = b"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 5.0\n"
+
+
+@pytest.mark.parametrize("load, content", [
+    (load_svmlight, b"0 1:1\n0 2:1\n"),
+    (load_svmlight, b"0 2:1 1:1\n"),
+    (load_svmlight, SVMLIGHT_BAD),
+    (load_svmlight, several_chunks().encode() + SVMLIGHT_BAD),
+    (load_edge_list, b"1 2\n3 1\n"),
+    (load_edge_list, b"1 2\n1 x\n"),
+    (load_edge_list, b"1 2\n3 \xff\n"),
+    (load_matrix_market, MTX_OK),
+    (load_matrix_market, b"%%MatrixMarket matrix array real general\n1 1\n2.0\n"),
+    (load_matrix_market, b"%%MatrixMarket matrix coordinate pattern general\n"),
+    (load_matrix_market, MTX_OK.replace(b"5.0", b"x")),
+], ids=["svm", "svm_fault", "svm_undecodable", "svm_undecodable_third_chunk",
+        "edges", "edges_fault", "edges_undecodable",
+        "mtx_coordinate", "mtx_array", "mtx_header_fault", "mtx_body_fault"])
+def test_loader_opens_its_path_once(tmp_path, monkeypatch, load, content):
+    # an open is a call of the module's open, or a path handed to mmread
+    opens = []
+
+    def counting_open(*args, **kwargs):
+        opens.append(args[0])
+        return open(*args, **kwargs)
+
+    def mmread(source, **kwargs):
+        if isinstance(source, (str, os.PathLike)):
+            opens.append(source)
+        return scipy_mmread(source, **kwargs)
+
+    scipy_mmread = scipy.io.mmread
+    monkeypatch.setattr(sketchlab.dataio, "open", counting_open, raising=False)
+    monkeypatch.setattr(scipy.io, "mmread", mmread)
+    p = tmp_path / "data"
+    p.write_bytes(content)
+    try:
+        load(p)
+    except ValueError:
+        pass
+    assert opens == [p]

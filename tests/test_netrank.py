@@ -142,6 +142,11 @@ class TestHits:
         with pytest.raises(ValueError):
             hits(two_pointer_graph(), tol=0.0)
 
+    def test_max_iter_below_one_rejected(self):
+        # zero steps would return the random start vectors as scores
+        with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+            hits(two_pointer_graph(), max_iter=0)
+
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError):
             hits(sparse.csr_matrix(np.ones((2, 3))))
@@ -278,6 +283,13 @@ class TestExpmExact:
         assert res.top_authorities[:2] == [6, 7]
 
 
+@pytest.mark.parametrize("rank", [hits, expm_scores_exact], ids=["hits", "exact"])
+def test_negative_top_k_rejected(rank):
+    # a negative slice end would list all nodes but the last
+    with pytest.raises(ValueError, match="top_k must be >= 0, got -1"):
+        rank(random_digraph(30, seed=1), top_k=-1)
+
+
 class TestExpmSketched:
     def test_full_basis_reproduces_exact_rankings(self):
         adj = random_digraph(24, seed=12)
@@ -305,6 +317,14 @@ class TestExpmSketched:
     def test_sketch_size_guard(self):
         with pytest.raises(ValueError, match="k\\+p"):
             expm_scores_sketched(random_digraph(8, seed=15), "fd", k=10, p=5)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k >= 1 and p >= 0, got k=-2, p=5"):
+            expm_scores_sketched(random_digraph(30, seed=1), "fd", k=-2, p=5)
+
+    def test_negative_p_rejected(self):
+        with pytest.raises(ValueError, match="k >= 1 and p >= 0, got k=5, p=-1"):
+            expm_scores_sketched(random_digraph(30, seed=1), "fd", k=5, p=-1)
 
     def test_deterministic(self):
         adj = random_digraph(30, seed=16)

@@ -59,6 +59,17 @@ def fake_run(root, side, seed, pass_s, exact_s):
     return run
 
 
+def test_tier1_fails_on_a_warning(tmp_path):
+    # CI's tier-1 step runs with warnings as errors
+    (tmp_path / "test_warns.py").write_text(
+        "import warnings\n\n\ndef test_warns():\n    warnings.warn('stale')\n",
+        encoding="utf-8",
+    )
+    tier1 = bench_pair.tier1_seconds(tmp_path)
+    assert tier1["exit"] != 0
+    assert "1 failed" in tier1["summary"]
+
+
 def test_ops_compared_per_pair(tmp_path):
     runs = []
     for seed in range(1, 5):

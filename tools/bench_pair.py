@@ -17,7 +17,8 @@ output file holds, per workload, for each end-to-end metric and (under
 side won; every run's values and its hypervisor steal time (``steal_s``,
 ``None`` where unreadable),
 ``crit7_ratio`` from the ``dense-fd`` run records, each side's traced
-metrics, the tier-1 wall time and ``src_lines`` of each side (per
+metrics, the tier-1 wall time, exit and summary of each side (run as CI
+runs it, with warnings as errors), its ``src_lines`` (per
 ``src/sketchlab/*.py`` module and in total: its lines, and its code lines,
 those that are not blank, comments or docstrings), and the environment of
 the first run's record, with the BLAS thread count added.
@@ -104,7 +105,7 @@ def tier1_seconds(root: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        [sys.executable, "-m", "pytest", "-q", "-W", "error", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"],
         cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
