@@ -161,9 +161,11 @@ def _cmd_network(args) -> int:
             "overlap_vs_exact": None,
         }
         if exact is not None:
+            # the top lists hold at most n nodes
+            top = min(args.k, adj.shape[0])
             record["overlap_vs_exact"] = {
-                "hubs": ranking_overlap(res, exact, args.k, "hubs"),
-                "authorities": ranking_overlap(res, exact, args.k, "authorities"),
+                "hubs": ranking_overlap(res, exact, top, "hubs"),
+                "authorities": ranking_overlap(res, exact, top, "authorities"),
             }
         records.append(record)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

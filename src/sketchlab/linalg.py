@@ -123,10 +123,20 @@ class SvdResult:
 
 
 def _fix_svd_signs(u: np.ndarray, vt: np.ndarray) -> None:
-    peaks = np.argmax(np.abs(u), axis=0)
-    flip = u[peaks, np.arange(u.shape[1])] < 0
-    u[:, flip] *= -1.0
-    vt[flip, :] *= -1.0
+    """Flip the pairs of columns of ``u`` and rows of ``vt``, in place, whose
+    column of ``u`` has a negative largest-magnitude entry (the lowest row
+    index on ties).
+
+    The peaks are searched along the contiguous rows of ``u.T``: free when
+    ``u`` is column-major, one transposed copy otherwise, which beats a
+    strided search down the columns of a tall ``u``.  The flips are one
+    multiply by a +-1 vector each.
+    """
+    ut = np.ascontiguousarray(u.T)
+    peaks = np.argmax(np.abs(ut), axis=1)
+    signs = np.where(ut[np.arange(len(ut)), peaks] < 0, -1.0, 1.0)
+    u *= signs
+    vt *= signs[:, None]
 
 
 # A direction recovered from the Gram matrix loses accuracy as its
@@ -141,16 +151,19 @@ _GRAM_FLOOR = 1e-9
 
 
 def _gram_eigh(x: np.ndarray, count: int):
-    """``(sq, u, vt)`` from one ``eigh`` of the smaller Gram matrix of a
+    """``(sq, left, vt)`` from one ``eigh`` of the smaller Gram matrix of a
     dense ``x``: all ``min(x.shape)`` squared singular values ``sq``,
-    descending, and the top left and right singular vectors ``u`` and
-    ``vt`` (at most ``count`` of each), or ``None`` when the Gram route
+    descending, the top right singular vectors ``vt`` (at most ``count``)
+    and their left factor ``left = x @ vt.T``, the left singular vectors
+    scaled by their singular values, or ``None`` when the Gram route
     declines.
 
     A wide ``x`` (fewer rows than columns) takes ``x @ x.T``, whose
-    eigenvectors are ``u``, and forms ``vt`` as ``u.T @ x / sigma``; a tall
-    or square one takes ``x.T @ x``, whose eigenvectors are ``vt.T``, and
-    forms ``u`` as ``x @ vt.T / sigma``.  Eigenvalues
+    eigenvectors ``u`` give ``vt`` as ``u.T @ x / sigma`` and ``left`` as
+    ``u * sigma``; a tall or square one takes ``x.T @ x``, whose
+    eigenvectors are ``vt.T``, and forms ``left`` as the transpose of ``vt
+    @ x.T``, column-major, so that the sign rule searches contiguous
+    rows.  Eigenvalues
     below the rounding level of the Gram entries (``max(x.shape) * eps``
     times the largest, as each entry is an inner product of that many
     terms) are exact zeros, so a rank-deficient ``x`` gives fewer than
@@ -174,11 +187,13 @@ def _gram_eigh(x: np.ndarray, count: int):
         return None
     vecs, sigma = vecs[:, :rank], np.sqrt(lam[:rank])
     if wide:
-        u, vt = vecs, (vecs / sigma).T @ x
-    else:
-        u, vt = x @ vecs, vecs.T
-    _fix_svd_signs(u, vt)
-    return lam, u if wide else u / sigma, vt
+        vt = (vecs / sigma).T @ x
+        _fix_svd_signs(vecs, vt)
+        return lam, vecs * sigma, vt
+    vt = vecs.T
+    left = (vt @ x.T).T
+    _fix_svd_signs(left, vt)
+    return lam, left, vt
 
 
 def svd(a: Matrix) -> SvdResult:

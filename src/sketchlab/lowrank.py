@@ -175,17 +175,20 @@ def best_rank_k(a: Matrix, k: int) -> LowRankFactors:
     )
 
 
-def _top_triplets(a: Matrix, v: np.ndarray, count: int) -> SvdResult:
-    """The top ``count`` singular triplets of the projection ``a @ v @
-    v.T``: those of ``b = a @ v``, with the right vectors rotated back by
-    ``v``.
+def _top_triplets(a: Matrix, v: np.ndarray, count: int, scaled: bool):
+    """``(u, sigma, vt)``: the top ``count`` singular triplets of the
+    projection ``a @ v @ v.T``, those of ``b = a @ v`` with the right
+    vectors rotated back by ``v``.  With ``scaled``, ``u`` is the left
+    factor ``b @ W = u diag(sigma)`` in place of the left singular vectors.
 
     ``v`` is checked for orthonormal columns, and ``b`` for NaN and Inf
     before any decomposition: NaN or Inf in ``a`` reach every column of
     their rows of ``b``.  The triplets of ``b`` come from
-    `linalg._gram_eigh`, one ``eigh`` of its smaller Gram matrix.  When
-    that route declines, or ``b`` has fewer than ``count`` nonzero singular
-    values, they come from one ``svd(b)`` instead.
+    `linalg._gram_eigh`, one ``eigh`` of its smaller Gram matrix, which
+    forms the left factor; the left singular vectors are that factor over
+    ``sigma``.  When that route declines, or ``b`` has fewer than
+    ``count`` nonzero singular values, they come from one ``svd(b)``
+    instead, whose left singular vectors times ``sigma`` are the factor.
     """
     v = as_dense(v)
     if np.abs(v.T @ v - np.eye(v.shape[1])).max() > _ORTHO_TOL:
@@ -197,10 +200,15 @@ def _top_triplets(a: Matrix, v: np.ndarray, count: int) -> SvdResult:
     if out is not None and len(out[2]) == count:
         sq, u, wt = out
         sigma = np.sqrt(sq[:count])
+        if not scaled:
+            # row-major, as the u of `svd`; the Gram route's factor is not
+            u = np.divide(u, sigma, order="C")
     else:
         res = svd(b)
         u, sigma, wt = res.u[:, :count], res.sigma[:count], res.vt[:count]
-    return SvdResult(u=u, sigma=sigma, vt=(v @ wt.T).T)
+        if scaled:
+            u = u * sigma
+    return u, sigma, (v @ wt.T).T
 
 
 def approx_from_basis(a: Matrix, v: np.ndarray, k: int) -> LowRankFactors:
@@ -209,17 +217,17 @@ def approx_from_basis(a: Matrix, v: np.ndarray, k: int) -> LowRankFactors:
 
     This is the rank-k truncation of ``b = a @ v`` rotated back with ``v``:
     with ``W_k`` the top-k right singular vectors of ``b``, taken as
-    `approx_svd` takes its triplets, ``left = b @ W_k`` and ``right_basis =
-    v @ W_k``.  Up to rounding, these are the factors of the first k
-    triplets of ``approx_svd(a, v)``.  NaN or Inf in ``a`` raise
-    ``ValueError``.
+    `approx_svd` takes its triplets, ``left = b @ W_k``, formed once, and
+    ``right_basis = v @ W_k``.  Up to rounding, these are the factors of
+    the first k triplets of ``approx_svd(a, v)``.  NaN or Inf in ``a``
+    raise ``ValueError``.
     """
     if k > v.shape[1]:
         raise ValueError(f"k={k} exceeds the basis width {v.shape[1]}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    res = _top_triplets(a, v, k)
-    return LowRankFactors(res.u * res.sigma, res.vt.T, k, projection=True)
+    left, _, vt = _top_triplets(a, v, k, scaled=True)
+    return LowRankFactors(left, vt.T, k, projection=True)
 
 
 def approx_svd(a: Matrix, v: np.ndarray) -> SvdResult:
@@ -229,9 +237,10 @@ def approx_svd(a: Matrix, v: np.ndarray) -> SvdResult:
     ``eigh`` of its smaller Gram matrix or, when that route declines or
     ``b`` is rank-deficient, from ``svd(b)``.  The small right factor is
     rotated back with ``v``, so that ``u @ diag(sigma) @ vt`` equals the
-    projection.  NaN or Inf in ``a`` raise ``ValueError``.
+    projection; ``u`` has orthonormal columns.  NaN or Inf in ``a`` raise
+    ``ValueError``.
     """
-    return _top_triplets(a, v, min(a.shape[0], v.shape[1]))
+    return SvdResult(*_top_triplets(a, v, min(a.shape[0], v.shape[1]), scaled=False))
 
 
 def _matvec_residual(a, left, right_basis, x):

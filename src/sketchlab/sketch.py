@@ -158,7 +158,7 @@ class SpfdConfig:
 
 def _embedding(rows, cols, signs, shape) -> sparse.csr_matrix:
     """Sparse embedding operator with entry ``signs[i]`` at
-    ``(rows[i], cols[i])``.
+    ``(rows[i], cols[i])``, for dense input.
 
     A row keeps its entries in input order, which is the order in which
     ``@`` sums the input rows into that bucket.
@@ -168,24 +168,38 @@ def _embedding(rows, cols, signs, shape) -> sparse.csr_matrix:
     return sparse.csr_matrix((signs[order], cols[order], indptr), shape=shape)
 
 
-def _embed(op: sparse.csr_matrix, a: Matrix) -> np.ndarray:
-    out = op @ a
-    return out.toarray() if sparse.issparse(out) else out
+def _scatter_rows(a, buckets, signs, n_out: int) -> np.ndarray:
+    """Add row ``i`` of a sparse ``a``, times ``signs[i]``, into row
+    ``buckets[i]`` of an ``n_out x d`` array.
+
+    One ``np.bincount`` adds every stored entry into its ``bucket*d +
+    column`` cell in storage order, so each bucket sums its rows in row
+    order, as the embedding operator's product does, in O(nnz) work.
+    """
+    a = a.tocsr()
+    d = a.shape[1]
+    counts = np.diff(a.indptr)
+    cells = np.repeat(buckets.astype(np.intp, copy=False) * d, counts) + a.indices
+    weights = np.repeat(signs, counts) * a.data
+    return np.bincount(cells, weights, minlength=n_out * d).reshape(n_out, d)
 
 
 def spemb_apply(a: Matrix, spec: SpEmbSpec) -> np.ndarray:
     """Accumulate signed rows of ``a`` into the spec's buckets.
 
-    Dense and CSR input alike are multiplied by the ``n_out x n_in`` CSR
-    embedding operator, in O(nnz) work.  Within one bucket rows are
-    accumulated in input order.
+    Sparse input is scattered entry by entry (`_scatter_rows`); dense input
+    is multiplied by the ``n_out x n_in`` CSR embedding operator.  Both
+    take O(nnz) work, and within one bucket both accumulate rows in input
+    order.
     """
     if spec.n_in != a.shape[0]:
         raise ValueError(
             f"spec expects {spec.n_in} input rows, matrix has {a.shape[0]}"
         )
+    if sparse.issparse(a):
+        return _scatter_rows(a, spec.h, spec.signs, spec.n_out)
     op = _embedding(spec.h, np.arange(spec.n_in), spec.signs, (spec.n_out, spec.n_in))
-    return _embed(op, a)
+    return op @ a
 
 
 def _basis_from_sketch(b: np.ndarray) -> np.ndarray:
@@ -303,9 +317,11 @@ def spfd_intermediate(a: Matrix, cfg: SpfdConfig) -> np.ndarray:
     """The ``q*ell x d`` stack of per-block sparse embeddings of the
     row-permuted input, padded with zero rows to ``q`` equal blocks.
 
-    All q block embeddings and the row permutation form one
-    ``q*ell x n`` CSR operator, applied to dense or CSR input as one
-    sparse product; the zero padding rows are left out of it.
+    Sparse input has its rows gathered in permuted order and scattered
+    into their buckets entry by entry (`_scatter_rows`).  Dense input is
+    multiplied by one ``q*ell x n`` CSR operator that holds all q block
+    embeddings and the row permutation.  Either way the zero padding rows
+    are left out, and each bucket sums its rows in permuted order.
 
     This is the intermediate sketch that the frequent-directions stage of
     ``spfd_sketch`` consumes; it is exposed separately because several
@@ -326,8 +342,10 @@ def spfd_intermediate(a: Matrix, cfg: SpfdConfig) -> np.ndarray:
     signs = np.concatenate([signs for _, signs in blocks])
     # Permuted position p feeds row rows[p] from input row perm[p].
     real = perm < n
-    op = _embedding(rows[real], perm[real], signs[real], (cfg.q * cfg.ell, n))
-    return _embed(op, a)
+    rows, src, signs = rows[real], perm[real], signs[real]
+    if sparse.issparse(a):
+        return _scatter_rows(a.tocsr()[src], rows, signs, cfg.q * cfg.ell)
+    return _embedding(rows, src, signs, (cfg.q * cfg.ell, n)) @ a
 
 
 def spfd_sketch(a: Matrix, cfg: SpfdConfig) -> SketchOutput:

@@ -174,6 +174,19 @@ class TestNetwork:
         expm_rec = records[1]
         assert expm_rec["overlap_vs_exact"] == {"hubs": 10, "authorities": 10}
 
+    def test_k_above_node_count(self, tmp_path):
+        graph = tmp_path / "five.txt"
+        graph.write_text("1 2\n2 3\n3 4\n4 5\n5 1\n")
+        out = tmp_path / "ranks.json"
+        assert main(["network", "--edges", str(graph), "--k", "10",
+                     "--methods", "hits,expm", "--out", str(out)]) == 0
+        records = json.loads(out.read_text())
+        assert [r["method"] for r in records] == ["hits", "expm"]
+        for rec in records:
+            assert sorted(rec["top_hubs"]) == [1, 2, 3, 4, 5]
+            # every node is in both lists, so all five are shared
+            assert rec["overlap_vs_exact"] == {"hubs": 5, "authorities": 5}
+
     def test_exact_step_only_when_expm_listed(self, tmp_path, capsys):
         # 4500 nodes exceed the exact step's guard of 4000
         rng = np.random.default_rng(0)

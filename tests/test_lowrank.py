@@ -231,6 +231,47 @@ class TestRFactorRoute:
         assert np.abs(f.right_basis - v @ w).max() <= 1e-12
 
 
+def repeated_rows_csr(n, d, rank, seed):
+    """CSR whose ``n`` rows are copies of ``rank`` sparse rows."""
+    rows = random_csr(rank, d, seed=seed)
+    return sparse.csr_matrix(rows[np.random.default_rng(seed).integers(rank, size=n)])
+
+
+# name -> (matrix, basis width, k, whether b = a @ v takes svd(b)): the
+# fallback inputs have rank 3 < k
+LEFT_FACTOR_INPUTS = {
+    "gram-dense": (random_dense(200, 30, seed=80), 10, 5, False),
+    "gram-csr": (random_csr(300, 40, seed=81), 10, 5, False),
+    "svd-dense": (rank_r(100, 20, 3, seed=82), 8, 6, True),
+    "svd-csr": (repeated_rows_csr(100, 20, 3, seed=83), 8, 6, True),
+}
+
+
+class TestLeftFactor:
+    """``approx_from_basis`` forms ``left = b @ W_k`` once, with the
+    largest-|entry| of every column positive, on the Gram route and on the
+    ``svd(b)`` fallback; ``approx_svd`` keeps orthonormal ``u``."""
+
+    @pytest.mark.parametrize("name", list(LEFT_FACTOR_INPUTS))
+    def test_left_is_b_times_w(self, monkeypatch, name):
+        a, ell, k, falls_back = LEFT_FACTOR_INPUTS[name]
+        v, _ = thin_qr(random_dense(a.shape[1], ell, seed=84))
+        calls = count_svd_calls(monkeypatch)
+        f = approx_from_basis(a, v, k)
+        assert len(calls) == falls_back
+        ref = (a @ v) @ (v.T @ f.right_basis)
+        assert np.abs(f.left - ref).max() <= 1e-14 * np.abs(f.left).max()
+        peaks = np.argmax(np.abs(f.left), axis=0)
+        assert (f.left[peaks, np.arange(k)] > 0).all()
+
+    @pytest.mark.parametrize("name", list(LEFT_FACTOR_INPUTS))
+    def test_approx_svd_u_orthonormal(self, name):
+        a, ell, _, _ = LEFT_FACTOR_INPUTS[name]
+        v, _ = thin_qr(random_dense(a.shape[1], ell, seed=84))
+        u = approx_svd(a, v).u
+        assert np.abs(u.T @ u - np.eye(u.shape[1])).max() <= 1e-12
+
+
 def conditioned_csr(n, d, kappa, seed, groups=5):
     """CSR ``U diag(sigma) V^T`` with ``sigma`` as in `conditioned`.  ``U``
     puts each row on one column, so its columns are orthonormal; ``V`` is

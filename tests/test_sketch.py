@@ -147,9 +147,50 @@ def block_embedding_loop(a, cfg: SpfdConfig) -> np.ndarray:
     return out
 
 
+def noncanonical_csr(n, d, seed):
+    """CSR whose rows store their columns in random order, each column as
+    two duplicate entries, plus one explicit zero."""
+    rng = np.random.default_rng(seed)
+    indptr, indices, data = [0], [], []
+    for _ in range(n):
+        for col in rng.permutation(d)[: rng.integers(1, d + 1)]:
+            indices += [col, col]
+            data += list(rng.standard_normal(2))
+        indices.append(rng.integers(d))
+        data.append(0.0)
+        indptr.append(len(indices))
+    a = sparse.csr_matrix((np.array(data), np.array(indices), np.array(indptr)),
+                          shape=(n, d))
+    assert not a.has_canonical_format
+    return a
+
+
+def duplicate_coo(n, d, seed):
+    """COO with every entry stored twice, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    rows, cols = np.nonzero(rng.random((n, d)) < 0.4)
+    order = rng.permutation(2 * len(rows))
+    return sparse.coo_matrix(
+        (rng.standard_normal(2 * len(rows)),
+         (np.tile(rows, 2)[order], np.tile(cols, 2)[order])),
+        shape=(n, d),
+    )
+
+
+# name -> sparse input the embedding takes without canonicalising
+SPARSE_FORMS = {
+    "noncanonical": lambda: noncanonical_csr(40, 6, seed=90),
+    "csr_array": lambda: sparse.csr_array(random_csr(40, 6, seed=91)),
+    "coo": lambda: duplicate_coo(40, 6, seed=92),
+    "one-row": lambda: noncanonical_csr(1, 6, seed=93),
+}
+
+
 class TestEmbeddingOperator:
-    """The block embedding is one CSR operator product; it sums each
-    bucket's rows in input order, exactly as the ``np.add.at`` loop."""
+    """The block embedding sums each bucket's rows in input order (in
+    permuted order for ``spfd_intermediate``), exactly as the ``np.add.at``
+    loop: sparse input by one ``np.bincount`` scatter of its stored
+    entries, dense input by one CSR operator product."""
 
     # (n, d, ell, q): n not a multiple of q, q = 1, q*ell > n, and blocks
     # of 2 rows into 5 buckets (empty buckets in every block)
@@ -172,6 +213,27 @@ class TestEmbeddingOperator:
             a = a.toarray()
         spec = SpEmbSpec.draw(n_in, n_out, np.random.default_rng(n_out))
         assert np.array_equal(spemb_apply(a, spec), add_at_embedding(a, spec))
+
+    @pytest.mark.parametrize("form", list(SPARSE_FORMS))
+    def test_sparse_forms_equal_reference(self, form):
+        a = SPARSE_FORMS[form]()
+        n = a.shape[0]
+        spec = SpEmbSpec.draw(n, 3, np.random.default_rng(94))
+        assert np.array_equal(spemb_apply(a, spec), add_at_embedding(a, spec))
+        # about ten rows per bucket, whose order shows in the sums; then
+        # q*ell > n
+        for ell, q in [(2, 2), (4, 12)]:
+            cfg = SpfdConfig(ell=ell, q=q, seed=95)
+            assert np.array_equal(spfd_intermediate(a, cfg), block_embedding_loop(a, cfg))
+
+    def test_sparse_input_builds_no_operator(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("embedding operator built for sparse input")
+
+        monkeypatch.setattr(sketchlab.sketch, "_embedding", refuse)
+        a = random_csr(20, 5, seed=96)
+        spemb_apply(a, SpEmbSpec.draw(20, 3, np.random.default_rng(97)))
+        spfd_intermediate(a, SpfdConfig(ell=3, q=4, seed=98))
 
 
 class TestSpEmbSketch:

@@ -50,9 +50,10 @@ PAIRS = 10
 # the distance between the parent's quartiles
 GAIN_SHARE = 0.9
 # per-layer metrics recorded from each side's traced run
-TRACED = ("dataio.load_s", "lowrank.reconstruct_s", "lowrank.exact_ref_s",
-          "lowrank.error_report_s", "lowrank.residual_spec_s", "lowrank.residual_fro_s",
-          "lowrank.power_iters", "linalg.svd_calls.lowrank", "sketch.shrink_rounds")
+TRACED = ("dataio.load_s", "sketch.embed_s", "lowrank.reconstruct_s",
+          "lowrank.exact_ref_s", "lowrank.error_report_s", "lowrank.residual_spec_s",
+          "lowrank.residual_fro_s", "lowrank.power_iters", "linalg.svd_calls.lowrank",
+          "sketch.shrink_rounds")
 TRACED_NOTE = ("sketch.shrink_rounds reads 0 while perfbench counts a round as "
                "a sketch.svd call, which only fallback rounds make (ROADMAP item 1)")
 
