@@ -161,14 +161,13 @@ def _gram_eigh(x: np.ndarray, count: int):
     A wide ``x`` (fewer rows than columns) takes ``x @ x.T``, whose
     eigenvectors ``u`` give ``vt`` as ``u.T @ x / sigma`` and ``left`` as
     ``u * sigma``; a tall or square one takes ``x.T @ x``, whose
-    eigenvectors are ``vt.T``, and forms ``left`` as the transpose of ``vt
-    @ x.T``, column-major, so that the sign rule searches contiguous
-    rows.  Eigenvalues
-    below the rounding level of the Gram entries (``max(x.shape) * eps``
-    times the largest, as each entry is an inner product of that many
-    terms) are exact zeros, so a rank-deficient ``x`` gives fewer than
-    ``count`` directions: only those of nonzero top-``count`` eigenvalues
-    are formed.  Signs follow `svd`: the largest-magnitude entry of each
+    eigenvectors are ``vt.T``, and forms ``left`` as the transpose of
+    ``vt @ x.T``, column-major, so that the sign rule searches contiguous
+    rows.  Eigenvalues below the rounding level of the Gram entries
+    (``max(x.shape) * eps`` times the largest, as each entry is an inner
+    product of that many terms) are exact zeros, so a rank-deficient ``x``
+    gives fewer than ``count`` directions: only those of nonzero
+    top-``count`` eigenvalues are formed.  Signs follow `svd`: the largest-magnitude entry of each
     left singular vector is positive.  The route declines when a formed
     direction's eigenvalue is below the floor (``_GRAM_FLOOR`` when wide,
     its square root otherwise) times the largest, or when ``eigh`` raises

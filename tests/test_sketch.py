@@ -224,7 +224,8 @@ class TestEmbeddingOperator:
         # q*ell > n
         for ell, q in [(2, 2), (4, 12)]:
             cfg = SpfdConfig(ell=ell, q=q, seed=95)
-            assert np.array_equal(spfd_intermediate(a, cfg), block_embedding_loop(a, cfg))
+            expected = block_embedding_loop(a, cfg)
+            assert np.array_equal(spfd_intermediate(a, cfg), expected)
 
     def test_sparse_input_builds_no_operator(self, monkeypatch):
         def refuse(*args):
