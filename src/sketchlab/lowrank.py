@@ -7,18 +7,20 @@ the frequent-directions shrink rounds, `linalg._gram_eigh` (one ``eigh`` of
 the smaller Gram matrix), with one SVD of ``A @ V`` when it declines or
 ``A @ V`` has too few nonzero directions.  The factors are kept separate
 (`left @ right_basis.T`) so that the full ``n x d`` approximation is never
-materialised.  The exact reference `best_rank_k` takes one SVD, of the
-``d x d`` CholeskyQR2 R factor when ``A`` is tall.
+materialised.  The exact reference `best_rank_k` takes one ``eigh`` of the
+``d x d`` Gram matrix when ``A`` is tall and a rounding bound certifies it,
+and one SVD of ``A`` otherwise.
 
 Error ratios against the optimal truncated SVD take their denominators from
-the singular values that `best_rank_k` keeps from its one SVD:
-``sigma_{k+1}`` and ``sqrt(sum_{i>k} sigma_i^2)``.  The numerators are the
-approximate residual's norms: the Frobenius norm summed over row chunks, the
-spectral norm by a Lanczos solve (ARPACK through ``scipy.sparse.linalg.svds``)
-on the implicitly represented residual.  No ``n x d`` residual is formed.
-For a tall ``a = Q R`` whose reference keeps its ``d x d`` R factor, an
-approximation in projection form (``left = a @ Z``, ``Z = right_basis``) has
-the residual norms of ``R - (R Z) Z^T``, so both numerators are taken on R.
+the singular values that `best_rank_k` keeps: ``sigma_{k+1}`` and
+``sqrt(sum_{i>k} sigma_i^2)``.  The numerators are the approximate
+residual's norms: the Frobenius norm summed over row chunks, the spectral
+norm by a Lanczos solve (ARPACK through ``scipy.sparse.linalg.svds``) on the
+implicitly represented residual.  No ``n x d`` residual is formed.  For a
+tall ``a`` whose reference keeps the ``d x d`` Gram root ``S = diag(sigma)
+W^T`` (``S^T S = a^T a``), an approximation in projection form (``left = a
+@ Z``, ``Z = right_basis``) has the residual norms of ``S - (S Z) Z^T``, so
+both numerators are taken on S.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ __all__ = [
 
 _ORTHO_TOL = 1e-8
 _LANCZOS_TOL = 1e-12
-# CholeskyQR2 falls back to Householder when its first-pass Q deviates from
-# orthonormal by more than this; the deviation grows like cond(x)^2 * eps.
-_CHOLQR_TOL = 0.1
+# The Gram route of `best_rank_k` is taken when its rounding bound is at most
+# this share of sigma_{k+1}^2 and of the tail's squared mean: a relative
+# error of half of it, 1e-9, on each norm `error_report` reads.
+_GRAM_CERT = 2e-9
 
 
 @dataclass(frozen=True)
@@ -61,20 +64,23 @@ class LowRankFactors:
     ``d x k`` with orthonormal columns.  ``spectrum`` holds all
     ``min(n, d)`` singular values of the approximated matrix, descending,
     when they are known: `best_rank_k` keeps them, and `error_report`
-    requires them of its exact reference.  ``r_factor`` is the ``d x d``
-    upper-triangular R of a tall approximated matrix ``a = Q R``, which
-    `best_rank_k` keeps (``None`` for square or wide input).
+    requires them of its exact reference.  ``gram_root`` is the ``d x d``
+    matrix ``S = diag(sigma) W^T`` of a tall approximated matrix ``a =
+    U S``, with ``S^T S = a^T a`` and ``W`` the right singular vectors,
+    which `best_rank_k` keeps when its Gram route is certified (``None``
+    on its SVD route).  It is not triangular, but it is an R factor all
+    the same: ``a X`` and ``S X`` have the same norms for every ``X``.
     ``projection`` marks factors in projection form, ``left = a @
     right_basis``, as `best_rank_k` and `approx_from_basis` build them;
     `error_report` takes such an approximation's residual norms on the
-    reference's R factor.
+    reference's Gram root.
     """
 
     left: np.ndarray
     right_basis: np.ndarray
     k: int
     spectrum: Optional[np.ndarray] = None
-    r_factor: Optional[np.ndarray] = None
+    gram_root: Optional[np.ndarray] = None
     projection: bool = False
 
     def __post_init__(self):
@@ -87,7 +93,7 @@ class ErrorReport:
     """Error ratios of an approximation against the optimal one, plus the
     wall time spent constructing the approximation and ``spec_matvecs``,
     the residual products the spectral numerator's Lanczos solve took:
-    ``d x d`` products with ``R - (R Z) Z^T`` on the R route of
+    ``d x d`` products with ``S - (S Z) Z^T`` on the Gram-root route of
     `error_report`, products with the ``n x d`` residual otherwise."""
 
     fro_ratio: float
@@ -107,71 +113,76 @@ class ErrorReport:
                 )
 
 
-def _r_factor(x: Matrix) -> np.ndarray:
-    """A ``d x d`` upper-triangular R with ``x = Q R`` for some ``Q`` with
-    orthonormal columns, for a tall dense or CSR ``x``.
+def _certified_gram(a: Matrix, k: int):
+    """``(sigma, w)``: all ``d`` singular values of a tall ``a``, descending,
+    and its right singular vectors as the columns of ``w``, from one
+    ``eigh`` of the Gram matrix ``a^T a`` (a sparse product for CSR ``a``),
+    or ``None`` when the rounding bound below does not certify them.
 
-    CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014):
-    ``R1 = chol(x^T x)^T``, ``Q1 = x R1^-1``, ``R2 = chol(Q1^T Q1)^T`` and
-    ``R = R2 R1``.  The Gram matrix of CSR input is the sparse product
-    ``x^T x``, and ``Q1`` is formed and reduced one `linalg._row_chunks`
-    slice of ``x`` at a time.  When either Cholesky factorisation fails,
-    or ``Q1`` is more than ``_CHOLQR_TOL`` from orthonormal (condition
-    numbers beyond about 1e7, rank deficiency), R comes from a Householder
-    QR of the densified ``x`` instead.
-    Non-finite entries raise ``ValueError``.
+    The bound is worst-case and deterministic.  With ``u = eps / 2`` and
+    ``m`` the largest count of stored entries in a column (``n`` when
+    dense), the formed Gram satisfies ``|fl(G) - G| <= gamma_m |a|^T |a|``
+    entrywise, ``gamma_m = m u / (1 - m u)`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, section 3.5).  So
+    ``|x^T (fl(G) - G) x| <= gamma_m ||a||_F^2`` for every unit ``x``, and
+    the trace moves by at most as much.  Adding ``eigh``'s backward error,
+    ``e = gamma_m trace(G) + d u lambda_1`` bounds the move of
+    ``sigma_{k+1}^2`` and of any squared spectral norm ``||a P||_2^2``,
+    and ``(k + 1) e`` that of the squared tail and of any squared
+    Frobenius norm ``||a P||_F^2`` for ``P = I - Z Z^T`` with ``k``
+    columns in ``Z``.  The route is certified for ``k < d`` when ``e`` is
+    at most ``_GRAM_CERT`` times both ``sigma_{k+1}^2`` and
+    ``sum_{i>k} sigma_i^2 / (k + 1)``: a relative error of at most 1e-9
+    on each norm `error_report` reads.  Non-finite entries raise
+    ``ValueError``.
     """
-    if sparse.issparse(x):
-        check_finite(x)
-        gram = (x.T @ x).toarray()
+    n, d = a.shape
+    if sparse.issparse(a):
+        check_finite(a)
+        gram, m = (a.T @ a).toarray(), a.getnnz(axis=0).max()
     else:
-        x = as_dense(x)
-        gram = x.T @ x
-    d = x.shape[1]
-    try:
-        r1 = np.linalg.cholesky(gram).T
-        r1_inv = np.linalg.inv(r1)
-        gram = np.zeros((d, d))
-        for rows in _row_chunks(x):
-            q1 = x[rows] @ r1_inv
-            gram += q1.T @ q1
-        # written so that a NaN deviation also falls back
-        if not np.abs(gram - np.eye(d)).max() <= _CHOLQR_TOL:
-            raise np.linalg.LinAlgError("Q1 is not orthonormal")
-        return np.linalg.cholesky(gram).T @ r1
-    except np.linalg.LinAlgError:
-        return np.linalg.qr(as_dense(x), mode="r")
+        a = as_dense(a)
+        gram, m = a.T @ a, n
+    lam, w = np.linalg.eigh(gram)
+    sq, w = np.maximum(lam[::-1], 0.0), w[:, ::-1]
+    u = np.finfo(float).eps / 2
+    e = m * u / (1 - m * u) * np.trace(gram) + d * u * sq[0]
+    if e <= _GRAM_CERT * min(sq[k], np.sum(sq[k:]) / (k + 1)):
+        return np.sqrt(sq), w
+    return None
 
 
 def best_rank_k(a: Matrix, k: int) -> LowRankFactors:
-    """Optimal rank-k factors via truncated SVD.
+    """Optimal rank-k factors via truncated SVD, on one of two routes.
 
     ``right_basis`` holds the top-k right singular vectors ``W_k`` and
     ``left = a @ W_k``, with the sign rule of ``linalg.svd``: the
     largest-magnitude entry of every ``left`` column is positive.  A tall
-    ``a`` is decomposed through the SVD of its ``d x d`` R factor, whose
-    right singular vectors are those of ``a``, never forming the ``n x d``
-    left singular vectors.  That R comes from CholeskyQR2 on the Gram
-    matrix ``a^T a`` (a sparse product for CSR ``a``), or from a
-    Householder QR of the densified ``a`` when the first pass leaves its Q
-    more than 0.1 from orthonormal (``cond(a)`` beyond about 1e7, or rank
-    deficiency).  ``spectrum`` keeps every singular value that SVD
-    computed, and ``r_factor`` the R factor of a tall ``a``.
+    ``a`` first tries `_certified_gram`, one ``eigh`` of its ``d x d``
+    Gram matrix under a worst-case rounding bound, and forms only the k
+    left factors, never the ``n``-row singular vectors; ``gram_root``
+    then keeps ``diag(sigma) W^T``.  Square and wide input, and tall input
+    the bound does not certify (a tail too small against the Gram's
+    rounding, rank at most k, or ``k = d``), take one ``svd(a)`` of the
+    densified ``a``.  ``spectrum`` keeps all ``min(n, d)`` singular
+    values.  Non-finite entries raise ``ValueError``.
     """
     n, d = a.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k={k} outside 1..min{(n, d)}")
-    r = _r_factor(a) if n > d else None
-    res = svd(a if r is None else r)
-    wt = res.vt[:k].copy()
-    if r is None:
-        left = res.u[:, :k] * res.sigma[:k]
+    gram = _certified_gram(a, k) if n > d > k else None
+    if gram is None:
+        res = svd(a)
+        sigma, wt, root = res.sigma, res.vt[:k], None
+        left = res.u[:, :k] * sigma[:k]
     else:
+        sigma, w = gram
+        wt, root = w[:, :k].T.copy(), sigma[:, None] * w.T
         left = a @ wt.T
         _fix_svd_signs(left, wt)
     return LowRankFactors(
         left=left, right_basis=np.ascontiguousarray(wt.T), k=k,
-        spectrum=res.sigma, r_factor=r, projection=True,
+        spectrum=sigma, gram_root=root, projection=True,
     )
 
 
@@ -334,11 +345,12 @@ def error_report(
     optimal residuals are ``sigma_{k+1}`` (0 when ``k = min(n, d)``) and
     ``sqrt(sum_{i>k} sigma_i^2)``, read from it without touching ``a``.
     The numerators are ``approx``'s residual norms, from `_residual_fro`
-    and `residual_spectral_norm`.  When ``exact`` carries the R factor of a
-    tall ``a`` and ``approx`` is marked as projection form (``left = a @
-    Z``), they run on ``R`` and ``R @ Z`` in place of ``a`` and ``left``:
-    ``a = Q R`` with orthonormal ``Q`` gives ``a - left Z^T = Q (R - R Z
-    Z^T)``, so each Lanczos product costs ``d^2``, not ``n d``.
+    and `residual_spectral_norm`.  When ``exact`` carries the Gram root
+    ``S`` of a tall ``a`` and ``approx`` is marked as projection form
+    (``left = a @ Z``), they run on ``S`` and ``S @ Z`` in place of ``a``
+    and ``left``: ``S^T S = a^T a`` gives ``a - left Z^T`` and ``S - S Z
+    Z^T`` the same norms, so each Lanczos product costs ``d^2``, not
+    ``n d``.
 
     When the exact residual vanishes (input of rank <= k) the ratio is
     defined as 1 provided the approximate residual also vanishes; otherwise
@@ -351,15 +363,15 @@ def error_report(
         raise ValueError(
             "exact factors carry no spectrum; build them with best_rank_k"
         )
-    r = exact.r_factor
-    if r is not None:
-        if r.shape != (a.shape[1],) * 2:
+    root = exact.gram_root
+    if root is not None:
+        if root.shape != (a.shape[1],) * 2:
             raise ValueError(
-                f"exact factors carry a {r.shape} R factor for {a.shape[1]} columns"
+                f"exact factors carry a {root.shape} Gram root for {a.shape[1]} columns"
             )
         if approx.projection:
             z = approx.right_basis
-            a, approx = r, LowRankFactors(left=r @ z, right_basis=z, k=approx.k)
+            a, approx = root, LowRankFactors(left=root @ z, right_basis=z, k=approx.k)
     tail = exact.spectrum[exact.k :]
     fro_den = float(np.sqrt(np.sum(tail**2)))
     spec_den = float(tail[0]) if tail.size else 0.0

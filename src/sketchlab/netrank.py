@@ -307,6 +307,9 @@ def expm_scores_sketched(
 
 def ranking_overlap(a: RankingResult, b: RankingResult, k: int, kind: str = "hubs") -> int:
     """Number of shared nodes among the two top-k lists (order-insensitive)."""
+    if k < 0:
+        # a negative slice end would compare all listed nodes but the last
+        raise ValueError(f"k must be >= 0, got {k}")
     if kind == "hubs":
         la, lb = a.top_hubs, b.top_hubs
     elif kind == "authorities":

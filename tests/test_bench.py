@@ -290,27 +290,30 @@ class TestRunBenchmark:
             assert row.elapsed_seconds >= 0.0
 
     def test_tall_cap_counts_the_whole_matrix(self, monkeypatch, tmp_path, caplog):
-        # an all-zero column makes the Gram matrix singular, so the R factor
-        # of this tall CSR falls back to a Householder QR of the densified
-        # matrix: its 120 x 15 = 1800 cells exceed a cap of 1000, although
-        # the d x d R factor holds 225, and nothing is densified
+        # a tail 1e-6 below the signal is too small for the Gram route's
+        # rounding bound, so the reference of this tall CSR takes one svd
+        # of the densified matrix: its 120 x 15 = 1800 cells exceed a cap
+        # of 1000, although its d x d Gram matrix holds 225, and nothing is
+        # densified
         import sketchlab.lowrank
         from sketchlab.dataio import save_svmlight
 
         rng = np.random.default_rng(4)
-        a = np.where(rng.random((120, 15)) < 0.3, rng.standard_normal((120, 15)), 0.0)
-        a[:, 5] = 0.0
+        u, _ = np.linalg.qr(rng.standard_normal((120, 15)))
+        v, _ = np.linalg.qr(rng.standard_normal((15, 15)))
+        sigma = np.concatenate([[3.0, 2.0, 1.0], 1e-6 * np.linspace(1.0, 0.5, 12)])
+        a = (u * sigma) @ v.T
         path = tmp_path / "data.svm"
         save_svmlight(path, a)
         cfg = small_cfg(dataset=(str(path), "svmlight"))
         densified = []
-        real = sketchlab.lowrank.as_dense
+        real = sketchlab.lowrank.svd
 
         def recorded(x):
             densified.append(x.shape)
             return real(x)
 
-        monkeypatch.setattr(sketchlab.lowrank, "as_dense", recorded)
+        monkeypatch.setattr(sketchlab.lowrank, "svd", recorded)
         monkeypatch.setattr(bench, "EXACT_REFERENCE_CELL_CAP", 10**6)
         assert all(row.fro_ratio >= 1.0 - 1e-8 for row in run_benchmark(cfg))
         assert a.shape in densified

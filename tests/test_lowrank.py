@@ -200,19 +200,26 @@ def check_top_k(x, k, rank, left, w):
 
 class TestRFactorRoute:
     """``best_rank_k`` takes the top-k right singular vectors ``W_k`` of
-    ``a`` from one ``svd`` call: on the ``d x d`` R factor when ``a`` is
-    tall, else on ``a`` itself.  ``approx_from_basis`` takes those of ``b =
-    a @ v`` from one ``eigh`` of its smaller Gram matrix, and calls ``svd``
-    on ``b`` exactly when that route declines or ``rank(b) < k``.  Both give ``left = x @ W_k`` with
+    ``a`` from one ``eigh`` of its ``d x d`` Gram matrix when ``a`` is tall,
+    ``k < d`` and the rounding bound certifies it, else from one ``svd(a)``;
+    the Gram route keeps the Gram root, a non-triangular R factor.
+    ``approx_from_basis`` takes those of ``b = a @ v`` from one ``eigh`` of
+    its smaller Gram matrix, and calls ``svd`` on ``b`` exactly when that
+    route declines or ``rank(b) < k``.  Both give ``left = x @ W_k`` with
     the largest-|u| sign rule."""
 
     @pytest.mark.parametrize("name", list(TOP_K_INPUTS))
     def test_best_rank_k(self, monkeypatch, name):
         a, k, rank, _, _ = TOP_K_INPUTS[name]
         calls = count_svd_calls(monkeypatch)
+        eighs = count_eigh_calls(monkeypatch)
         f = best_rank_k(a, k)
         n, d = a.shape
-        assert calls == [(min(n, d), d)]
+        # rank 3 < k + 1 trips the certificate, and k = d skips it
+        certified = name in ("tall-dense", "tall-csr")
+        assert eighs == ([(d, d)] if n > d > k else [])
+        assert calls == ([] if certified else [a.shape])
+        assert (f.gram_root is not None) == certified
         check_top_k(a, k, rank, f.left, f.right_basis)
 
     @pytest.mark.parametrize("name", list(TOP_K_INPUTS))
@@ -292,15 +299,16 @@ def conditioned_csr(n, d, kappa, seed, groups=5):
     return sparse.csr_matrix(u @ sigma @ v.T)
 
 
-# name -> (tall matrix, whether the Householder fallback runs: True, False,
-# or None where the condition number is too near the switch to say)
+# name -> (tall matrix, whether best_rank_k(x, 4) takes the certified Gram
+# route): the dense rank-4 input has no tail to certify, while the CSR one
+# has rank 10 of 20
 R_FACTOR_INPUTS = {
     **{
-        f"{kind}-{kappa:g}": (make(300, 25, kappa, seed=60), expected)
+        f"{kind}-{kappa:g}": (make(300, 25, kappa, seed=60), True)
         for kind, make in (("dense", conditioned), ("csr", conditioned_csr))
-        for kappa, expected in ((1e2, False), (1e6, False), (1e8, None), (1e12, True))
+        for kappa in (1e2, 1e6, 1e8, 1e12)
     },
-    "dense-rank-deficient": (rank_r(200, 20, 4, seed=62), True),
+    "dense-rank-deficient": (rank_r(200, 20, 4, seed=62), False),
     "csr-rank-deficient": (
         sparse.csr_matrix(sparse.hstack([random_csr(200, 10, seed=63)] * 2)), True
     ),
@@ -319,26 +327,52 @@ def count_qr_calls(monkeypatch) -> list:
     return calls
 
 
+def rounding_bound(x) -> float:
+    """``e`` of the Gram route's certificate, from its definition: the
+    largest move of any eigenvalue of the formed Gram matrix."""
+    dense = x.toarray() if sparse.issparse(x) else x
+    n, d = x.shape
+    m = np.count_nonzero(dense, axis=0).max()
+    u = np.finfo(float).eps / 2
+    gram = dense.T @ dense
+    return m * u / (1 - m * u) * np.trace(gram) + d * u * np.linalg.eigvalsh(gram)[-1]
+
+
+def tail_norm(sigma, k) -> float:
+    return float(np.sqrt(np.sum(sigma[k:] ** 2)))
+
+
 class TestCholeskyQR2:
-    """``_r_factor`` reduces a tall matrix to its R factor by CholeskyQR2,
-    from the sparse Gram matrix for CSR input, and falls back to
-    Householder QR when the first pass is too far from orthonormal."""
+    """The tall exact reference against the singular values of a Householder
+    QR's R factor (the class keeps the name of the CholeskyQR2 route these
+    tests were written for).  ``best_rank_k`` calls neither QR nor
+    Cholesky: it takes one ``eigh`` of the Gram matrix (a sparse product
+    for CSR input) under its rounding bound, or one ``svd`` of the input."""
 
     @pytest.mark.parametrize("name", list(R_FACTOR_INPUTS))
     def test_matches_householder(self, monkeypatch, name):
-        x, falls_back = R_FACTOR_INPUTS[name]
+        x, certified = R_FACTOR_INPUTS[name]
+        k = 4
         dense = x.toarray() if sparse.issparse(x) else x
         ref = np.linalg.svd(np.linalg.qr(dense, mode="r"), compute_uv=False)
-        # Q1 in row blocks: 40 rows for d = 25 (the last one short), 50 for d = 20
-        monkeypatch.setattr(sketchlab.linalg, "_CHUNK_ENTRIES", 1000)
-        calls = count_qr_calls(monkeypatch)
-        r = sketchlab.lowrank._r_factor(x)
-        assert r.shape == (x.shape[1],) * 2
-        assert np.array_equal(r, np.triu(r))
-        sigma = np.linalg.svd(r, compute_uv=False)
-        assert np.abs(sigma - ref).max() <= 1e-13 * ref[0]
-        if falls_back is not None:
-            assert calls == ([x.shape] if falls_back else [])
+        calls = count_svd_calls(monkeypatch)
+        qrs = count_qr_calls(monkeypatch)
+        f = best_rank_k(x, k)
+        assert qrs == []
+        assert calls == ([] if certified else [x.shape])
+        sigma = f.spectrum
+        # what error_report reads, sigma_{k+1} and the tail, on either route
+        assert np.abs(sigma[: k + 1] - ref[: k + 1]).max() <= 1e-13 * ref[0]
+        assert abs(tail_norm(sigma, k) - tail_norm(ref, k)) <= 1e-13 * ref[0]
+        if not certified:
+            assert f.gram_root is None
+            assert np.abs(sigma - ref).max() <= 1e-13 * ref[0]
+            return
+        # below sqrt(e) the Gram route does not resolve the spectrum: every
+        # squared singular value is only within e of the truth
+        assert np.abs(sigma**2 - ref**2).max() <= rounding_bound(x)
+        root = f.gram_root
+        assert np.abs(root.T @ root - dense.T @ dense).max() <= 1e-13 * ref[0] ** 2
 
     @pytest.mark.parametrize("kind", ["dense", "csr"])
     def test_well_conditioned_takes_no_householder(self, monkeypatch, kind):
@@ -352,18 +386,21 @@ class TestCholeskyQR2:
         check_top_k(x, k, x.shape[1], f.left, f.right_basis)
 
     def test_csr_never_densified(self, monkeypatch):
-        # the only densifying call on the R-factor route is the fallback's
+        # densifying goes through as_dense, in lowrank or inside linalg.svd
         calls = []
-        real = sketchlab.lowrank.as_dense
+        for module in (sketchlab.lowrank, sketchlab.linalg):
+            real = module.as_dense
 
-        def recorded(a):
-            calls.append(a.shape)
-            return real(a)
+            def recorded(a, real=real):
+                calls.append(a.shape)
+                return real(a)
 
-        monkeypatch.setattr(sketchlab.lowrank, "as_dense", recorded)
+            monkeypatch.setattr(module, "as_dense", recorded)
+        svds = count_svd_calls(monkeypatch)
         x = R_FACTOR_INPUTS["csr-100"][0]
-        best_rank_k(x, 4)
-        assert calls == []
+        f = best_rank_k(x, 4)
+        assert f.gram_root is not None
+        assert calls == [] and svds == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_csr_rejected(self, bad):
@@ -377,8 +414,8 @@ class TestCholeskyQR2:
             approx_from_basis(x, v, 2)
 
     def test_no_scipy_linalg(self, monkeypatch):
-        # numpy and scipy each load their own OpenBLAS; the R-factor route
-        # and its fallback stay on numpy's
+        # numpy and scipy each load their own OpenBLAS; both routes of the
+        # exact reference stay on numpy's
         import scipy.linalg
 
         def refuse(*args, **kwargs):
@@ -387,11 +424,50 @@ class TestCholeskyQR2:
         for name in scipy.linalg.__all__:
             if callable(getattr(scipy.linalg, name)):
                 monkeypatch.setattr(scipy.linalg, name, refuse)
-        for name in ("dense-1e+12", "csr-100", "csr-rank-deficient", "dense-100"):
+        for name in ("dense-1e+12", "csr-100", "dense-rank-deficient", "dense-100"):
             x = R_FACTOR_INPUTS[name][0]
-            best_rank_k(x, 3)
+            best_rank_k(x, 4)
             v, _ = thin_qr(random_dense(x.shape[1], 8, seed=67))
             approx_from_basis(x, v, 3)
+
+
+def tiny_tail(n, d, k, seed, scale=1e-6):
+    """Dense ``n x d`` with k singular values from 1 to 0.5 and a tail from
+    ``scale`` to ``scale / 2``: a squared tail far below the rounding of
+    the Gram matrix, which the certificate cannot resolve."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    s = np.concatenate([np.linspace(1.0, 0.5, k), scale * np.linspace(1.0, 0.5, d - k)])
+    return (u * s) @ v.T
+
+
+class TestGramCertificate:
+    """A tall ``best_rank_k`` that the rounding bound does not certify takes
+    one ``svd(a)``: its spectrum is the SVD's, and there is no Gram root
+    (``k = d`` skips the bound: ``TestRFactorRoute``'s kappa inputs)."""
+
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    def test_tiny_tail_takes_svd(self, monkeypatch, fmt):
+        a = tiny_tail(200, 20, 4, seed=90)
+        x = sparse.csr_matrix(a) if fmt == "csr" else a
+        calls = count_svd_calls(monkeypatch)
+        eighs = count_eigh_calls(monkeypatch)
+        f = best_rank_k(x, 4)
+        assert eighs == [(20, 20)] and calls == [a.shape]
+        assert f.gram_root is None
+        s = np.linalg.svd(a, compute_uv=False)
+        assert np.abs(f.spectrum - s).max() <= 1e-13 * s[0]
+        check_top_k(a, 4, 20, f.left, f.right_basis)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_dense_rejected_before_eigh(self, monkeypatch, bad):
+        a = random_dense(60, 8, seed=92)
+        a[3, 2] = bad
+        eighs = count_eigh_calls(monkeypatch)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            best_rank_k(a, 2)
+        assert eighs == []
 
 
 class TestGramKernel:
@@ -639,31 +715,33 @@ def denominators(exact: LowRankFactors) -> tuple[float, float]:
     return float(np.sqrt(np.sum(tail**2))), float(tail[0])
 
 
-# name -> (tall matrix, k, sketch width, whether best_rank_k's R factor
-# comes from the Householder fallback)
+# name -> (tall matrix, k, sketch width): best_rank_k certifies all four,
+# the ill-conditioned and the rank-deficient one included
 R_ROUTE_INPUTS = {
-    "dense": (random_dense(200, 30, seed=70), 5, 10, False),
-    "csr": (random_csr(300, 40, seed=71), 5, 10, False),
-    "kappa-1e12": (R_FACTOR_INPUTS["dense-1e+12"][0], 3, 8, True),
-    "rank-deficient": (rank_r(200, 20, 4, seed=72), 2, 6, True),
+    "dense": (random_dense(200, 30, seed=70), 5, 10),
+    "csr": (random_csr(300, 40, seed=71), 5, 10),
+    "kappa-1e12": (R_FACTOR_INPUTS["dense-1e+12"][0], 3, 8),
+    "rank-deficient": (rank_r(200, 20, 4, seed=72), 2, 6),
 }
 
 
 class TestRFactorNumerators:
-    """With a tall reference that keeps its R factor and an approximation
-    in projection form, ``error_report`` takes both numerators on
-    ``R - (R Z) Z^T``; every other case keeps the residual on ``a``."""
+    """With a tall reference that keeps its Gram root ``S`` (``S^T S = a^T
+    a``, an R factor of ``a`` that is not triangular) and an approximation
+    in projection form, ``error_report`` takes both numerators on ``S - (S
+    Z) Z^T``; every other case keeps the residual on ``a``."""
 
     @pytest.mark.parametrize("name", list(R_ROUTE_INPUTS))
     def test_numerators_match_explicit_residual(self, monkeypatch, name):
-        a, k, ell, falls_back = R_ROUTE_INPUTS[name]
+        a, k, ell = R_ROUTE_INPUTS[name]
         d = a.shape[1]
         qr_calls = count_qr_calls(monkeypatch)
+        svd_calls = count_svd_calls(monkeypatch)
         exact = best_rank_k(a, k)
-        assert qr_calls == ([a.shape] if falls_back else [])
-        assert exact.r_factor.shape == (d, d) and exact.projection
+        assert qr_calls == [] and svd_calls == []
+        assert exact.gram_root.shape == (d, d) and exact.projection
         approx = approx_from_basis(a, fd_sketch(a, ell).basis, k)
-        assert approx.projection and approx.r_factor is None
+        assert approx.projection and approx.gram_root is None
         shapes = residual_first_args(monkeypatch)
         rep = error_report(a, approx, exact, 0.0)
         assert shapes and set(shapes) == {(d, d)}
@@ -676,16 +754,21 @@ class TestRFactorNumerators:
         assert abs(rep.spec_ratio - spec_ref) <= 1e-12 * spec_ref
         assert rep.spec_matvecs == len(shapes)
 
-    @pytest.mark.parametrize("name", ["square", "wide", "tall-unmarked"])
+    @pytest.mark.parametrize(
+        "name", ["square", "wide", "tall-unmarked", "tall-uncertified"])
     def test_other_cases_run_on_a(self, monkeypatch, name):
-        a, k, _, ell, _ = TOP_K_INPUTS["tall-dense" if name == "tall-unmarked" else name]
+        if name == "tall-uncertified":
+            a, k, ell = tiny_tail(200, 20, 4, seed=93), 4, 8
+        else:
+            a, k, _, ell, _ = TOP_K_INPUTS[
+                "tall-dense" if name == "tall-unmarked" else name]
         exact = best_rank_k(a, k)
         approx = approx_from_basis(a, fd_sketch(a, ell).basis, k)
         if name == "tall-unmarked":
-            assert exact.r_factor is not None
+            assert exact.gram_root is not None
             approx = LowRankFactors(left=approx.left, right_basis=approx.right_basis, k=k)
         else:
-            assert exact.r_factor is None
+            assert exact.gram_root is None
         shapes = residual_first_args(monkeypatch)
         rep = error_report(a, approx, exact, 0.0)
         assert shapes and set(shapes) == {a.shape}
@@ -699,11 +782,11 @@ class TestRFactorNumerators:
     def test_mismatched_r_factor_rejected(self):
         a = random_dense(40, 10, seed=73)
         exact = best_rank_k(a, 3)
-        bad = dataclasses.replace(exact, r_factor=exact.r_factor[:-1, :-1])
-        with pytest.raises(ValueError, match="R factor"):
+        bad = dataclasses.replace(exact, gram_root=exact.gram_root[:-1, :-1])
+        with pytest.raises(ValueError, match="Gram root"):
             error_report(a, exact, bad, 0.0)
         unmarked = LowRankFactors(left=exact.left, right_basis=exact.right_basis, k=3)
-        with pytest.raises(ValueError, match="R factor"):
+        with pytest.raises(ValueError, match="Gram root"):
             error_report(a, unmarked, bad, 0.0)
 
 

@@ -351,3 +351,8 @@ class TestOverlapAndParsing:
         res = expm_scores_exact(random_digraph(12, seed=19), top_k=5)
         with pytest.raises(ValueError):
             ranking_overlap(res, res, 6)
+
+    def test_negative_k_rejected(self):
+        adj = random_digraph(30, seed=1)
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            ranking_overlap(hits(adj), expm_scores_exact(adj), -1)

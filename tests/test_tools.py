@@ -84,3 +84,34 @@ def test_ops_compared_per_pair(tmp_path):
     assert exact["change"]["median"] == 0.7 and exact["parent"]["median"] == 0.9
     assert entry["metrics"]["pass_s"]["change_wins"] == 4
     assert "crit7_ratio" not in entry
+
+
+def test_pair_ratio_and_resolution():
+    # ratios 0.7 .. 1.3 spread wider than a 0.25 bound; 1.0 .. 1.045 do not
+    wide = bench_pair.compare([1.0] * 10, [0.7, 0.8, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.2, 1.3],
+                              "lower", bound=0.25)
+    assert wide["pair_ratio"]["median"] == 1.0
+    assert wide["pair_ratio"]["p10"] < 0.9 and wide["pair_ratio"]["p90"] > 1.1
+    assert wide["resolved"] is False
+    narrow = bench_pair.compare([2.0] * 10, [2.0 + i / 100 for i in range(10)],
+                                "lower", bound=0.25)
+    assert narrow["resolved"] is True
+    assert 1.0 < narrow["pair_ratio"]["median"] < 1.05
+    # a zero parent leaves the ratio undefined, and no bound means no verdict
+    zero = bench_pair.compare([0.0] * 4, [0.0] * 4, "lower", bound=0.01)
+    assert zero["pair_ratio"] is None and zero["resolved"] is False
+    assert "resolved" not in bench_pair.compare([1.0] * 4, [1.0] * 4, "lower")
+
+
+def test_end_to_end_bounds_from_benchmark_spec(tmp_path):
+    runs = []
+    for seed in range(1, 11):
+        runs.append(fake_run(tmp_path / "parent", "parent", seed, 1.0, 0.9))
+        runs.append(fake_run(tmp_path / "change", "change", seed,
+                             0.7 if seed % 2 else 1.3, 0.9))
+    spec = json.loads((TOOLS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    entry = bench_pair.compare_runs(runs, {"pass_s": "lower"}, bounds)
+    assert entry["metrics"]["pass_s"]["resolved"] is False
+    assert "resolved" not in entry["ops"]["rank_s.expm_exact"]
+    assert entry["ops"]["rank_s.expm_exact"]["pair_ratio"]["median"] == 1.0

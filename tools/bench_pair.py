@@ -13,9 +13,13 @@ alternating from seed to seed.  After the pairs, one ``--trace 1`` run
 per side at the first seed gives the per-layer metrics of ``TRACED``.  The
 output file holds, per workload, for each end-to-end metric and (under
 ``ops``) for each operation's median time in a run, such as
-``rank_s.expm_exact``, each side's median and quartiles and the pairs each
-side won; every run's values and its hypervisor steal time (``steal_s``,
-``None`` where unreadable),
+``rank_s.expm_exact``, each side's median and quartiles, the pairs each
+side won and ``pair_ratio``, the median and the 10th and 90th percentiles
+of the per-pair change/parent ratio.  An end-to-end metric is also marked
+``resolved``: false when that ratio's p90 - p10 exceeds the metric's
+``bound`` in ``BENCHMARK.json``, so that its pairs cannot tell a change
+within the bound from noise.  The file also holds every run's values and
+its hypervisor steal time (``steal_s``, ``None`` where unreadable),
 ``crit7_ratio`` from the ``dense-fd`` run records, each side's traced
 metrics, the tier-1 wall time, exit and summary of each side (run as CI
 runs it, with warnings as errors), its ``src_lines`` (per
@@ -39,6 +43,7 @@ import tempfile
 import time
 import tokenize
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -161,8 +166,11 @@ def quartiles(values: list) -> dict:
     return {"median": float(med), "q1": float(q1), "q3": float(q3)}
 
 
-def compare(parent: list, change: list, better: str) -> dict:
-    """Medians, quartiles and pair wins of one metric on one workload."""
+def compare(parent: list, change: list, better: str, bound=None) -> dict:
+    """Medians, quartiles, pair wins and per-pair ratios of one metric on
+    one workload; with a ``bound``, whether the ratios' 10th to 90th
+    percentile spread is within it.  A parent value of 0 leaves the ratios
+    undefined (``None``), and such a metric unresolved."""
     sign = 1.0 if better == "lower" else -1.0
     change_wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     parent_wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
@@ -173,20 +181,29 @@ def compare(parent: list, change: list, better: str) -> dict:
     out["change_over_parent"] = (out["change"]["median"] / out["parent"]["median"]
                                  if out["parent"]["median"] else None)
     out["gain"] = change_wins >= GAIN_SHARE * len(parent) and gap > iqr
+    out["pair_ratio"] = None
+    if all(parent):
+        p10, med, p90 = np.percentile([c / p for p, c in zip(parent, change)],
+                                      [10, 50, 90])
+        out["pair_ratio"] = {"median": float(med), "p10": float(p10), "p90": float(p90)}
+    if bound is not None:
+        ratio = out["pair_ratio"]
+        out["resolved"] = ratio is not None and ratio["p90"] - ratio["p10"] <= bound
     return out
 
 
-def compare_runs(runs: list, better: dict) -> dict:
+def compare_runs(runs: list, better: dict, bounds: Optional[dict] = None) -> dict:
     """Per-pair comparisons of one workload's runs: every end-to-end metric
-    under ``metrics`` and every operation time both sides recorded in all
-    their runs under ``ops`` (lower is better)."""
+    under ``metrics``, checked against its entry in ``bounds``, and every
+    operation time both sides recorded in all their runs under ``ops``
+    (lower is better)."""
     by_side = {s: [r for r in runs if r["side"] == s] for s in ("parent", "change")}
     entry = {"runs": runs, "metrics": {}, "ops": {}}
     for name in runs[0]["metrics"]:
         entry["metrics"][name] = compare(
             [r["metrics"][name] for r in by_side["parent"]],
             [r["metrics"][name] for r in by_side["change"]],
-            better.get(name, "lower"))
+            better.get(name, "lower"), (bounds or {}).get(name))
     for name in sorted(set.intersection(*(set(r["ops"]) for r in runs))):
         entry["ops"][name] = compare([r["ops"][name] for r in by_side["parent"]],
                                      [r["ops"][name] for r in by_side["change"]], "lower")
@@ -207,6 +224,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seeds = list(range(args.first_seed, args.first_seed + PAIRS))
     parent_rev = git("rev-parse", args.parent)
     out = {
@@ -234,7 +252,7 @@ def main(argv=None) -> int:
                     runs.append(run)
                     print(f"{workload} seed {seed} {side}: pass_s "
                           f"{run['metrics'].get('pass_s', float('nan')):.4g}", flush=True)
-            entry = compare_runs(runs, better)
+            entry = compare_runs(runs, better, bounds)
             entry["traced"] = {"seed": seeds[0], "note": TRACED_NOTE}
             for side, root in roots.items():
                 metrics = run_perfbench(root, workload, seeds[0], seconds, trace=1)["metrics"]
@@ -247,7 +265,7 @@ def main(argv=None) -> int:
         for name, m in entry["metrics"].items():
             print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
                   f"change {m['change']['median']:.6g}  wins {m['change_wins']}/"
-                  f"{m['pairs']}  gain {m['gain']}")
+                  f"{m['pairs']}  gain {m['gain']}  resolved {m.get('resolved')}")
     return 0
 
 
