@@ -63,10 +63,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Above this many matrix cells the exact reference SVD is skipped and only
+# Above this many matrix cells the exact reference is skipped and only
 # timings are reported.  A tall matrix counts all n*d cells, although its
-# CholeskyQR2 R factor holds d*d: the Householder fallback (rank deficiency,
-# cond beyond about 1e7) densifies it.
+# Gram matrix holds d*d: when the Gram route's rounding bound fails (a tail
+# too small to resolve, such as rank at most k), `svd` densifies it.
 EXACT_REFERENCE_CELL_CAP = 5 * 10**7
 
 MEDIAN_NOTE = (
