@@ -65,8 +65,9 @@ log = logging.getLogger(__name__)
 
 # Above this many matrix cells the exact reference is skipped and only
 # timings are reported.  A tall matrix counts all n*d cells, although its
-# Gram matrix holds d*d: when the Gram route's rounding bound fails (a tail
-# too small to resolve, such as rank at most k), `svd` densifies it.
+# Gram matrix holds d*d: when the Gram route's rounding bound fails (a
+# singular value or tail too small to resolve, such as any rank below d),
+# `svd` densifies it.
 EXACT_REFERENCE_CELL_CAP = 5 * 10**7
 
 MEDIAN_NOTE = (

@@ -50,9 +50,10 @@ __all__ = [
 
 _ORTHO_TOL = 1e-8
 _LANCZOS_TOL = 1e-12
-# The Gram route of `best_rank_k` is taken when its rounding bound is at most
-# this share of sigma_{k+1}^2 and of the tail's squared mean: a relative
-# error of half of it, 1e-9, on each norm `error_report` reads.
+# The Gram route of `best_rank_k` is taken when its rounding bounds are at
+# most this share of sigma_d^2 and of the squared tail: a relative error of
+# about half of it, 1e-9, on every singular value and each norm
+# `error_report` reads.
 _GRAM_CERT = 2e-9
 
 
@@ -63,8 +64,9 @@ class LowRankFactors:
     ``left`` is ``n x k`` (the scaled column factor), ``right_basis`` is
     ``d x k`` with orthonormal columns.  ``spectrum`` holds all
     ``min(n, d)`` singular values of the approximated matrix, descending,
-    when they are known: `best_rank_k` keeps them, and `error_report`
-    requires them of its exact reference.  ``gram_root`` is the ``d x d``
+    when they are known: `best_rank_k` keeps them (each to about 1e-9
+    relative on its Gram route, as its SVD gives them otherwise), and
+    `error_report` requires them of its exact reference.  ``gram_root`` is the ``d x d``
     matrix ``S = diag(sigma) W^T`` of a tall approximated matrix ``a =
     U S``, with ``S^T S = a^T a`` and ``W`` the right singular vectors,
     which `best_rank_k` keeps when its Gram route is certified (``None``
@@ -116,38 +118,54 @@ class ErrorReport:
 def _certified_gram(a: Matrix, k: int):
     """``(sigma, w)``: all ``d`` singular values of a tall ``a``, descending,
     and its right singular vectors as the columns of ``w``, from one
-    ``eigh`` of the Gram matrix ``a^T a`` (a sparse product for CSR ``a``),
-    or ``None`` when the rounding bound below does not certify them.
+    ``eigh`` of the Gram matrix ``a^T a``, or ``None`` when the rounding
+    bound below does not certify them.  The Gram matrix is summed in turn
+    over the Gram matrices of `_row_chunks` blocks of ``a`` (sparse
+    products for CSR ``a``).
 
-    The bound is worst-case and deterministic.  With ``u = eps / 2`` and
-    ``m`` the largest count of stored entries in a column (``n`` when
-    dense), the formed Gram satisfies ``|fl(G) - G| <= gamma_m |a|^T |a|``
-    entrywise, ``gamma_m = m u / (1 - m u)`` (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2002, section 3.5).  So
-    ``|x^T (fl(G) - G) x| <= gamma_m ||a||_F^2`` for every unit ``x``, and
-    the trace moves by at most as much.  Adding ``eigh``'s backward error,
-    ``e = gamma_m trace(G) + d u lambda_1`` bounds the move of
-    ``sigma_{k+1}^2`` and of any squared spectral norm ``||a P||_2^2``,
-    and ``(k + 1) e`` that of the squared tail and of any squared
-    Frobenius norm ``||a P||_F^2`` for ``P = I - Z Z^T`` with ``k``
-    columns in ``Z``.  The route is certified for ``k < d`` when ``e`` is
-    at most ``_GRAM_CERT`` times both ``sigma_{k+1}^2`` and
-    ``sum_{i>k} sigma_i^2 / (k + 1)``: a relative error of at most 1e-9
-    on each norm `error_report` reads.  Non-finite entries raise
-    ``ValueError``.
+    The bound is deterministic.  With ``u = eps / 2`` and ``m`` the most
+    rounded terms behind an entry of the formed Gram (the rows of a block,
+    or the most stored entries of a CSR column if fewer, plus one per
+    further block), ``|fl(G) - G| <= gamma_m |a|^T |a|`` entrywise,
+    ``gamma_m = m u / (1 - m u)`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, sections 3.1 and 3.5).  So ``|x^T (fl(G)
+    - G) x| <= e = gamma_m ||a||_F^2`` for every unit ``x``, and the trace
+    moves by at most ``e``, with ``||a||_F^2 <= trace(fl(G)) / (1 -
+    gamma_m)``.  This part is worst-case.  ``eigh``'s backward error,
+    which LAPACK bounds by ``p(d) u ||G||_2`` for a modest ``p`` it leaves
+    unspecified, is taken as ``delta = d u lambda_1``.  Every
+    ``sigma_i^2``, and any squared spectral norm ``||a P||_2^2``, then
+    moves by at most ``e + delta`` (Weyl); the squared tail ``sum_{i>k}
+    sigma_i^2``, and any squared Frobenius norm ``||a P||_F^2`` with ``P =
+    I - Z Z^T`` for ``k`` orthonormal columns ``Z``, by at most ``(k + 1)
+    e + (d - k) delta``: the trace less the top ``k`` for the formed
+    Gram's error, one Weyl shift per kept term for ``eigh``'s.  The route
+    is certified for ``k < d`` when the first bound is at most
+    ``_GRAM_CERT`` times ``sigma_d^2`` and the second at most that share
+    of the squared tail: about 1e-9 relative on every singular value, the
+    tail and each norm `error_report` reads.  A rank-deficient ``a`` is
+    never certified.  Non-finite entries raise ``ValueError``.
     """
-    n, d = a.shape
     if sparse.issparse(a):
         check_finite(a)
-        gram, m = (a.T @ a).toarray(), a.getnnz(axis=0).max()
     else:
         a = as_dense(a)
-        gram, m = a.T @ a, n
+    d = a.shape[1]
+    gram, rows, blocks = np.zeros((d, d)), 0, 0
+    for chunk in _row_chunks(a):
+        block = a[chunk]
+        g = block.T @ block
+        gram += g.toarray() if sparse.issparse(g) else g
+        rows, blocks = max(rows, block.shape[0]), blocks + 1
+    if sparse.issparse(a):
+        rows = min(rows, a.getnnz(axis=0).max())
     lam, w = np.linalg.eigh(gram)
-    sq, w = np.maximum(lam[::-1], 0.0), w[:, ::-1]
-    u = np.finfo(float).eps / 2
-    e = m * u / (1 - m * u) * np.trace(gram) + d * u * sq[0]
-    if e <= _GRAM_CERT * min(sq[k], np.sum(sq[k:]) / (k + 1)):
+    sq, w = lam[::-1], w[:, ::-1]
+    m, u = rows + blocks - 1, np.finfo(float).eps / 2
+    # gamma_m / (1 - gamma_m) = m u / (1 - 2 m u)
+    e, delta = m * u / (1 - 2 * m * u) * np.trace(gram), d * u * sq[0]
+    if (e + delta <= _GRAM_CERT * sq[-1]
+            and (k + 1) * e + (d - k) * delta <= _GRAM_CERT * np.sum(sq[k:])):
         return np.sqrt(sq), w
     return None
 
@@ -159,12 +177,12 @@ def best_rank_k(a: Matrix, k: int) -> LowRankFactors:
     ``left = a @ W_k``, with the sign rule of ``linalg.svd``: the
     largest-magnitude entry of every ``left`` column is positive.  A tall
     ``a`` first tries `_certified_gram`, one ``eigh`` of its ``d x d``
-    Gram matrix under a worst-case rounding bound, and forms only the k
-    left factors, never the ``n``-row singular vectors; ``gram_root``
-    then keeps ``diag(sigma) W^T``.  Square and wide input, and tall input
-    the bound does not certify (a tail too small against the Gram's
-    rounding, rank at most k, or ``k = d``), take one ``svd(a)`` of the
-    densified ``a``.  ``spectrum`` keeps all ``min(n, d)`` singular
+    Gram matrix under a rounding bound, and forms only the k left factors,
+    never the ``n``-row singular vectors; ``gram_root`` then keeps
+    ``diag(sigma) W^T``.  Square and wide input, and tall input the bound
+    does not certify (a smallest singular value or a tail too small
+    against the Gram's rounding, rank below d, or ``k = d``), take one
+    ``svd(a)`` of the densified ``a``.  ``spectrum`` keeps all ``min(n, d)`` singular
     values.  Non-finite entries raise ``ValueError``.
     """
     n, d = a.shape

@@ -300,17 +300,17 @@ def conditioned_csr(n, d, kappa, seed, groups=5):
 
 
 # name -> (tall matrix, whether best_rank_k(x, 4) takes the certified Gram
-# route): the dense rank-4 input has no tail to certify, while the CSR one
-# has rank 10 of 20
+# route): the certificate must resolve every singular value, so
+# kappa = 1e2 does, kappa >= 1e6 does not, and neither does rank below d
 R_FACTOR_INPUTS = {
     **{
-        f"{kind}-{kappa:g}": (make(300, 25, kappa, seed=60), True)
+        f"{kind}-{kappa:g}": (make(300, 25, kappa, seed=60), kappa == 1e2)
         for kind, make in (("dense", conditioned), ("csr", conditioned_csr))
         for kappa in (1e2, 1e6, 1e8, 1e12)
     },
     "dense-rank-deficient": (rank_r(200, 20, 4, seed=62), False),
     "csr-rank-deficient": (
-        sparse.csr_matrix(sparse.hstack([random_csr(200, 10, seed=63)] * 2)), True
+        sparse.csr_matrix(sparse.hstack([random_csr(200, 10, seed=63)] * 2)), False
     ),
 }
 
@@ -327,52 +327,31 @@ def count_qr_calls(monkeypatch) -> list:
     return calls
 
 
-def rounding_bound(x) -> float:
-    """``e`` of the Gram route's certificate, from its definition: the
-    largest move of any eigenvalue of the formed Gram matrix."""
-    dense = x.toarray() if sparse.issparse(x) else x
-    n, d = x.shape
-    m = np.count_nonzero(dense, axis=0).max()
-    u = np.finfo(float).eps / 2
-    gram = dense.T @ dense
-    return m * u / (1 - m * u) * np.trace(gram) + d * u * np.linalg.eigvalsh(gram)[-1]
-
-
-def tail_norm(sigma, k) -> float:
-    return float(np.sqrt(np.sum(sigma[k:] ** 2)))
-
-
 class TestCholeskyQR2:
     """The tall exact reference against the singular values of a Householder
     QR's R factor (the class keeps the name of the CholeskyQR2 route these
     tests were written for).  ``best_rank_k`` calls neither QR nor
     Cholesky: it takes one ``eigh`` of the Gram matrix (a sparse product
-    for CSR input) under its rounding bound, or one ``svd`` of the input."""
+    for CSR input, summed over row blocks) under its rounding bound, or
+    one ``svd`` of the input."""
 
     @pytest.mark.parametrize("name", list(R_FACTOR_INPUTS))
     def test_matches_householder(self, monkeypatch, name):
         x, certified = R_FACTOR_INPUTS[name]
-        k = 4
         dense = x.toarray() if sparse.issparse(x) else x
         ref = np.linalg.svd(np.linalg.qr(dense, mode="r"), compute_uv=False)
+        # the Gram in row blocks: 40 rows for d = 25 (the last one short), 50 for d = 20
+        monkeypatch.setattr(sketchlab.linalg, "_CHUNK_ENTRIES", 1000)
         calls = count_svd_calls(monkeypatch)
         qrs = count_qr_calls(monkeypatch)
-        f = best_rank_k(x, k)
+        f = best_rank_k(x, 4)
         assert qrs == []
         assert calls == ([] if certified else [x.shape])
-        sigma = f.spectrum
-        # what error_report reads, sigma_{k+1} and the tail, on either route
-        assert np.abs(sigma[: k + 1] - ref[: k + 1]).max() <= 1e-13 * ref[0]
-        assert abs(tail_norm(sigma, k) - tail_norm(ref, k)) <= 1e-13 * ref[0]
-        if not certified:
-            assert f.gram_root is None
-            assert np.abs(sigma - ref).max() <= 1e-13 * ref[0]
-            return
-        # below sqrt(e) the Gram route does not resolve the spectrum: every
-        # squared singular value is only within e of the truth
-        assert np.abs(sigma**2 - ref**2).max() <= rounding_bound(x)
-        root = f.gram_root
-        assert np.abs(root.T @ root - dense.T @ dense).max() <= 1e-13 * ref[0] ** 2
+        assert (f.gram_root is not None) == certified
+        assert np.abs(f.spectrum - ref).max() <= 1e-13 * ref[0]
+        if certified:
+            root = f.gram_root
+            assert np.abs(root.T @ root - dense.T @ dense).max() <= 1e-13 * ref[0] ** 2
 
     @pytest.mark.parametrize("kind", ["dense", "csr"])
     def test_well_conditioned_takes_no_householder(self, monkeypatch, kind):
@@ -445,7 +424,9 @@ def tiny_tail(n, d, k, seed, scale=1e-6):
 class TestGramCertificate:
     """A tall ``best_rank_k`` that the rounding bound does not certify takes
     one ``svd(a)``: its spectrum is the SVD's, and there is no Gram root
-    (``k = d`` skips the bound: ``TestRFactorRoute``'s kappa inputs)."""
+    (``k = d`` skips the bound: ``TestRFactorRoute``'s kappa inputs).  The
+    Gram matrix is summed over row blocks, so the bound grows with the rows
+    of a block and the count of blocks, not with ``n``."""
 
     @pytest.mark.parametrize("fmt", ["dense", "csr"])
     def test_tiny_tail_takes_svd(self, monkeypatch, fmt):
@@ -459,6 +440,26 @@ class TestGramCertificate:
         s = np.linalg.svd(a, compute_uv=False)
         assert np.abs(f.spectrum - s).max() <= 1e-13 * s[0]
         check_top_k(a, 4, 20, f.left, f.right_basis)
+
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    def test_tall_input_stays_certified(self, monkeypatch, fmt):
+        # 20000 rows, singular values 1 to 0.03: a bound that grew with n
+        # would decline; 1000-entry blocks of 100 rows, 200 of them, give
+        # m = 299 and certify with room to spare
+        rng = np.random.default_rng(95)
+        u, _ = np.linalg.qr(rng.standard_normal((20000, 10)))
+        v, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        s = np.linspace(1.0, 0.03, 10)
+        a = (u * s) @ v.T
+        eps = np.finfo(float).eps / 2
+        unblocked = 20000 * eps / (1 - 20000 * eps) * np.sum(s**2)
+        assert unblocked > 2e-9 * s[-1] ** 2
+        monkeypatch.setattr(sketchlab.linalg, "_CHUNK_ENTRIES", 1000)
+        calls = count_svd_calls(monkeypatch)
+        f = best_rank_k(sparse.csr_matrix(a) if fmt == "csr" else a, 2)
+        assert calls == [] and f.gram_root is not None
+        assert np.abs(f.spectrum - s).max() <= 1e-13
+        check_top_k(a, 2, 10, f.left, f.right_basis)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_dense_rejected_before_eigh(self, monkeypatch, bad):
@@ -715,13 +716,13 @@ def denominators(exact: LowRankFactors) -> tuple[float, float]:
     return float(np.sqrt(np.sum(tail**2))), float(tail[0])
 
 
-# name -> (tall matrix, k, sketch width): best_rank_k certifies all four,
-# the ill-conditioned and the rank-deficient one included
+# name -> (tall matrix, k, sketch width, whether best_rank_k certifies its
+# Gram route): the ill-conditioned and the rank-deficient input take svd(a)
 R_ROUTE_INPUTS = {
-    "dense": (random_dense(200, 30, seed=70), 5, 10),
-    "csr": (random_csr(300, 40, seed=71), 5, 10),
-    "kappa-1e12": (R_FACTOR_INPUTS["dense-1e+12"][0], 3, 8),
-    "rank-deficient": (rank_r(200, 20, 4, seed=72), 2, 6),
+    "dense": (random_dense(200, 30, seed=70), 5, 10, True),
+    "csr": (random_csr(300, 40, seed=71), 5, 10, True),
+    "kappa-1e12": (R_FACTOR_INPUTS["dense-1e+12"][0], 3, 8, False),
+    "rank-deficient": (rank_r(200, 20, 4, seed=72), 2, 6, False),
 }
 
 
@@ -733,18 +734,22 @@ class TestRFactorNumerators:
 
     @pytest.mark.parametrize("name", list(R_ROUTE_INPUTS))
     def test_numerators_match_explicit_residual(self, monkeypatch, name):
-        a, k, ell = R_ROUTE_INPUTS[name]
+        a, k, ell, certified = R_ROUTE_INPUTS[name]
         d = a.shape[1]
         qr_calls = count_qr_calls(monkeypatch)
         svd_calls = count_svd_calls(monkeypatch)
         exact = best_rank_k(a, k)
-        assert qr_calls == [] and svd_calls == []
-        assert exact.gram_root.shape == (d, d) and exact.projection
+        assert qr_calls == [] and svd_calls == ([] if certified else [a.shape])
+        assert exact.projection
+        if certified:
+            assert exact.gram_root.shape == (d, d)
+        else:
+            assert exact.gram_root is None
         approx = approx_from_basis(a, fd_sketch(a, ell).basis, k)
         assert approx.projection and approx.gram_root is None
         shapes = residual_first_args(monkeypatch)
         rep = error_report(a, approx, exact, 0.0)
-        assert shapes and set(shapes) == {(d, d)}
+        assert shapes and set(shapes) == {(d, d) if certified else a.shape}
         dense = a.toarray() if sparse.issparse(a) else a
         resid = dense - materialise(approx)
         fro_den, spec_den = denominators(exact)
