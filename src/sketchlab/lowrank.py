@@ -144,7 +144,9 @@ def _certified_gram(a: Matrix, k: int):
     ``_GRAM_CERT`` times ``sigma_d^2`` and the second at most that share
     of the squared tail: about 1e-9 relative on every singular value, the
     tail and each norm `error_report` reads.  A rank-deficient ``a`` is
-    never certified.  Non-finite entries raise ``ValueError``.
+    never certified, except the all-zero ``a``: its Gram is exactly 0, so
+    both bounds are 0 and hold, and every singular value is certified as
+    0.  Non-finite entries raise ``ValueError``.
     """
     if sparse.issparse(a):
         check_finite(a)
@@ -181,7 +183,8 @@ def best_rank_k(a: Matrix, k: int) -> LowRankFactors:
     never the ``n``-row singular vectors; ``gram_root`` then keeps
     ``diag(sigma) W^T``.  Square and wide input, and tall input the bound
     does not certify (a smallest singular value or a tail too small
-    against the Gram's rounding, rank below d, or ``k = d``), take one
+    against the Gram's rounding, rank below d other than the all-zero
+    ``a``, or ``k = d``), take one
     ``svd(a)`` of the densified ``a``.  ``spectrum`` keeps all ``min(n, d)`` singular
     values.  Non-finite entries raise ``ValueError``.
     """

@@ -288,6 +288,12 @@ def expm_scores_sketched(
     basis.  Scores use only the retained singular triplets, i.e. the
     rank-(n-ell) tail of the exponential is truncated away, which preserves
     rankings when the retained spectrum dominates.
+
+    Twin rows get bit-equal hub scores, since row ``i`` of ``A V`` depends
+    only on row ``i`` of ``A``.  The basis rows of twin columns can differ,
+    so each group of twin columns (`_twins`, as the exact route forms them)
+    takes the authority score of its lowest-id member, and the top lists
+    order twins by ascending node id.
     """
     if k < 1 or p < 0:
         raise ValueError(f"need k >= 1 and p >= 0, got k={k}, p={p}")
@@ -302,6 +308,8 @@ def expm_scores_sketched(
         basis = _sketch_basis(adj, method, ell, rng)
     approx = approx_svd(adj, basis)
     hub, auth = _cosh_scores(approx.u, approx.vt.T, approx.sigma)
+    first, group, _ = _twins(adj.T.tocsr())
+    auth[group >= 0] = auth[first[group[group >= 0]]]
     return _result(hub, auth, method, time.perf_counter() - t0, k)
 
 

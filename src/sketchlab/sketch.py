@@ -23,7 +23,9 @@ The sketchers:
     block sparse embedding feeding frequent directions: the shuffled input
     rows are compressed in ``q`` blocks by independent sparse embeddings,
     and the resulting ``q*ell`` rows are run through the
-    frequent-directions loop (q-1 shrink iterations).
+    frequent-directions loop (q-1 shrink iterations).  The blocks' draws
+    make one bucket map over the input rows, which the spemb kernel
+    applies in input order.
 ``norm_sampling_sketch``
     i.i.d. row sampling proportional to squared row norms, rescaled to be
     unbiased.
@@ -156,50 +158,40 @@ class SpfdConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _embedding(rows, cols, signs, shape) -> sparse.csr_matrix:
-    """Sparse embedding operator with entry ``signs[i]`` at
-    ``(rows[i], cols[i])``, for dense input.
+def _embed(a: Matrix, buckets: np.ndarray, signs: np.ndarray, n_out: int) -> np.ndarray:
+    """Add row ``i`` of ``a``, times ``signs[i]``, into row ``buckets[i]`` of
+    an ``n_out x d`` array; each bucket sums its rows in input order.
 
-    A row keeps its entries in input order, which is the order in which
-    ``@`` sums the input rows into that bucket.
+    Sparse input takes one ``np.bincount`` that adds every stored entry into
+    its ``bucket*d + column`` cell in storage order.  Dense input is
+    multiplied by the ``n_out x n`` CSR embedding operator, whose rows keep
+    their entries in input order.  Both take O(nnz) work.
     """
-    order = np.argsort(rows, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
-    return sparse.csr_matrix((signs[order], cols[order], indptr), shape=shape)
-
-
-def _scatter_rows(a, buckets, signs, n_out: int) -> np.ndarray:
-    """Add row ``i`` of a sparse ``a``, times ``signs[i]``, into row
-    ``buckets[i]`` of an ``n_out x d`` array.
-
-    One ``np.bincount`` adds every stored entry into its ``bucket*d +
-    column`` cell in storage order, so each bucket sums its rows in row
-    order, as the embedding operator's product does, in O(nnz) work.
-    """
-    a = a.tocsr()
-    d = a.shape[1]
-    counts = np.diff(a.indptr)
-    cells = np.repeat(buckets.astype(np.intp, copy=False) * d, counts) + a.indices
-    weights = np.repeat(signs, counts) * a.data
-    return np.bincount(cells, weights, minlength=n_out * d).reshape(n_out, d)
+    if sparse.issparse(a):
+        a = a.tocsr()
+        d = a.shape[1]
+        counts = np.diff(a.indptr)
+        cells = np.repeat(buckets.astype(np.intp, copy=False) * d, counts) + a.indices
+        weights = np.repeat(signs, counts) * a.data
+        return np.bincount(cells, weights, minlength=n_out * d).reshape(n_out, d)
+    order = np.argsort(buckets, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(buckets, minlength=n_out))))
+    op = sparse.csr_matrix((signs[order], order, indptr), shape=(n_out, len(buckets)))
+    return op @ a
 
 
 def spemb_apply(a: Matrix, spec: SpEmbSpec) -> np.ndarray:
     """Accumulate signed rows of ``a`` into the spec's buckets.
 
-    Sparse input is scattered entry by entry (`_scatter_rows`); dense input
-    is multiplied by the ``n_out x n_in`` CSR embedding operator.  Both
-    take O(nnz) work, and within one bucket both accumulate rows in input
-    order.
+    This is the one embedding kernel (`_embed`) under the spec's map: each
+    bucket sums its rows in input order, sparse input by one scatter of its
+    stored entries, dense input by one CSR operator product.
     """
     if spec.n_in != a.shape[0]:
         raise ValueError(
             f"spec expects {spec.n_in} input rows, matrix has {a.shape[0]}"
         )
-    if sparse.issparse(a):
-        return _scatter_rows(a, spec.h, spec.signs, spec.n_out)
-    op = _embedding(spec.h, np.arange(spec.n_in), spec.signs, (spec.n_out, spec.n_in))
-    return op @ a
+    return _embed(a, spec.h, spec.signs, spec.n_out)
 
 
 def _basis_from_sketch(b: np.ndarray) -> np.ndarray:
@@ -317,11 +309,12 @@ def spfd_intermediate(a: Matrix, cfg: SpfdConfig) -> np.ndarray:
     """The ``q*ell x d`` stack of per-block sparse embeddings of the
     row-permuted input, padded with zero rows to ``q`` equal blocks.
 
-    Sparse input has its rows gathered in permuted order and scattered
-    into their buckets entry by entry (`_scatter_rows`).  Dense input is
-    multiplied by one ``q*ell x n`` CSR operator that holds all q block
-    embeddings and the row permutation.  Either way the zero padding rows
-    are left out, and each bucket sums its rows in permuted order.
+    The draws become one bucket and one sign per input row: permuted
+    position ``p`` of block ``j`` sends input row ``perm[p]`` to bucket
+    ``j*ell + h_j``, and the positions past the ``n`` input rows, the zero
+    padding, are dropped.  The rows are then embedded by the same kernel as
+    ``spemb_apply``, with no row gather: each bucket sums its rows in input
+    order.
 
     This is the intermediate sketch that the frequent-directions stage of
     ``spfd_sketch`` consumes; it is exposed separately because several
@@ -338,22 +331,22 @@ def spfd_intermediate(a: Matrix, cfg: SpfdConfig) -> np.ndarray:
     per_block = -(-n // cfg.q)
     perm = rng.permutation(per_block * cfg.q)
     blocks = [_draw_buckets(per_block, cfg.ell, rng) for _ in range(cfg.q)]
-    rows = np.concatenate([j * cfg.ell + h for j, (h, _) in enumerate(blocks)])
-    signs = np.concatenate([signs for _, signs in blocks])
-    # Permuted position p feeds row rows[p] from input row perm[p].
-    real = perm < n
-    rows, src, signs = rows[real], perm[real], signs[real]
-    if sparse.issparse(a):
-        return _scatter_rows(a.tocsr()[src], rows, signs, cfg.q * cfg.ell)
-    return _embedding(rows, src, signs, (cfg.q * cfg.ell, n)) @ a
+    buckets = np.empty(perm.size, dtype=np.intp)
+    signs = np.empty(perm.size)
+    buckets[perm] = np.concatenate([j * cfg.ell + h for j, (h, _) in enumerate(blocks)])
+    signs[perm] = np.concatenate([s for _, s in blocks])
+    return _embed(a, buckets[:n], signs[:n], cfg.q * cfg.ell)
 
 
 def spfd_sketch(a: Matrix, cfg: SpfdConfig) -> SketchOutput:
     """Block sparse embedding followed by frequent directions.
 
-    With ``q == 1`` no shrink iterations happen and the basis is built
-    directly from the (single-block) embedded sketch via QR, making the
-    sketcher coincide with ``spemb_sketch`` of the permuted input.
+    The block embedding is `spfd_intermediate`, one embedding kernel
+    shared with ``spemb_apply``.  With ``q == 1`` no shrink iterations
+    happen and the basis is built directly from the single-block sketch via
+    QR: the sketcher is then spemb with the permuted map, whose input row
+    ``i`` goes to bucket ``h[inv[i]]`` with sign ``signs[inv[i]]``, ``inv``
+    the inverse of the row permutation.
     """
     _check_ell(a, cfg.ell)
     inter = spfd_intermediate(a, cfg)

@@ -442,6 +442,19 @@ class TestGramCertificate:
         check_top_k(a, 4, 20, f.left, f.right_basis)
 
     @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    def test_zero_matrix_is_certified(self, monkeypatch, fmt):
+        # rank below d, yet certified: the Gram is exactly 0, so both
+        # bounds are 0 and hold with equality
+        a = np.zeros((50, 6))
+        x = sparse.csr_matrix(a) if fmt == "csr" else a
+        calls = count_svd_calls(monkeypatch)
+        f = best_rank_k(x, 2)
+        assert calls == [] and f.gram_root is not None
+        assert (f.spectrum == 0.0).all() and (f.left == 0.0).all()
+        rep = error_report(x, f, f, 0.0)
+        assert (rep.fro_ratio, rep.spec_ratio) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
     def test_tall_input_stays_certified(self, monkeypatch, fmt):
         # 20000 rows, singular values 1 to 0.03: a bound that grew with n
         # would decline; 1000-entry blocks of 100 rows, 200 of them, give

@@ -191,6 +191,16 @@ class TestExpmExact:
         assert np.array_equal(r1.hub_scores, r2.hub_scores)
         assert np.array_equal(r1.authority_scores, r2.authority_scores)
 
+    @pytest.mark.parametrize(
+        "method", ["normsamp", "dct", "spemb", "fd", "spfd10"]
+    )
+    def test_twins_tie_bit_equal_and_rank_by_id(self, method):
+        res = expm_scores_sketched(tied_twins(), method, k=10, p=5, rng=1)
+        assert res.hub_scores[4] == res.hub_scores[5]
+        assert res.authority_scores[6] == res.authority_scores[7]
+        assert res.top_hubs.index(4) < res.top_hubs.index(5)
+        assert res.top_authorities.index(6) < res.top_authorities.index(7)
+
     def test_overflow_raises(self):
         adj = random_digraph(20, seed=26) * 1000.0
         with pytest.raises(NumericalError, match="overflows cosh"):
@@ -308,6 +318,16 @@ class TestExpmSketched:
         assert len(res.top_hubs) == 5
         assert np.isfinite(res.hub_scores).all()
         assert np.isfinite(res.authority_scores).all()
+
+    @pytest.mark.parametrize(
+        "method", ["normsamp", "dct", "spemb", "fd", "spfd10"]
+    )
+    def test_twins_tie_bit_equal_and_rank_by_id(self, method):
+        res = expm_scores_sketched(tied_twins(), method, k=10, p=5, rng=1)
+        assert res.hub_scores[4] == res.hub_scores[5]
+        assert res.authority_scores[6] == res.authority_scores[7]
+        assert res.top_hubs.index(4) < res.top_hubs.index(5)
+        assert res.top_authorities.index(6) < res.top_authorities.index(7)
 
     def test_overflow_raises(self):
         adj = random_digraph(20, seed=26) * 1000.0

@@ -127,17 +127,14 @@ def add_at_embedding(a, spec: SpEmbSpec) -> np.ndarray:
     return out
 
 
-def block_embedding_loop(a, cfg: SpfdConfig) -> np.ndarray:
-    """Reference ``spfd_intermediate``: pad with zero rows, permute the
-    rows, then embed each block with its own ``np.add.at``."""
+def padded_block_loop(a, cfg: SpfdConfig) -> np.ndarray:
+    """The block embedding as first stated: pad with zero rows, permute the
+    rows, then embed each block with its own ``np.add.at``, so that each
+    bucket sums its rows in permuted order."""
     rng = np.random.default_rng(cfg.seed)
     n, d = a.shape
     per_block = -(-n // cfg.q)
-    extra = per_block * cfg.q - n
-    if sparse.issparse(a):
-        a = sparse.vstack([a, sparse.csr_matrix((extra, d))], format="csr")
-    else:
-        a = np.vstack([a, np.zeros((extra, d))])
+    a = np.vstack([a, np.zeros((per_block * cfg.q - n, d))])
     pa = a[rng.permutation(per_block * cfg.q)]
     specs = [SpEmbSpec.draw(per_block, cfg.ell, rng) for _ in range(cfg.q)]
     out = np.empty((cfg.q * cfg.ell, d))
@@ -145,6 +142,30 @@ def block_embedding_loop(a, cfg: SpfdConfig) -> np.ndarray:
         block = pa[j * per_block : (j + 1) * per_block]
         out[j * cfg.ell : (j + 1) * cfg.ell] = add_at_embedding(block, spec)
     return out
+
+
+def block_embedding_map(n, cfg: SpfdConfig) -> SpEmbSpec:
+    """The bucket and sign of every input row under ``cfg``'s draws: the
+    permutation of the rows padded to ``q`` equal blocks, then each block's
+    spec.  Permuted position ``p`` of block ``j`` sends input row
+    ``perm[p]`` to bucket ``j*ell + h_j``; padding positions send none."""
+    rng = np.random.default_rng(cfg.seed)
+    per_block = -(-n // cfg.q)
+    perm = rng.permutation(per_block * cfg.q)
+    specs = [SpEmbSpec.draw(per_block, cfg.ell, rng) for _ in range(cfg.q)]
+    h, signs = np.zeros(n, dtype=np.intp), np.zeros(n)
+    for p, row in enumerate(perm):
+        j, k = divmod(p, per_block)
+        if row < n:
+            h[row] = j * cfg.ell + specs[j].h[k]
+            signs[row] = specs[j].signs[k]
+    return SpEmbSpec(n, cfg.q * cfg.ell, h, signs)
+
+
+def block_embedding_loop(a, cfg: SpfdConfig) -> np.ndarray:
+    """Reference ``spfd_intermediate``: one input-order ``np.add.at`` over
+    the block map."""
+    return add_at_embedding(a, block_embedding_map(a.shape[0], cfg))
 
 
 def noncanonical_csr(n, d, seed):
@@ -187,10 +208,10 @@ SPARSE_FORMS = {
 
 
 class TestEmbeddingOperator:
-    """The block embedding sums each bucket's rows in input order (in
-    permuted order for ``spfd_intermediate``), exactly as the ``np.add.at``
-    loop: sparse input by one ``np.bincount`` scatter of its stored
-    entries, dense input by one CSR operator product."""
+    """The embedding kernel sums each bucket's rows in input order, for
+    ``spemb_apply`` and ``spfd_intermediate`` alike, exactly as the
+    ``np.add.at`` reference: sparse input by one ``np.bincount`` scatter of
+    its stored entries, dense input by one CSR operator product."""
 
     # (n, d, ell, q): n not a multiple of q, q = 1, q*ell > n, and blocks
     # of 2 rows into 5 buckets (empty buckets in every block)
@@ -228,13 +249,43 @@ class TestEmbeddingOperator:
             assert np.array_equal(spfd_intermediate(a, cfg), expected)
 
     def test_sparse_input_builds_no_operator(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("embedding operator built for sparse input")
+        def refuse(*args, **kwargs):
+            raise AssertionError("embedding operator built")
 
-        monkeypatch.setattr(sketchlab.sketch, "_embedding", refuse)
         a = random_csr(20, 5, seed=96)
-        spemb_apply(a, SpEmbSpec.draw(20, 3, np.random.default_rng(97)))
-        spfd_intermediate(a, SpfdConfig(ell=3, q=4, seed=98))
+        spec = SpEmbSpec.draw(20, 3, np.random.default_rng(97))
+        cfg = SpfdConfig(ell=3, q=4, seed=98)
+        monkeypatch.setattr(sketchlab.sketch.sparse, "csr_matrix", refuse)
+        spemb_apply(a, spec)
+        spfd_intermediate(a, cfg)
+        # dense input does build it, so the patch would catch sparse input
+        # that did
+        for embed in (lambda: spemb_apply(a.toarray(), spec),
+                      lambda: spfd_intermediate(a.toarray(), cfg)):
+            with pytest.raises(AssertionError, match="operator built"):
+                embed()
+
+    @pytest.mark.parametrize("kind", ["dense", "csr", "coo"])
+    @pytest.mark.parametrize("n, ell, q", [(23, 3, 4), (6, 5, 3), (60, 2, 2)])
+    def test_intermediate_is_spemb_of_block_map(self, n, ell, q, kind):
+        # n not a multiple of q; q*ell > n; and 15 non-integer rows per
+        # bucket, where input and permuted order sum to different bits
+        a = random_csr(n, 4, seed=n, density=0.9)
+        cfg = SpfdConfig(ell=ell, q=q, seed=n + q)
+        spec = block_embedding_map(n, cfg)
+        expected = spemb_apply(a, spec)
+        if n == 60:
+            assert not np.array_equal(expected, padded_block_loop(a.toarray(), cfg))
+        a = {"dense": a.toarray(), "csr": a, "coo": a.tocoo()}[kind]
+        assert np.array_equal(spfd_intermediate(a, cfg), expected)
+
+    @pytest.mark.parametrize("n, d, ell, q", CASES)
+    def test_block_map_holds_the_permuted_blocks(self, n, d, ell, q):
+        # the identity's embedding is the operator, with no rounding: each
+        # bucket holds the rows and signs of the permuted-order loop
+        cfg = SpfdConfig(ell=ell, q=q, seed=q)
+        assert np.array_equal(spfd_intermediate(np.eye(n), cfg),
+                              padded_block_loop(np.eye(n), cfg))
 
 
 class TestSpEmbSketch:
@@ -345,13 +396,14 @@ class TestSpfdSketch:
             assert np.allclose(out.deltas, deltas_ref, atol=1e-12)
 
     def test_q_one_equals_spemb_of_permuted(self):
+        # spemb with the permuted map: input row i takes position inv[i]
         a = random_dense(9, 4, seed=19)
         seed = 21
         out = spfd_sketch(a, SpfdConfig(ell=3, q=1, seed=seed))
         rng = np.random.default_rng(seed)
-        perm = rng.permutation(9)
+        inv = np.argsort(rng.permutation(9))
         spec = SpEmbSpec.draw(9, 3, rng)
-        b_ref = spemb_apply(a[perm], spec)
+        b_ref = spemb_apply(a, SpEmbSpec(9, 3, spec.h[inv], spec.signs[inv]))
         v_ref, _ = thin_qr(b_ref.T)
         assert (out.sketch == b_ref).all()
         assert (out.basis == v_ref).all()

@@ -1,8 +1,13 @@
+import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
+import sketchlab
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+PERFBENCH = TOOLS.parent / "perfbench"
 spec = importlib.util.spec_from_file_location("bench_pair", TOOLS / "bench_pair.py")
 bench_pair = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pair)
@@ -115,3 +120,44 @@ def test_end_to_end_bounds_from_benchmark_spec(tmp_path):
     assert entry["metrics"]["pass_s"]["resolved"] is False
     assert "resolved" not in entry["ops"]["rank_s.expm_exact"]
     assert entry["ops"]["rank_s.expm_exact"]["pair_ratio"]["median"] == 1.0
+
+
+def test_aa_pair_ratio_copied_beside_each_metric():
+    ratio = {"median": 1.01, "p10": 0.95, "p90": 1.08}
+    aa = {"workloads": {
+        "network-expm": {"metrics": {"pass_s": {"pair_ratio": ratio}}}}}
+    out = {"workloads": {
+        "network-expm": {"metrics": {"pass_s": {"pair_ratio": None},
+                                     "peak_rss_mb": {"pair_ratio": None}}},
+        "dense-fd": {"metrics": {"pass_s": {"pair_ratio": None}}}}}
+    bench_pair.add_aa(out, aa)
+    expm = out["workloads"]["network-expm"]["metrics"]
+    assert expm["pass_s"]["aa_pair_ratio"] == ratio
+    # a metric or workload the A/A record lacks gets None
+    assert expm["peak_rss_mb"]["aa_pair_ratio"] is None
+    assert out["workloads"]["dense-fd"]["metrics"]["pass_s"]["aa_pair_ratio"] is None
+    assert bench_pair.ratio_text(ratio) == "1.01 [0.95, 1.08]"
+    assert bench_pair.ratio_text(None) == "n/a"
+
+
+def test_perfbench_wraps_only_names_the_library_has(monkeypatch):
+    # the benchmark patches these names of the library; a rename would make
+    # its runs fail, so the names are checked here too (perfbench is only
+    # read)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    own = [name for name in ("layers", "run", "spans", "stats", "workloads")
+           if name not in sys.modules]
+    try:
+        layers, run, spans = (importlib.import_module(name)
+                              for name in ("layers", "run", "spans"))
+        patches = (layers.tracing_patches(sketchlab, spans.Recorder())
+                   + run.Capture(sketchlab).patches)
+    finally:
+        for name in own:
+            sys.modules.pop(name, None)
+    missing = [(module.__name__, attr) for module, attr, _ in patches
+               if not hasattr(module, attr)]
+    assert not missing
+    wrapped = {(module.__name__, attr) for module, attr, _ in patches}
+    assert {("sketchlab.sketch", "spemb_apply"),
+            ("sketchlab.sketch", "spfd_intermediate")} <= wrapped

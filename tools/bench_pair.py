@@ -26,6 +26,12 @@ runs it, with warnings as errors), its ``src_lines`` (per
 ``src/sketchlab/*.py`` module and in total: its lines, and its code lines,
 those that are not blank, comments or docstrings), and the environment of
 the first run's record, with the BLAS thread count added.
+
+``BENCH_AA.json``, when the repository root holds it, is an A/A record: the
+same command run with the parent as both sides.  Each workload's end-to-end
+``pair_ratio`` there is copied beside the new one as ``aa_pair_ratio``, the
+spread that pairs of identical code show on this machine, and printed on
+the summary line.
 """
 
 from __future__ import annotations
@@ -213,6 +219,21 @@ def compare_runs(runs: list, better: dict, bounds: Optional[dict] = None) -> dic
     return entry
 
 
+def add_aa(out: dict, aa: dict) -> None:
+    """Give every end-to-end metric of ``out`` the ``pair_ratio`` of the
+    same workload and metric in the A/A record ``aa`` as ``aa_pair_ratio``
+    (``None`` where ``aa`` has none)."""
+    for workload, entry in out["workloads"].items():
+        aa_metrics = aa["workloads"].get(workload, {}).get("metrics", {})
+        for name, m in entry["metrics"].items():
+            m["aa_pair_ratio"] = aa_metrics.get(name, {}).get("pair_ratio")
+
+
+def ratio_text(ratio) -> str:
+    return "n/a" if ratio is None else (
+        f"{ratio['median']:.4g} [{ratio['p10']:.4g}, {ratio['p90']:.4g}]")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="revision to compare against")
@@ -260,12 +281,17 @@ def main(argv=None) -> int:
             out["workloads"][workload] = entry
         out["tier1"] = {side: tier1_seconds(root) for side, root in roots.items()}
         out["src_lines"] = {side: src_lines(root) for side, root in roots.items()}
+    aa_file = ROOT / "BENCH_AA.json"
+    if aa_file.is_file():
+        add_aa(out, json.loads(aa_file.read_text(encoding="utf-8")))
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     for workload, entry in out["workloads"].items():
         for name, m in entry["metrics"].items():
+            aa = f"  aa {ratio_text(m['aa_pair_ratio'])}" if "aa_pair_ratio" in m else ""
             print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
                   f"change {m['change']['median']:.6g}  wins {m['change_wins']}/"
-                  f"{m['pairs']}  gain {m['gain']}  resolved {m.get('resolved')}")
+                  f"{m['pairs']}  ratio {ratio_text(m['pair_ratio'])}{aa}  "
+                  f"gain {m['gain']}  resolved {m.get('resolved')}")
     return 0
 
 
