@@ -1,4 +1,10 @@
-"""sketchlab: matrix sketching, low-rank approximation and ranking tools."""
+"""sketchlab: matrix sketching, low-rank approximation and ranking tools.
+
+Importing the package loads numpy and ``scipy.sparse`` only: ``scipy.fft``,
+``scipy.linalg``, ``scipy.io`` and ``scipy.sparse.linalg`` are imported by
+the functions that call them (`dct_sketch`, `svd`'s fallback driver, the
+MatrixMarket reader and writer, and the Lanczos solves of `lowrank`).
+"""
 
 from .bench import BenchConfig, ResultRow, emit_results, load_config, run_benchmark
 from .datagen import SyntheticSpec, generate_synthetic

@@ -64,10 +64,13 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 # Above this many matrix cells the exact reference is skipped and only
-# timings are reported.  A tall matrix counts all n*d cells, although its
-# Gram matrix holds d*d: when the Gram route's rounding bound fails (a
-# singular value or tail too small to resolve, such as any rank below d
-# but the all-zero matrix's), `svd` densifies it.
+# timings are reported.  Every shape counts all n*d cells, although a tall
+# matrix's Gram route holds d*d and the truncated route of square and wide
+# input works on the matrix as given: each route can fall back to `svd`,
+# which densifies it.  The Gram route falls back when its rounding bound
+# fails (a singular value or tail too small to resolve, such as any rank
+# below d but the all-zero matrix's); the truncated route when its
+# residual bound fails or ARPACK raises.
 EXACT_REFERENCE_CELL_CAP = 5 * 10**7
 
 MEDIAN_NOTE = (

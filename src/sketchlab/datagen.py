@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import thin_qr
+from .linalg import _row_chunks, thin_qr
 
 __all__ = ["SyntheticSpec", "generate_synthetic"]
 
@@ -58,12 +58,22 @@ class SyntheticSpec:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> np.ndarray:
-    """Draw one matrix according to ``spec``; bit-reproducible per seed."""
+    """Draw one matrix according to ``spec``; bit-reproducible per seed.
+
+    The noise is drawn, scaled and added one `_row_chunks` block at a time,
+    so the output is the only ``n x d`` buffer.  A generator draws its
+    normals in sequence, so the blocks hold the values one ``n x d`` draw
+    would.
+    """
     rng = np.random.default_rng(spec.seed)
     coeff = rng.standard_normal((spec.n, spec.k))
     weights = 1.0 - np.arange(spec.k) / spec.effective_m
     frame, _ = thin_qr(rng.standard_normal((spec.d, spec.k)))
     a = (coeff * weights) @ frame.T
     if spec.zeta is not None:
-        a += rng.standard_normal((spec.n, spec.d)) / spec.zeta
+        for rows in _row_chunks(a):
+            block = a[rows]
+            noise = rng.standard_normal(block.shape)
+            noise /= spec.zeta
+            block += noise
     return a

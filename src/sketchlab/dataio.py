@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import NoReturn, Optional, Union
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sparse
 
 from .linalg import Matrix, as_csr, as_dense
@@ -208,6 +207,8 @@ def load_matrix_market(path: PathLike) -> Matrix:
         if symmetry != "general":
             raise ValueError(f"{path}: unsupported symmetry '{symmetry}'")
         fh.seek(0)
+        import scipy.io  # imported on use, as the package docstring says
+
         loaded = scipy.io.mmread(fh)
     if sparse.issparse(loaded):
         parsed = loaded.nnz
@@ -225,6 +226,8 @@ def load_matrix_market(path: PathLike) -> Matrix:
 def save_matrix_market(path: PathLike, a: Matrix) -> None:
     """Write a matrix in MatrixMarket format (coordinate for sparse input,
     array for dense), at full float64 round-trip precision."""
+    import scipy.io  # imported on use, as the package docstring says
+
     a = as_csr(a) if sparse.issparse(a) else as_dense(a)
     scipy.io.mmwrite(str(path), a, precision=17)
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 
 __all__ = [
@@ -206,6 +205,8 @@ def svd(a: Matrix) -> SvdResult:
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
+        import scipy.linalg  # imported on use, as the package docstring says
+
         try:
             u, s, vt = scipy.linalg.svd(
                 a, full_matrices=False, lapack_driver="gesvd"

@@ -7,20 +7,26 @@ the frequent-directions shrink rounds, `linalg._gram_eigh` (one ``eigh`` of
 the smaller Gram matrix), with one SVD of ``A @ V`` when it declines or
 ``A @ V`` has too few nonzero directions.  The factors are kept separate
 (`left @ right_basis.T`) so that the full ``n x d`` approximation is never
-materialised.  The exact reference `best_rank_k` takes one ``eigh`` of the
-``d x d`` Gram matrix when ``A`` is tall and a rounding bound certifies it,
-and one SVD of ``A`` otherwise.
+materialised.  The exact reference `best_rank_k` has three routes: one
+``eigh`` of the ``d x d`` Gram matrix when ``A`` is tall and a rounding
+bound certifies it; the top k+1 singular triplets from one Lanczos solve
+(ARPACK through ``scipy.sparse.linalg.svds``) on ``A`` as given when ``A``
+is square or wide and a residual bound certifies them; and one SVD of
+``A`` otherwise.
 
 Error ratios against the optimal truncated SVD take their denominators from
-the singular values that `best_rank_k` keeps: ``sigma_{k+1}`` and
-``sqrt(sum_{i>k} sigma_i^2)``.  The numerators are the approximate
-residual's norms: the Frobenius norm summed over row chunks, the spectral
-norm by a Lanczos solve (ARPACK through ``scipy.sparse.linalg.svds``) on the
-implicitly represented residual.  No ``n x d`` residual is formed.  For a
-tall ``a`` whose reference keeps the ``d x d`` Gram root ``S = diag(sigma)
-W^T`` (``S^T S = a^T a``), an approximation in projection form (``left = a
-@ Z``, ``Z = right_basis``) has the residual norms of ``S - (S Z) Z^T``, so
-both numerators are taken on S.
+what `best_rank_k` keeps: ``sigma_{k+1}`` from its ``spectrum`` and the
+optimal Frobenius residual ``sqrt(sum_{i>k} sigma_i^2)`` as its
+``tail_fro``.  The numerators are the approximate residual's norms: the
+Frobenius norm summed over row chunks, the spectral norm by a Lanczos solve
+on the implicitly represented residual.  No ``n x d`` residual is formed.
+For a tall ``a`` whose reference keeps the ``d x d`` Gram root ``S =
+diag(sigma) W^T`` (``S^T S = a^T a``), an approximation in projection form
+(``left = a @ Z``, ``Z = right_basis``) has the residual norms of ``S - (S
+Z) Z^T``, so both numerators are taken on S.
+
+``scipy.sparse.linalg`` is imported by the functions that call it, so that
+importing this module loads no more of scipy than ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
 from .linalg import (
     Matrix, NumericalError, SvdResult, _fix_svd_signs, _gram_eigh, _row_chunks,
@@ -50,10 +55,10 @@ __all__ = [
 
 _ORTHO_TOL = 1e-8
 _LANCZOS_TOL = 1e-12
-# The Gram route of `best_rank_k` is taken when its rounding bounds are at
-# most this share of sigma_d^2 and of the squared tail: a relative error of
-# about half of it, 1e-9, on every singular value and each norm
-# `error_report` reads.
+# The Gram and truncated routes of `best_rank_k` are taken when their
+# bounds are at most this share of the squared tail and of sigma_d^2 (Gram)
+# or sigma_{k+1}^2 (truncated): a relative error of about half of it, 1e-9,
+# on each singular value they resolve and each norm `error_report` reads.
 _GRAM_CERT = 2e-9
 
 
@@ -62,15 +67,17 @@ class LowRankFactors:
     """Rank-k factors ``approx = left @ right_basis.T``.
 
     ``left`` is ``n x k`` (the scaled column factor), ``right_basis`` is
-    ``d x k`` with orthonormal columns.  ``spectrum`` holds all
-    ``min(n, d)`` singular values of the approximated matrix, descending,
-    when they are known: `best_rank_k` keeps them (each to about 1e-9
-    relative on its Gram route, as its SVD gives them otherwise), and
-    `error_report` requires them of its exact reference.  ``gram_root`` is the ``d x d``
+    ``d x k`` with orthonormal columns.  ``spectrum`` holds the singular
+    values of the approximated matrix that were computed, descending, and
+    ``tail_fro`` its optimal rank-k Frobenius residual ``sqrt(sum_{i>k}
+    sigma_i^2)``.  `best_rank_k` sets both: ``spectrum`` holds all ``min(n,
+    d)`` values on its Gram and SVD routes (each to about 1e-9 relative on
+    the Gram route) and the top k+1 on its truncated route; `error_report`
+    requires both of its exact reference.  ``gram_root`` is the ``d x d``
     matrix ``S = diag(sigma) W^T`` of a tall approximated matrix ``a =
     U S``, with ``S^T S = a^T a`` and ``W`` the right singular vectors,
     which `best_rank_k` keeps when its Gram route is certified (``None``
-    on its SVD route).  It is not triangular, but it is an R factor all
+    on its other routes).  It is not triangular, but it is an R factor all
     the same: ``a X`` and ``S X`` have the same norms for every ``X``.
     ``projection`` marks factors in projection form, ``left = a @
     right_basis``, as `best_rank_k` and `approx_from_basis` build them;
@@ -84,6 +91,7 @@ class LowRankFactors:
     spectrum: Optional[np.ndarray] = None
     gram_root: Optional[np.ndarray] = None
     projection: bool = False
+    tail_fro: Optional[float] = None
 
     def __post_init__(self):
         if self.left.shape[1] != self.k or self.right_basis.shape[1] != self.k:
@@ -146,12 +154,8 @@ def _certified_gram(a: Matrix, k: int):
     tail and each norm `error_report` reads.  A rank-deficient ``a`` is
     never certified, except the all-zero ``a``: its Gram is exactly 0, so
     both bounds are 0 and hold, and every singular value is certified as
-    0.  Non-finite entries raise ``ValueError``.
+    0.
     """
-    if sparse.issparse(a):
-        check_finite(a)
-    else:
-        a = as_dense(a)
     d = a.shape[1]
     gram, rows, blocks = np.zeros((d, d)), 0, 0
     for chunk in _row_chunks(a):
@@ -172,38 +176,107 @@ def _certified_gram(a: Matrix, k: int):
     return None
 
 
+def _certified_top(a: Matrix, k: int):
+    """``(sigma, left, vt, tail_fro)``: the top ``k + 1`` singular values of
+    ``a``, descending, the left factor ``a @ W_k`` and the rows ``vt`` of
+    the top ``k`` right singular vectors ``W_k``, and the optimal rank-k
+    Frobenius residual, from one Lanczos solve on ``a`` as given, or
+    ``None`` when ARPACK fails or the bound below does not certify them.
+
+    ``scipy.sparse.linalg.svds(a, k + 1)`` (ARPACK, relative tolerance
+    ``_LANCZOS_TOL``) starts from a fixed ``default_rng(0)`` draw, so
+    results are deterministic; a CSR ``a`` is never densified.  That the
+    ``k + 1`` values are the *largest* singular values rests on that
+    start, as the ``sigma`` of `residual_spectral_norm` does.  Each
+    triplet ``(u_i, sigma_i, v_i)`` is checked by two more products with
+    ``a``: with ``e_i = max(||a v_i - sigma_i u_i||, ||a^T u_i - sigma_i
+    v_i||)``, ``sigma_i`` lies within ``e_i`` of a singular value of ``a``
+    (Parlett, *The Symmetric Eigenvalue Problem*, 1998), so its square
+    moves by at most ``2 sigma_i e_i + e_i^2``.  The squared tail is
+    ``||a||_F^2 - sum_{i<=k} sigma_i^2``, whose ``||a||_F^2``, a sum of the
+    ``m`` stored squares, is off by at most ``gamma_m ||a||_F^2`` (as in
+    `_certified_gram`).  The route is certified when the tail's bound
+    ``sum_{i<=k} (2 sigma_i e_i + e_i^2) + gamma_m ||a||_F^2`` is at most
+    ``_GRAM_CERT`` times the squared tail and ``2 sigma_{k+1} e_{k+1} +
+    e_{k+1}^2`` at most that share of ``sigma_{k+1}^2``: about 1e-9
+    relative on ``sigma_{k+1}`` and the tail, which are what `error_report`
+    reads.
+    """
+    from scipy.sparse.linalg import ArpackError, svds
+
+    v0 = np.random.default_rng(0).standard_normal(min(a.shape))
+    try:
+        u, sigma, vt = svds(a, k + 1, tol=_LANCZOS_TOL, v0=v0)
+    except ArpackError:
+        return None
+    order = np.argsort(-sigma, kind="stable")
+    u, sigma, vt = u[:, order], sigma[order], vt[order]
+    av = a @ vt.T
+    e = np.maximum(np.linalg.norm(av - u * sigma, axis=0),
+                   np.linalg.norm(a.T @ u - vt.T * sigma, axis=0))
+    x = a.data if sparse.issparse(a) else a
+    fro_sq, m, eps = float(np.vdot(x, x)), x.size, np.finfo(float).eps / 2
+    tail_sq = fro_sq - np.sum(sigma[:k] ** 2)
+    moved = 2 * sigma * e + e**2
+    if (np.sum(moved[:k]) + m * eps / (1 - m * eps) * fro_sq <= _GRAM_CERT * tail_sq
+            and moved[k] <= _GRAM_CERT * sigma[k] ** 2):
+        return sigma, av[:, :k].copy(), vt[:k], float(np.sqrt(tail_sq))
+    return None
+
+
 def best_rank_k(a: Matrix, k: int) -> LowRankFactors:
-    """Optimal rank-k factors via truncated SVD, on one of two routes.
+    """Optimal rank-k factors via truncated SVD, on one of three routes.
 
     ``right_basis`` holds the top-k right singular vectors ``W_k`` and
     ``left = a @ W_k``, with the sign rule of ``linalg.svd``: the
-    largest-magnitude entry of every ``left`` column is positive.  A tall
-    ``a`` first tries `_certified_gram`, one ``eigh`` of its ``d x d``
-    Gram matrix under a rounding bound, and forms only the k left factors,
-    never the ``n``-row singular vectors; ``gram_root`` then keeps
-    ``diag(sigma) W^T``.  Square and wide input, and tall input the bound
-    does not certify (a smallest singular value or a tail too small
-    against the Gram's rounding, rank below d other than the all-zero
-    ``a``, or ``k = d``), take one
-    ``svd(a)`` of the densified ``a``.  ``spectrum`` keeps all ``min(n, d)`` singular
-    values.  Non-finite entries raise ``ValueError``.
+    largest-magnitude entry of every ``left`` column is positive.
+
+    - **Gram route.**  A tall ``a`` (``n > d > k``) first tries
+      `_certified_gram`, one ``eigh`` of its ``d x d`` Gram matrix under a
+      rounding bound, and forms only the k left factors, never the
+      ``n``-row singular vectors; ``gram_root`` then keeps ``diag(sigma)
+      W^T`` and ``spectrum`` all ``d`` singular values.
+    - **Truncated route.**  A square or wide ``a`` with ``k + 1 < n``
+      first tries `_certified_top`, the top ``k + 1`` singular triplets
+      from one Lanczos solve on ``a`` as given (a CSR ``a`` is never
+      densified) under a residual bound; ``spectrum`` keeps those ``k +
+      1`` values.
+    - **SVD route.**  Every other input, and input whose route the bound
+      does not certify (for a tall ``a``: a smallest singular value or a
+      tail too small against the Gram's rounding, rank below d other than
+      the all-zero ``a``, or ``k = d``), takes one ``svd(a)`` of the
+      densified ``a``; ``spectrum`` keeps all ``min(n, d)`` values.
+
+    ``tail_fro``, the optimal residual ``sqrt(sum_{i>k} sigma_i^2)``, is
+    set on every route: from the kept ``sigma[k:]`` on the Gram and SVD
+    routes, and as ``sqrt(||a||_F^2 - sum_{i<=k} sigma_i^2)`` on the
+    truncated one.  Non-finite entries raise ``ValueError``.
     """
     n, d = a.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k={k} outside 1..min{(n, d)}")
-    gram = _certified_gram(a, k) if n > d > k else None
-    if gram is None:
-        res = svd(a)
-        sigma, wt, root = res.sigma, res.vt[:k], None
-        left = res.u[:, :k] * sigma[:k]
+    if sparse.issparse(a):
+        check_finite(a)
     else:
+        a = as_dense(a)
+    root = tail_fro = None
+    if n > d > k and (gram := _certified_gram(a, k)) is not None:
         sigma, w = gram
         wt, root = w[:, :k].T.copy(), sigma[:, None] * w.T
         left = a @ wt.T
         _fix_svd_signs(left, wt)
+    elif k + 1 < n <= d and (top := _certified_top(a, k)) is not None:
+        sigma, left, wt, tail_fro = top
+        _fix_svd_signs(left, wt)
+    else:
+        res = svd(a)
+        sigma, wt = res.sigma, res.vt[:k]
+        left = res.u[:, :k] * sigma[:k]
+    if tail_fro is None:
+        tail_fro = float(np.sqrt(np.sum(sigma[k:] ** 2)))
     return LowRankFactors(
         left=left, right_basis=np.ascontiguousarray(wt.T), k=k,
-        spectrum=sigma, gram_root=root, projection=True,
+        spectrum=sigma, gram_root=root, projection=True, tail_fro=tail_fro,
     )
 
 
@@ -310,6 +383,8 @@ def residual_spectral_norm(
     an ARPACK failure, raise `NumericalError`.  A residual with one row or
     one column has rank one, and its Frobenius norm is returned.
     """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, svds
+
     n, d = a.shape
     if min(n, d) == 1:
         return SpectralNorm(_residual_fro(a, factors), 0)
@@ -362,9 +437,10 @@ def error_report(
 ) -> ErrorReport:
     """Frobenius and spectral error ratios of ``approx`` against ``exact``.
 
-    ``exact`` must carry its ``spectrum`` (as `best_rank_k` factors do): the
-    optimal residuals are ``sigma_{k+1}`` (0 when ``k = min(n, d)``) and
-    ``sqrt(sum_{i>k} sigma_i^2)``, read from it without touching ``a``.
+    ``exact`` must carry its ``spectrum`` and ``tail_fro`` (as `best_rank_k`
+    factors do, on each of its routes): the optimal residuals are
+    ``sigma_{k+1} = spectrum[k]`` (0 when ``k = min(n, d)``) and
+    ``tail_fro``, read without touching ``a``.
     The numerators are ``approx``'s residual norms, from `_residual_fro`
     and `residual_spectral_norm`.  When ``exact`` carries the Gram root
     ``S`` of a tall ``a`` and ``approx`` is marked as projection form
@@ -380,9 +456,9 @@ def error_report(
     """
     if approx.k != exact.k:
         raise ValueError("approximate and exact factors target different ranks")
-    if exact.spectrum is None:
+    if exact.spectrum is None or exact.tail_fro is None:
         raise ValueError(
-            "exact factors carry no spectrum; build them with best_rank_k"
+            "exact factors carry no spectrum and tail_fro; build them with best_rank_k"
         )
     root = exact.gram_root
     if root is not None:
@@ -394,7 +470,7 @@ def error_report(
             z = approx.right_basis
             a, approx = root, LowRankFactors(left=root @ z, right_basis=z, k=approx.k)
     tail = exact.spectrum[exact.k :]
-    fro_den = float(np.sqrt(np.sum(tail**2)))
+    fro_den = exact.tail_fro
     spec_den = float(tail[0]) if tail.size else 0.0
     norm_a = fro_norm(a)
     fro_num = _residual_fro(a, approx)

@@ -293,7 +293,11 @@ def expm_scores_sketched(
     only on row ``i`` of ``A``.  The basis rows of twin columns can differ,
     so each group of twin columns (`_twins`, as the exact route forms them)
     takes the authority score of its lowest-id member, and the top lists
-    order twins by ascending node id.
+    order twins by ascending node id.  An empty column's authority score
+    is 0, as an empty row's hub score is: the row space of ``A`` holds no
+    weight on it, which a full-rank sketch's basis matches up to rounding,
+    while the completion of a rank-deficient sketch's basis can put up to
+    a whole direction there.
     """
     if k < 1 or p < 0:
         raise ValueError(f"need k >= 1 and p >= 0, got k={k}, p={p}")
@@ -310,6 +314,7 @@ def expm_scores_sketched(
     hub, auth = _cosh_scores(approx.u, approx.vt.T, approx.sigma)
     first, group, _ = _twins(adj.T.tocsr())
     auth[group >= 0] = auth[first[group[group >= 0]]]
+    auth[group < 0] = 0.0
     return _result(hub, auth, method, time.perf_counter() - t0, k)
 
 

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-import scipy.fft
 import scipy.sparse as sparse
 
 from .linalg import (
@@ -403,6 +402,8 @@ def dct_sketch(a: Matrix, ell: int, rng: RngLike) -> SketchOutput:
         b = scale * (m @ a)
         b = np.asarray(b)
     else:
+        import scipy.fft  # imported on use, as the package docstring says
+
         y = scipy.fft.dct(signs[:, None] * a, type=2, axis=0, norm="ortho")
         b = scale * y[rows]
     return SketchOutput(sketch=b, basis=_basis_from_sketch(b))

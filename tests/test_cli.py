@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,3 +240,16 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_import_loads_only_numpy_and_scipy_sparse():
+    # a fresh interpreter: this one has loaded the rest of scipy already
+    deferred = ["scipy.fft", "scipy.linalg", "scipy.io", "scipy.sparse.linalg",
+                "scipy.special"]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import sketchlab, sketchlab.cli; "
+            f"print([m for m in {deferred!r} if m in sys.modules])")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import sketchlab.lowrank
@@ -201,8 +202,11 @@ def check_top_k(x, k, rank, left, w):
 class TestRFactorRoute:
     """``best_rank_k`` takes the top-k right singular vectors ``W_k`` of
     ``a`` from one ``eigh`` of its ``d x d`` Gram matrix when ``a`` is tall,
-    ``k < d`` and the rounding bound certifies it, else from one ``svd(a)``;
-    the Gram route keeps the Gram root, a non-triangular R factor.
+    ``k < d`` and the rounding bound certifies it, from one Lanczos solve
+    for the top k+1 triplets when ``a`` is square or wide, ``k + 1 <
+    min(n, d)`` and the residual bound certifies them, else from one
+    ``svd(a)``; the Gram route keeps the Gram root, a non-triangular R
+    factor.
     ``approx_from_basis`` takes those of ``b = a @ v`` from one ``eigh`` of
     its smaller Gram matrix, and calls ``svd`` on ``b`` exactly when that
     route declines or ``rank(b) < k``.  Both give ``left = x @ W_k`` with
@@ -217,9 +221,11 @@ class TestRFactorRoute:
         n, d = a.shape
         # rank 3 < k + 1 trips the certificate, and k = d skips it
         certified = name in ("tall-dense", "tall-csr")
+        truncated = name in ("square", "wide")
         assert eighs == ([(d, d)] if n > d > k else [])
-        assert calls == ([] if certified else [a.shape])
+        assert calls == ([] if certified or truncated else [a.shape])
         assert (f.gram_root is not None) == certified
+        assert len(f.spectrum) == (k + 1 if truncated else min(n, d))
         check_top_k(a, k, rank, f.left, f.right_basis)
 
     @pytest.mark.parametrize("name", list(TOP_K_INPUTS))
@@ -327,6 +333,21 @@ def count_qr_calls(monkeypatch) -> list:
     return calls
 
 
+def record_dense_calls(monkeypatch) -> list:
+    """Record the shape of every matrix densified through ``as_dense``, in
+    ``lowrank`` or inside ``linalg.svd``."""
+    calls = []
+    for module in (sketchlab.lowrank, sketchlab.linalg):
+        real = module.as_dense
+
+        def recorded(a, real=real):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(module, "as_dense", recorded)
+    return calls
+
+
 class TestCholeskyQR2:
     """The tall exact reference against the singular values of a Householder
     QR's R factor (the class keeps the name of the CholeskyQR2 route these
@@ -365,16 +386,7 @@ class TestCholeskyQR2:
         check_top_k(x, k, x.shape[1], f.left, f.right_basis)
 
     def test_csr_never_densified(self, monkeypatch):
-        # densifying goes through as_dense, in lowrank or inside linalg.svd
-        calls = []
-        for module in (sketchlab.lowrank, sketchlab.linalg):
-            real = module.as_dense
-
-            def recorded(a, real=real):
-                calls.append(a.shape)
-                return real(a)
-
-            monkeypatch.setattr(module, "as_dense", recorded)
+        calls = record_dense_calls(monkeypatch)
         svds = count_svd_calls(monkeypatch)
         x = R_FACTOR_INPUTS["csr-100"][0]
         f = best_rank_k(x, 4)
@@ -482,6 +494,135 @@ class TestGramCertificate:
         with pytest.raises(ValueError, match="NaN or Inf"):
             best_rank_k(a, 2)
         assert eighs == []
+
+
+# name -> square or wide input that the truncated route certifies at k = 5
+TRUNCATED_INPUTS = {
+    "square-dense": random_dense(40, 40, seed=110),
+    "wide-dense": random_dense(30, 70, seed=111),
+    "square-csr": random_csr(60, 60, seed=112),
+    "wide-csr": random_csr(40, 90, seed=113),
+}
+
+
+def record_svds_calls(monkeypatch) -> list:
+    """Route ``scipy.sparse.linalg.svds`` through a recorder; returns the
+    list that collects ``k`` of every solve that returned."""
+    calls = []
+    real = scipy.sparse.linalg.svds
+
+    def recorded(a, k, **kwargs):
+        out = real(a, k, **kwargs)
+        calls.append(k)
+        return out
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", recorded)
+    return calls
+
+
+class TestTruncatedRoute:
+    """Square and wide ``best_rank_k`` with ``k + 1 < min(n, d)`` takes the
+    top k+1 singular triplets from one ``svds`` on ``a`` as given, under a
+    residual bound, and keeps those k+1 values and ``tail_fro``; it takes
+    one ``svd(a)`` when ``k + 1 >= min(n, d)``, the bound fails or ARPACK
+    raises."""
+
+    K = 5
+
+    @pytest.mark.parametrize("name", list(TRUNCATED_INPUTS))
+    def test_one_solve_no_densify_no_svd(self, monkeypatch, name):
+        a = TRUNCATED_INPUTS[name]
+        dense_calls = record_dense_calls(monkeypatch)
+        svd_calls = count_svd_calls(monkeypatch)
+        solves = record_svds_calls(monkeypatch)
+        f = best_rank_k(a, self.K)
+        assert solves == [self.K + 1] and svd_calls == []
+        assert dense_calls == ([] if sparse.issparse(a) else [a.shape])
+        assert f.gram_root is None and f.projection
+        dense = a.toarray() if sparse.issparse(a) else a
+        s = np.linalg.svd(dense, compute_uv=False)
+        assert np.abs(f.spectrum - s[: self.K + 1]).max() <= 1e-12 * s[0]
+        assert f.tail_fro == pytest.approx(np.sqrt(np.sum(s[self.K :] ** 2)), rel=1e-12)
+        check_top_k(a, self.K, min(a.shape), f.left, f.right_basis)
+
+    @pytest.mark.parametrize("name", list(TRUNCATED_INPUTS))
+    def test_bit_identical_repeats(self, name):
+        a = TRUNCATED_INPUTS[name]
+        f, g = best_rank_k(a, self.K), best_rank_k(a, self.K)
+        for field in ("left", "right_basis", "spectrum"):
+            assert np.array_equal(getattr(f, field), getattr(g, field))
+        assert f.tail_fro == g.tail_fro
+
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    @pytest.mark.parametrize("shape", [(12, 12), (12, 30)])
+    def test_k_plus_one_at_min_takes_svd(self, monkeypatch, fmt, shape):
+        a = random_dense(*shape, seed=114)
+        x = sparse.csr_matrix(a) if fmt == "csr" else a
+        k = min(shape) - 1
+        svd_calls = count_svd_calls(monkeypatch)
+        solves = record_svds_calls(monkeypatch)
+        f = best_rank_k(x, k)
+        assert svd_calls == [shape] and solves == []
+        s = np.linalg.svd(a, compute_uv=False)
+        assert len(f.spectrum) == min(shape)
+        assert f.tail_fro == np.sqrt(np.sum(f.spectrum[k:] ** 2))
+        assert f.tail_fro == pytest.approx(s[k], rel=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    @pytest.mark.parametrize("shape", [(40, 40), (30, 60)])
+    def test_failed_certificate_takes_svd(self, monkeypatch, fmt, shape):
+        # rank 5 plus 1e-9 noise: a squared tail far below the rounding of
+        # ||a||_F^2, which the bound cannot resolve
+        a = rank_r(*shape, 5, seed=115) + 1e-9 * random_dense(*shape, seed=116)
+        x = sparse.csr_matrix(a) if fmt == "csr" else a
+        svd_calls = count_svd_calls(monkeypatch)
+        solves = record_svds_calls(monkeypatch)
+        f = best_rank_k(x, 5)
+        assert solves == [6] and svd_calls == [shape]
+        s = np.linalg.svd(a, compute_uv=False)
+        assert len(f.spectrum) == min(shape)
+        assert np.abs(f.spectrum - s).max() <= 1e-12 * s[0]
+
+    @pytest.mark.parametrize("name", list(TRUNCATED_INPUTS))
+    def test_arpack_failure_takes_svd(self, monkeypatch, name):
+        a = TRUNCATED_INPUTS[name]
+
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", stalled)
+        svd_calls = count_svd_calls(monkeypatch)
+        f = best_rank_k(a, self.K)
+        assert svd_calls == [a.shape] and len(f.spectrum) == min(a.shape)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", list(TRUNCATED_INPUTS))
+    def test_nonfinite_rejected(self, monkeypatch, name, bad):
+        a = TRUNCATED_INPUTS[name].copy()
+        if sparse.issparse(a):
+            a.data[3] = bad
+        else:
+            a[3, 2] = bad
+        solves = record_svds_calls(monkeypatch)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            best_rank_k(a, self.K)
+        assert solves == []
+
+    @pytest.mark.parametrize("name", list(TRUNCATED_INPUTS))
+    def test_ratios_match_dense_svd_reference(self, name):
+        a = TRUNCATED_INPUTS[name]
+        k = self.K
+        dense = a.toarray() if sparse.issparse(a) else a
+        u, s, vt = np.linalg.svd(dense, full_matrices=False)
+        ref = LowRankFactors(
+            left=u[:, :k] * s[:k], right_basis=vt[:k].T, k=k, spectrum=s,
+            projection=True, tail_fro=float(np.sqrt(np.sum(s[k:] ** 2))),
+        )
+        approx = approx_from_basis(a, fd_sketch(a, 12).basis, k)
+        got = error_report(a, approx, best_rank_k(a, k), 0.0)
+        want = error_report(a, approx, ref, 0.0)
+        assert got.fro_ratio == pytest.approx(want.fro_ratio, rel=1e-12)
+        assert got.spec_ratio == pytest.approx(want.spec_ratio, rel=1e-12)
 
 
 class TestGramKernel:
@@ -642,7 +783,7 @@ class TestLanczosResidualNorm:
         def stalled(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-        monkeypatch.setattr(sketchlab.lowrank, "svds", stalled)
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", stalled)
         a = random_dense(30, 12, seed=64)
         f = best_rank_k(a, 3)
         with pytest.raises(NumericalError, match="no convergence"):
@@ -674,7 +815,10 @@ class TestLanczosResidualNorm:
 
 class TestSpectrumDenominators:
     """``error_report`` reads the optimal residuals from ``best_rank_k``'s
-    spectrum: ``sigma_{k+1}`` and ``sqrt(sum_{i>k} sigma_i^2)``."""
+    factors: ``sigma_{k+1}`` from its spectrum and ``sqrt(sum_{i>k}
+    sigma_i^2)`` as its ``tail_fro``.  The spectrum holds every singular
+    value on the Gram and SVD routes and the top k+1 on the truncated
+    route of square and wide input."""
 
     @pytest.mark.parametrize("name", ["tall-dense", "tall-csr", "square", "wide"])
     def test_denominators_match_svd(self, monkeypatch, name):
@@ -682,7 +826,10 @@ class TestSpectrumDenominators:
         dense = a.toarray() if sparse.issparse(a) else a
         s = np.linalg.svd(dense, compute_uv=False)
         exact = best_rank_k(a, k)
-        assert np.abs(exact.spectrum - s).max() <= 1e-12 * s[0]
+        kept = len(exact.spectrum)
+        assert kept == (k + 1 if name in ("square", "wide") else len(s))
+        assert np.abs(exact.spectrum - s[:kept]).max() <= 1e-12 * s[0]
+        assert exact.tail_fro == pytest.approx(np.sqrt(np.sum(s[k:] ** 2)), rel=1e-12)
         # numerators fixed at 1e3 * sigma_1: the ratios expose the denominators
         num = 1e3 * s[0]
         monkeypatch.setattr(sketchlab.lowrank, "_residual_fro", lambda *args: num)
@@ -703,6 +850,8 @@ class TestSpectrumDenominators:
         bare = LowRankFactors(left=f.left, right_basis=f.right_basis, k=3)
         with pytest.raises(ValueError, match="spectrum"):
             error_report(a, f, bare, 0.0)
+        with pytest.raises(ValueError, match="tail_fro"):
+            error_report(a, f, dataclasses.replace(f, tail_fro=None), 0.0)
         sketched = approx_from_basis(a, fd_sketch(a, 5).basis, 3)
         assert sketched.spectrum is None
         with pytest.raises(ValueError, match="spectrum"):
@@ -725,8 +874,7 @@ def residual_first_args(monkeypatch) -> list:
 
 def denominators(exact: LowRankFactors) -> tuple[float, float]:
     """``(fro_den, spec_den)`` as `error_report` reads them."""
-    tail = exact.spectrum[exact.k :]
-    return float(np.sqrt(np.sum(tail**2))), float(tail[0])
+    return exact.tail_fro, float(exact.spectrum[exact.k])
 
 
 # name -> (tall matrix, k, sketch width, whether best_rank_k certifies its

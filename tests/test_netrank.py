@@ -201,6 +201,33 @@ class TestExpmExact:
         assert res.top_hubs.index(4) < res.top_hubs.index(5)
         assert res.top_authorities.index(6) < res.top_authorities.index(7)
 
+    # top lists of tied_twins with columns 10-12 emptied (k=10, p=5, rng=1),
+    # as before empty columns were scored 0
+    EMPTY_COLUMN_TOPS = {
+        "fd": ([4, 5, 28, 34, 24, 23, 26, 6, 25, 32],
+               [6, 7, 17, 24, 36, 4, 35, 33, 29, 28]),
+        "spfd10": ([4, 5, 28, 34, 24, 23, 26, 6, 25, 38],
+                   [6, 7, 17, 24, 36, 35, 4, 29, 18, 33]),
+        "spemb": ([4, 5, 24, 34, 28, 6, 26, 23, 25, 38],
+                  [6, 7, 24, 36, 4, 29, 17, 28, 38, 2]),
+        "normsamp": ([4, 5, 28, 24, 32, 25, 23, 34, 6, 37],
+                     [6, 7, 17, 24, 34, 28, 29, 38, 33, 36]),
+        "dct": ([4, 5, 28, 34, 26, 6, 25, 24, 37, 23],
+                [6, 7, 24, 17, 33, 36, 38, 35, 4, 28]),
+    }
+
+    @pytest.mark.parametrize("method", list(EMPTY_COLUMN_TOPS))
+    def test_empty_columns_score_zero(self, method):
+        # spemb's rank-deficient sketch once put a whole direction, and an
+        # authority score of 1, on column 10
+        adj = tied_twins().tolil()
+        adj[:, 10:13] = 0
+        adj = adj.tocsr()
+        adj.eliminate_zeros()
+        res = expm_scores_sketched(adj, method, k=10, p=5, rng=1)
+        assert (res.authority_scores[10:13] == 0.0).all()
+        assert (res.top_hubs, res.top_authorities) == self.EMPTY_COLUMN_TOPS[method]
+
     def test_overflow_raises(self):
         adj = random_digraph(20, seed=26) * 1000.0
         with pytest.raises(NumericalError, match="overflows cosh"):

@@ -4,6 +4,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import sketchlab
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -45,7 +47,7 @@ def test_src_lines_counts_code_lines(tmp_path):
     }
 
 
-def fake_run(root, side, seed, pass_s, exact_s):
+def fake_run(root, side, seed, pass_s, exact_s, after=None):
     results = root / ".perfbench" / "results"
     results.mkdir(parents=True, exist_ok=True)
     record = {
@@ -53,6 +55,8 @@ def fake_run(root, side, seed, pass_s, exact_s):
         "ops": {"pass_s": {"median": pass_s, "n": 3, "samples": [pass_s] * 3},
                 "rank_s.expm_exact": {"median": exact_s, "n": 3,
                                       "samples": [exact_s] * 3}},
+        "accuracy": {"fro_ratio_max": 1.03} if after is None else {
+            "fro_ratio_max": 1.03, "outside_window_s": after},
         "environment": {"steal_s": 0.0},
     }
     (results / f"network-expm-seed{seed}-trace0.json").write_text(
@@ -89,6 +93,28 @@ def test_ops_compared_per_pair(tmp_path):
     assert exact["change"]["median"] == 0.7 and exact["parent"]["median"] == 0.9
     assert entry["metrics"]["pass_s"]["change_wins"] == 4
     assert "crit7_ratio" not in entry
+    # runs without times after the window give no after_window entry
+    assert runs[0]["after_window"] == {} and "after_window" not in entry
+
+
+def test_after_window_compared_per_pair(tmp_path):
+    runs = []
+    for seed in range(1, 5):
+        runs.append(fake_run(tmp_path / "parent", "parent", seed, 1.2, 0.9,
+                             {"exact_ref_s": 3.3, "reconstruct_s": 0.01}))
+        runs.append(fake_run(tmp_path / "change", "change", seed, 1.2, 0.9,
+                             {"exact_ref_s": 0.1 if seed > 1 else 3.5,
+                              "error_report_s": 0.02}))
+    assert runs[0]["after_window"] == {"exact_ref_s": 3.3, "reconstruct_s": 0.01}
+    entry = bench_pair.compare_runs(runs, {"pass_s": "lower"})
+    # only the operations every run timed are compared
+    assert set(entry["after_window"]) == {"exact_ref_s"}
+    exact = entry["after_window"]["exact_ref_s"]
+    assert (exact["change_wins"], exact["parent_wins"], exact["pairs"]) == (3, 1, 4)
+    assert exact["parent"]["median"] == 3.3 and exact["change"]["median"] == 0.1
+    assert exact["pair_ratio"]["median"] == pytest.approx(0.1 / 3.3)
+    # 3 of 4 pairs fall short of the gain rule's share
+    assert exact["gain"] is False and "resolved" not in exact
 
 
 def test_pair_ratio_and_resolution():

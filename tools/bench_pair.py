@@ -13,9 +13,10 @@ alternating from seed to seed.  After the pairs, one ``--trace 1`` run
 per side at the first seed gives the per-layer metrics of ``TRACED``.  The
 output file holds, per workload, for each end-to-end metric and (under
 ``ops``) for each operation's median time in a run, such as
-``rank_s.expm_exact``, each side's median and quartiles, the pairs each
-side won and ``pair_ratio``, the median and the 10th and 90th percentiles
-of the per-pair change/parent ratio.  An end-to-end metric is also marked
+``rank_s.expm_exact``, and (under ``after_window``) for each operation
+timed after the window, such as ``exact_ref_s``, each side's median and
+quartiles, the pairs each side won and ``pair_ratio``, the median and the
+10th and 90th percentiles of the per-pair change/parent ratio.  An end-to-end metric is also marked
 ``resolved``: false when that ratio's p90 - p10 exceeds the metric's
 ``bound`` in ``BENCHMARK.json``, so that its pairs cannot tell a change
 within the bound from noise.  The file also holds every run's values and
@@ -99,7 +100,9 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float,
 
 def read_run(root: Path, workload: str, seed: int, trace: int, result: dict) -> dict:
     """One run's result line joined with its record file: metric values,
-    each operation's median time, ``crit7_ratio`` and the environment."""
+    each operation's median time, the times of the operations after the
+    window (``accuracy.outside_window_s``; empty where the record has
+    none), ``crit7_ratio`` and the environment."""
     record_file = root / ".perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
     record = json.loads(record_file.read_text(encoding="utf-8"))
     return {
@@ -108,6 +111,7 @@ def read_run(root: Path, workload: str, seed: int, trace: int, result: dict) -> 
         "failed": result["failed"],
         "metrics": {k: m["value"] for k, m in record["metrics"].items()},
         "ops": {k: op["median"] for k, op in record["ops"].items()},
+        "after_window": dict(record["accuracy"].get("outside_window_s", {})),
         "crit7_ratio": record.get("crit7_ratio"),
         "environment": record["environment"],
     }
@@ -202,7 +206,9 @@ def compare_runs(runs: list, better: dict, bounds: Optional[dict] = None) -> dic
     """Per-pair comparisons of one workload's runs: every end-to-end metric
     under ``metrics``, checked against its entry in ``bounds``, and every
     operation time both sides recorded in all their runs under ``ops``
-    (lower is better)."""
+    and, for the operations after the window, under ``after_window``
+    (lower is better; a workload whose runs share none has no
+    ``after_window``)."""
     by_side = {s: [r for r in runs if r["side"] == s] for s in ("parent", "change")}
     entry = {"runs": runs, "metrics": {}, "ops": {}}
     for name in runs[0]["metrics"]:
@@ -210,9 +216,11 @@ def compare_runs(runs: list, better: dict, bounds: Optional[dict] = None) -> dic
             [r["metrics"][name] for r in by_side["parent"]],
             [r["metrics"][name] for r in by_side["change"]],
             better.get(name, "lower"), (bounds or {}).get(name))
-    for name in sorted(set.intersection(*(set(r["ops"]) for r in runs))):
-        entry["ops"][name] = compare([r["ops"][name] for r in by_side["parent"]],
-                                     [r["ops"][name] for r in by_side["change"]], "lower")
+    for key in ("ops", "after_window"):
+        for name in sorted(set.intersection(*(set(r[key]) for r in runs))):
+            entry.setdefault(key, {})[name] = compare(
+                [r[key][name] for r in by_side["parent"]],
+                [r[key][name] for r in by_side["change"]], "lower")
     if runs[0]["crit7_ratio"] is not None:
         entry["crit7_ratio"] = {s: quartiles([r["crit7_ratio"] for r in side_runs])
                                 for s, side_runs in by_side.items()}
