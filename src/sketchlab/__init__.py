@@ -3,7 +3,8 @@
 Importing the package loads numpy and ``scipy.sparse`` only: ``scipy.fft``,
 ``scipy.linalg``, ``scipy.io`` and ``scipy.sparse.linalg`` are imported by
 the functions that call them (`dct_sketch`, `svd`'s fallback driver, the
-MatrixMarket reader and writer, and the Lanczos solves of `lowrank`).
+MatrixMarket reader and writer, and the Lanczos solves of `lowrank`), so
+that a process pays for those modules only when it calls them.
 """
 
 from .bench import BenchConfig, ResultRow, emit_results, load_config, run_benchmark
