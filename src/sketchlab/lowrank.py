@@ -39,7 +39,7 @@ import scipy.sparse as sparse
 
 from .linalg import (
     Matrix, NumericalError, SvdResult, _fix_svd_signs, _gram_eigh, _row_chunks,
-    as_dense, check_finite, fro_norm, svd,
+    as_csr, as_dense, check_finite, fro_norm, svd,
 )
 
 __all__ = [
@@ -250,12 +250,17 @@ def best_rank_k(a: Matrix, k: int) -> LowRankFactors:
     ``tail_fro``, the optimal residual ``sqrt(sum_{i>k} sigma_i^2)``, is
     set on every route: from the kept ``sigma[k:]`` on the Gram and SVD
     routes, and as ``sqrt(||a||_F^2 - sum_{i<=k} sigma_i^2)`` on the
-    truncated one.  Non-finite entries raise ``ValueError``.
+    truncated one.  A sparse ``a`` not in canonical form (duplicate or
+    unsorted entries) is replaced by a canonical copy first.  Non-finite
+    entries raise ``ValueError``.
     """
     n, d = a.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k={k} outside 1..min{(n, d)}")
     if sparse.issparse(a):
+        # the truncated route sums ||a||_F^2 over the stored entries, which
+        # would count a duplicated entry's square twice
+        a = a if a.has_canonical_format else as_csr(a)
         check_finite(a)
     else:
         a = as_dense(a)

@@ -545,6 +545,25 @@ class TestTruncatedRoute:
         assert f.tail_fro == pytest.approx(np.sqrt(np.sum(s[self.K :] ** 2)), rel=1e-12)
         check_top_k(a, self.K, min(a.shape), f.left, f.right_basis)
 
+    @pytest.mark.parametrize("shape", [(40, 40), (40, 90)])
+    def test_duplicate_entries_counted_once(self, shape):
+        # every entry stored twice: scipy sums duplicates in products, so
+        # the matrix is twice the canonical one, and so is its tail
+        c = random_csr(*shape, seed=117)
+        counts = 2 * np.diff(c.indptr)
+        rows = np.repeat(np.arange(shape[0]), np.diff(c.indptr))
+        twice = np.argsort(np.concatenate([rows, rows]), kind="stable")
+        dup = sparse.csr_matrix(
+            (np.concatenate([c.data, c.data])[twice],
+             np.concatenate([c.indices, c.indices])[twice],
+             np.concatenate([[0], np.cumsum(counts)])), shape=shape)
+        assert not dup.has_canonical_format
+        f = best_rank_k(dup, self.K)
+        s = np.linalg.svd(2 * c.toarray(), compute_uv=False)
+        assert len(f.spectrum) == self.K + 1
+        assert np.abs(f.spectrum - s[: self.K + 1]).max() <= 1e-12 * s[0]
+        assert f.tail_fro == pytest.approx(np.sqrt(np.sum(s[self.K :] ** 2)), rel=1e-12)
+
     @pytest.mark.parametrize("name", list(TRUNCATED_INPUTS))
     def test_bit_identical_repeats(self, name):
         a = TRUNCATED_INPUTS[name]
