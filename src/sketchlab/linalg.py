@@ -81,7 +81,11 @@ def as_csr(a) -> sparse.csr_matrix:
 
 
 def fro_norm(a: Matrix) -> float:
+    """Frobenius norm; a sparse ``a`` with duplicate entries has them summed
+    in a copy first, a canonical one is read as it is."""
     if sparse.issparse(a):
+        if not a.has_canonical_format:
+            a = a.tocoo().tocsr()  # a copy, its duplicates summed
         return float(np.sqrt(np.sum(a.data * a.data)))
     return float(np.linalg.norm(a, "fro"))
 

@@ -250,17 +250,19 @@ def best_rank_k(a: Matrix, k: int) -> LowRankFactors:
     ``tail_fro``, the optimal residual ``sqrt(sum_{i>k} sigma_i^2)``, is
     set on every route: from the kept ``sigma[k:]`` on the Gram and SVD
     routes, and as ``sqrt(||a||_F^2 - sum_{i<=k} sigma_i^2)`` on the
-    truncated one.  A sparse ``a`` not in canonical form (duplicate or
-    unsorted entries) is replaced by a canonical copy first.  Non-finite
-    entries raise ``ValueError``.
+    truncated one.  A sparse ``a`` other than a canonical ``csr_matrix``
+    (another format, or duplicate or unsorted entries) is replaced by a
+    canonical CSR copy first.  Non-finite entries raise ``ValueError``.
     """
     n, d = a.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k={k} outside 1..min{(n, d)}")
     if sparse.issparse(a):
-        # the truncated route sums ||a||_F^2 over the stored entries, which
-        # would count a duplicated entry's square twice
-        a = a if a.has_canonical_format else as_csr(a)
+        # the routes slice rows and read column counts, and the truncated
+        # route sums ||a||_F^2 over the stored entries, which would count a
+        # duplicated entry's square twice
+        canonical = isinstance(a, sparse.csr_matrix) and a.has_canonical_format
+        a = a if canonical else as_csr(a)
         check_finite(a)
     else:
         a = as_dense(a)
@@ -454,6 +456,8 @@ def error_report(
     Z^T`` the same norms, so each Lanczos product costs ``d^2``, not
     ``n d``.
 
+    A sparse ``a`` of any format is read as CSR.
+
     When the exact residual vanishes (input of rank <= k) the ratio is
     defined as 1 provided the approximate residual also vanishes; otherwise
     beating an exactly-recoverable input is impossible and an error is
@@ -461,6 +465,7 @@ def error_report(
     """
     if approx.k != exact.k:
         raise ValueError("approximate and exact factors target different ranks")
+    a = a.tocsr() if sparse.issparse(a) else a  # the Frobenius numerator slices rows
     if exact.spectrum is None or exact.tail_fro is None:
         raise ValueError(
             "exact factors carry no spectrum and tail_fro; build them with best_rank_k"

@@ -115,8 +115,8 @@ def hits(
     iterate flags the result as degenerate; hitting ``max_iter`` flags it as
     unconverged (neither is fatal).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if top_k < 0:

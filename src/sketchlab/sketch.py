@@ -30,7 +30,9 @@ The sketchers:
     i.i.d. row sampling proportional to squared row norms, rescaled to be
     unbiased.
 ``dct_sketch``
-    signed, subsampled orthonormal type-II discrete cosine transform.
+    signed, subsampled orthonormal type-II discrete cosine transform: the
+    ``ell`` sampled rows of the transform, formed directly, times the
+    input, for dense and sparse input alike.
 
 All sketchers are pure functions of ``(matrix, parameters, seed)`` and are
 bit-reproducible for a fixed seed.
@@ -298,10 +300,11 @@ def fd_sketch(a: Matrix, ell: int) -> SketchOutput:
     buffer and records one entry of ``deltas`` per round; an input with
     ``n <= 2*ell`` rows takes a single round.  NaN or Inf input raises
     ``ValueError`` before the first round.  The basis is the thin QR of the
-    last round's directions, with ``diag(R) >= 0``.
+    last round's directions, with ``diag(R) >= 0``.  Sparse input of any
+    format is read as CSR.
     """
     _check_ell(a, ell)
-    return _fd_rounds(a, ell)
+    return _fd_rounds(a.tocsr() if sparse.issparse(a) else a, ell)
 
 
 def spfd_intermediate(a: Matrix, cfg: SpfdConfig) -> np.ndarray:
@@ -356,8 +359,10 @@ def spfd_sketch(a: Matrix, cfg: SpfdConfig) -> SketchOutput:
 
 def norm_sampling_sketch(a: Matrix, ell: int, rng: RngLike) -> SketchOutput:
     """Sample ``ell`` rows i.i.d. with probability proportional to their
-    squared norm, each rescaled by ``1/sqrt(ell * p_i)`` for unbiasedness."""
+    squared norm, each rescaled by ``1/sqrt(ell * p_i)`` for unbiasedness.
+    Sparse input of any format is read as CSR."""
     _check_ell(a, ell)
+    a = a.tocsr() if sparse.issparse(a) else a  # rows are gathered by index
     check_finite(a)
     rng = np.random.default_rng(rng)
     norms_sq = row_norms(a) ** 2
@@ -372,11 +377,19 @@ def norm_sampling_sketch(a: Matrix, ell: int, rng: RngLike) -> SketchOutput:
 
 
 def _dct_rows(row_idx: np.ndarray, n: int) -> np.ndarray:
-    """Selected rows of the n x n orthonormal type-II DCT matrix."""
-    j = np.arange(n)
-    f = np.sqrt(2.0 / n) * np.cos(
-        np.pi * (2.0 * j[None, :] + 1.0) * row_idx[:, None] / (2.0 * n)
-    )
+    """Selected rows of the n x n orthonormal type-II DCT matrix.
+
+    ``row_idx`` holds int64 row indices.  Entry ``(i, j)`` is ``sqrt(2/n)
+    cos(pi p / 2n)`` with the integer phase ``p = (2j + 1) i mod 4n`` (row
+    0 then scaled by ``1/sqrt(2)``).  The phase is exact in int64 for ``n <
+    2**31``, so every entry is read from a table of the ``4n`` values
+    ``sqrt(2/n) cos(pi p / 2n)``: no angle past ``2 pi`` is rounded before
+    its cosine, and only ``4n`` cosines are taken.
+    """
+    table = np.sqrt(2.0 / n) * np.cos(np.pi / (2 * n) * np.arange(4 * n))
+    phase = np.outer(row_idx, np.arange(1, 2 * n, 2, dtype=np.int64))
+    phase %= 4 * n
+    f = table[phase]
     f[row_idx == 0] /= np.sqrt(2.0)
     return f
 
@@ -385,9 +398,12 @@ def dct_sketch(a: Matrix, ell: int, rng: RngLike) -> SketchOutput:
     """Subsampled randomized discrete cosine transform sketch.
 
     The sketch is ``sqrt(n/ell)`` times ``ell`` uniformly-without-replacement
-    selected rows of the orthonormal DCT-II of the sign-flipped input.  Dense
-    inputs go through the O(n log n) fast transform; sparse inputs multiply
-    the selected transform rows against the matrix to respect sparsity.
+    selected rows of the orthonormal DCT-II of the sign-flipped input: the
+    signs are drawn first, then the rows.  Dense and sparse input take the
+    same product: the ``ell x n`` selected transform rows (`_dct_rows`),
+    their columns signed, times the matrix.  That costs ``O(ell * nnz)``
+    and holds at most two ``ell x n`` arrays beside the input, the rows'
+    phases and then the rows.
     """
     _check_ell(a, ell)
     n = a.shape[0]
@@ -396,14 +412,7 @@ def dct_sketch(a: Matrix, ell: int, rng: RngLike) -> SketchOutput:
     rng = np.random.default_rng(rng)
     signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     rows = rng.choice(n, size=ell, replace=False)
-    scale = np.sqrt(n / ell)
-    if sparse.issparse(a):
-        m = _dct_rows(rows, n) * signs[None, :]
-        b = scale * (m @ a)
-        b = np.asarray(b)
-    else:
-        import scipy.fft  # imported on use, as the package docstring says
-
-        y = scipy.fft.dct(signs[:, None] * a, type=2, axis=0, norm="ortho")
-        b = scale * y[rows]
+    m = _dct_rows(rows, n)
+    m *= signs
+    b = np.sqrt(n / ell) * (m @ a)
     return SketchOutput(sketch=b, basis=_basis_from_sketch(b))

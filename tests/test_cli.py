@@ -232,6 +232,14 @@ class TestExitCodes:
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_tol_rejected(self, tmp_path, capsys):
+        out = tmp_path / "ranks.json"
+        argv = ["network", "--edges", str(write_graph(tmp_path)), "--methods", "hits",
+                "--tol", "nan", "--out", str(out)]
+        assert main(argv) == 2
+        assert "tol must be > 0, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code = main([
             "sketch", "--input", str(tmp_path / "nope.mtx"),
@@ -243,13 +251,17 @@ class TestExitCodes:
 
 
 def test_import_loads_only_numpy_and_scipy_sparse():
-    # a fresh interpreter: this one has loaded the rest of scipy already
+    # a fresh interpreter: this one has loaded the rest of scipy already;
+    # a dense dct sketch forms its transform rows and loads no FFT module
     deferred = ["scipy.fft", "scipy.linalg", "scipy.io", "scipy.sparse.linalg",
                 "scipy.special"]
+    report = f"print([m for m in {deferred!r} if m in sys.modules])"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import sketchlab, sketchlab.cli; "
-            f"print([m for m in {deferred!r} if m in sys.modules])")
+            "import numpy, sketchlab, sketchlab.cli; "
+            f"{report}; "
+            "sketchlab.dct_sketch(numpy.ones((8, 3)), 2, 0); "
+            f"print('scipy.fft' in sys.modules)")
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n")[:2] == ["[]", "False"]

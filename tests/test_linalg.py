@@ -7,6 +7,7 @@ from sketchlab.linalg import (
     NumericalError,
     as_csr,
     as_dense,
+    fro_norm,
     row_norms,
     svd,
     thin_qr,
@@ -40,6 +41,27 @@ class TestValidators:
         out = as_csr(coo)
         assert out.nnz == 1  # duplicates summed, explicit zero dropped
         assert out[0, 1] == 3.0
+
+
+class TestFroNorm:
+    def test_duplicate_entries_summed(self):
+        # 1 and 1 stored at (0, 0): the entry is 2, so the norm is sqrt(8)
+        dup = sparse.csr_matrix(
+            (np.array([1.0, 1.0, 2.0]), np.array([0, 0, 1]), np.array([0, 2, 3])),
+            shape=(2, 2),
+        )
+        assert not dup.has_canonical_format
+        assert fro_norm(dup) == pytest.approx(np.sqrt(8.0), rel=1e-15)
+        assert dup.nnz == 3  # the input is left as it was
+
+    def test_canonical_input_not_copied(self, monkeypatch):
+        a = random_csr(30, 8, seed=5)
+
+        def no_copy(self, *args, **kwargs):
+            raise AssertionError("fro_norm copied a canonical matrix")
+
+        monkeypatch.setattr(sparse.csr_matrix, "copy", no_copy)
+        assert fro_norm(a) == pytest.approx(np.linalg.norm(a.toarray()), rel=1e-14)
 
 
 class TestSvd:

@@ -18,7 +18,7 @@ from sketchlab.lowrank import (
     error_report,
     residual_spectral_norm,
 )
-from sketchlab.sketch import fd_sketch, spemb_sketch
+from sketchlab.sketch import fd_sketch, norm_sampling_sketch, spemb_sketch
 
 from oracles import best_in_rowspace_oracle
 
@@ -1069,3 +1069,60 @@ class TestErrorReport:
         a = random_dense(6, 4, seed=33)
         with pytest.raises(ValueError):
             error_report(a, best_rank_k(a, 2), best_rank_k(a, 3), 0.0)
+
+
+def sparse_form(c, form, duplicate):
+    """The canonical CSR ``c``, whose first stored entry is at (0, 0), in
+    ``form``; with ``duplicate``, that entry is stored as two halves, which
+    sum to it exactly."""
+    x = c.tocoo() if form == "coo" else c.tocsc() if form == "csc_matrix" else c
+    if not duplicate:
+        return sparse.csr_array(x) if form == "csr_array" else x
+    keep = np.r_[0, np.arange(x.nnz)]
+    data = x.data[keep]
+    data[:2] /= 2
+    if form == "coo":
+        return sparse.coo_matrix((data, (x.row[keep], x.col[keep])), shape=c.shape)
+    make = sparse.csr_array if form == "csr_array" else type(x)
+    return make((data, x.indices[keep], np.r_[0, x.indptr[1:] + 1]), shape=c.shape)
+
+
+@pytest.mark.parametrize("shape", [(60, 20), (30, 30), (20, 40)])
+@pytest.mark.parametrize("duplicate", [False, True])
+@pytest.mark.parametrize("form", ["csr_matrix", "csr_array", "csc_matrix", "coo"])
+def test_sparse_formats_match_csr(form, duplicate, shape):
+    """The exact reference, the error report, fd and norm sampling accept
+    every sparse format, canonical or with a duplicated entry, and give
+    what the canonical CSR gives."""
+    dense = np.where(np.random.default_rng(118).random(shape) < 0.3,
+                     np.random.default_rng(119).standard_normal(shape), 0.0)
+    dense[0, 0] = 1.5
+    c = sparse.csr_matrix(dense)
+    a = sparse_form(c, form, duplicate)
+    assert a.has_canonical_format != duplicate and (a != c).nnz == 0
+
+    def same(x, ref):
+        assert np.abs(np.asarray(x) - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1.0)
+
+    exact_c, exact_a = best_rank_k(c, 3), best_rank_k(a, 3)
+    for field in ("left", "right_basis", "spectrum", "tail_fro"):
+        same(getattr(exact_a, field), getattr(exact_c, field))
+    fd_c, fd_a = fd_sketch(c, 5), fd_sketch(a, 5)
+    same(fd_a.sketch, fd_c.sketch)
+    same(fd_a.basis, fd_c.basis)
+    same(norm_sampling_sketch(a, 5, 1).sketch, norm_sampling_sketch(c, 5, 1).sketch)
+    approx = approx_from_basis(c, fd_c.basis, 3)
+    rep_c, rep_a = error_report(c, approx, exact_c, 0.0), error_report(a, approx, exact_c, 0.0)
+    same(rep_a.fro_ratio, rep_c.fro_ratio)
+    same(rep_a.spec_ratio, rep_c.spec_ratio)
+
+
+def test_canonical_csr_reference_not_copied(monkeypatch):
+    # the loaders return canonical CSR, which the reference reads in place
+    c = random_csr(60, 20, seed=120)
+
+    def no_copy(_):
+        raise AssertionError("best_rank_k copied a canonical CSR")
+
+    monkeypatch.setattr(sketchlab.lowrank, "as_csr", no_copy)
+    assert best_rank_k(c, 3).k == 3

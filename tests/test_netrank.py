@@ -142,6 +142,11 @@ class TestHits:
         with pytest.raises(ValueError):
             hits(two_pointer_graph(), tol=0.0)
 
+    def test_nan_tol_rejected(self):
+        # a NaN tol is never reached: it ran all steps, then "unconverged"
+        with pytest.raises(ValueError, match="tol must be > 0, got nan"):
+            hits(two_pointer_graph(), tol=np.nan)
+
     def test_max_iter_below_one_rejected(self):
         # zero steps would return the random start vectors as scores
         with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):

@@ -766,6 +766,23 @@ class TestDctSketch:
         f_fast = scipy.fft.dct(np.eye(n), type=2, axis=0, norm="ortho")
         assert np.abs(f_fast - f_ref).max() <= 1e-12
 
+    def test_rows_exact_at_large_n(self):
+        # the unreduced angle pi (2j+1) i / 2n reaches pi n, whose rounding
+        # put entries of about 5.5e-3 off by 1e-13; the integer phase does not
+        import scipy.fft
+
+        from sketchlab.sketch import _dct_rows
+
+        n = 1 << 16
+        rows = np.random.default_rng(0).choice(n, 256, replace=False)
+        rows[0] = 0
+        for block in np.split(rows, 8):
+            # row i of the DCT-II matrix is the DCT-III of the unit vector e_i
+            units = np.zeros((len(block), n))
+            units[np.arange(len(block)), block] = 1.0
+            ref = scipy.fft.dct(units, type=3, axis=1, norm="ortho")
+            assert np.abs(_dct_rows(block, n) - ref).max() <= 1e-15
+
     @pytest.mark.parametrize("n", [6, 8])
     def test_full_sample_preserves_norm(self, n):
         a = random_dense(n, 9, seed=32)
@@ -790,7 +807,22 @@ class TestDctSketch:
         a = random_csr(12, 5, seed=37)
         o_sparse = dct_sketch(a, 4, rng=38)
         o_dense = dct_sketch(a.toarray(), 4, rng=38)
-        assert np.abs(o_sparse.sketch - o_dense.sketch).max() <= 1e-10
+        diff = np.linalg.norm(o_sparse.sketch - o_dense.sketch)
+        assert diff <= 1e-13 * np.linalg.norm(o_dense.sketch)
+
+    @pytest.mark.parametrize("ell", [10, 150])
+    def test_dense_matches_fast_transform(self, ell):
+        import scipy.fft
+
+        a = random_dense(2000, 200, seed=44)
+        got = dct_sketch(a, ell, rng=45).sketch
+        # the same draws, in the same order: signs, then the sampled rows
+        rng = np.random.default_rng(45)
+        signs = np.where(rng.random(2000) < 0.5, 1.0, -1.0)
+        rows = rng.choice(2000, size=ell, replace=False)
+        y = scipy.fft.dct(signs[:, None] * a, type=2, axis=0, norm="ortho")
+        ref = np.sqrt(2000 / ell) * y[rows]
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("sketcher", ["spemb", "fd", "spfd", "normsamp", "dct"])
