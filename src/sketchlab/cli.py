@@ -29,7 +29,9 @@ from .bench import (
 )
 from .datagen import SyntheticSpec, generate_synthetic
 from .dataio import load_edge_list, save_matrix_market
-from .netrank import expm_scores_exact, expm_scores_sketched, hits, ranking_overlap
+from .netrank import (
+    _check_tol, expm_scores_exact, expm_scores_sketched, hits, ranking_overlap,
+)
 
 __all__ = ["main"]
 
@@ -133,8 +135,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_network(args) -> int:
-    adj = load_edge_list(args.edges, one_indexed=not args.zero_indexed)
     methods = [m.strip().lower() for m in args.methods.split(",")]
+    if "hits" in methods:
+        _check_tol(args.tol)  # before any ranking runs
+    adj = load_edge_list(args.edges, one_indexed=not args.zero_indexed)
     exact = None
     if "expm" in methods:
         exact = expm_scores_exact(adj, top_k=args.k)

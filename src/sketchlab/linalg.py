@@ -10,7 +10,8 @@ reconstruction from a basis (`lowrank.approx_from_basis`,
 
 Matrices are plain ``numpy.ndarray`` (row-major float64) or
 ``scipy.sparse.csr_matrix``; ``as_dense`` / ``as_csr`` validate and
-canonicalise inputs instead of wrapping them in custom classes.
+canonicalise inputs instead of wrapping them in custom classes.  `as_csr`
+is the one place that decides what canonical CSR is.
 """
 
 from __future__ import annotations
@@ -65,27 +66,35 @@ def as_dense(a) -> np.ndarray:
 
 
 def as_csr(a) -> sparse.csr_matrix:
-    """Validate and return ``a`` as canonical CSR.
+    """Validate and return ``a`` as canonical CSR: ``a`` itself when it is
+    one already, a canonical copy otherwise.
 
-    Canonical means sorted column indices per row, duplicates summed and no
-    explicitly stored zeros.  Data must be finite float64.
+    Canonical means a float64 ``csr_matrix`` with sorted column indices per
+    row, no duplicate entries and no explicitly stored zeros.  Any other
+    input (another format, a ``csr_array``, another dtype, unsorted or
+    duplicate indices, stored zeros) is copied, its duplicates summed and
+    its zeros dropped; the input is never modified.  Empty dimensions and
+    NaN or Inf entries raise ``ValueError``.
     """
-    out = sparse.csr_matrix(a, dtype=np.float64, copy=True)
+    out = a
+    if not (isinstance(a, sparse.csr_matrix) and a.dtype == np.float64
+            and a.has_canonical_format and a.data.all()):
+        out = sparse.csr_matrix(a, dtype=np.float64, copy=True)
+        out.sum_duplicates()
+        out.sort_indices()
+        out.eliminate_zeros()
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise ValueError(f"matrix must be at least 1x1, got {out.shape}")
-    out.sum_duplicates()
-    out.sort_indices()
-    out.eliminate_zeros()
     check_finite(out)
     return out
 
 
 def fro_norm(a: Matrix) -> float:
-    """Frobenius norm; a sparse ``a`` with duplicate entries has them summed
-    in a copy first, a canonical one is read as it is."""
+    """Frobenius norm.  Sparse input of any format is read through
+    `as_csr`, a canonical CSR in place, so duplicate entries are summed
+    first; NaN or Inf among its entries raise ``ValueError``."""
     if sparse.issparse(a):
-        if not a.has_canonical_format:
-            a = a.tocoo().tocsr()  # a copy, its duplicates summed
+        a = as_csr(a)
         return float(np.sqrt(np.sum(a.data * a.data)))
     return float(np.linalg.norm(a, "fro"))
 

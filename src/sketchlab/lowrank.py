@@ -250,22 +250,17 @@ def best_rank_k(a: Matrix, k: int) -> LowRankFactors:
     ``tail_fro``, the optimal residual ``sqrt(sum_{i>k} sigma_i^2)``, is
     set on every route: from the kept ``sigma[k:]`` on the Gram and SVD
     routes, and as ``sqrt(||a||_F^2 - sum_{i<=k} sigma_i^2)`` on the
-    truncated one.  A sparse ``a`` other than a canonical ``csr_matrix``
-    (another format, or duplicate or unsorted entries) is replaced by a
-    canonical CSR copy first.  Non-finite entries raise ``ValueError``.
+    truncated one.  A sparse ``a`` is read through `linalg.as_csr`: a
+    canonical float64 ``csr_matrix`` in place, any other a canonical CSR
+    copy.  Non-finite entries raise ``ValueError``.
     """
     n, d = a.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k={k} outside 1..min{(n, d)}")
-    if sparse.issparse(a):
-        # the routes slice rows and read column counts, and the truncated
-        # route sums ||a||_F^2 over the stored entries, which would count a
-        # duplicated entry's square twice
-        canonical = isinstance(a, sparse.csr_matrix) and a.has_canonical_format
-        a = a if canonical else as_csr(a)
-        check_finite(a)
-    else:
-        a = as_dense(a)
+    # the routes slice rows and read column counts, and the truncated route
+    # sums ||a||_F^2 over the stored entries, which would count a duplicated
+    # entry's square twice
+    a = as_csr(a) if sparse.issparse(a) else as_dense(a)
     root = tail_fro = None
     if n > d > k and (gram := _certified_gram(a, k)) is not None:
         sigma, w = gram
@@ -388,11 +383,13 @@ def residual_spectral_norm(
     vanishes the residual is zero.  ARPACK's relative tolerance is
     ``_LANCZOS_TOL`` (1e-12).  More than ``max_iter`` residual products, or
     an ARPACK failure, raise `NumericalError`.  A residual with one row or
-    one column has rank one, and its Frobenius norm is returned.
+    one column has rank one, and its Frobenius norm is returned.  A sparse
+    ``a`` of any format is read as CSR.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
     n, d = a.shape
+    a = a.tocsr() if sparse.issparse(a) else a  # rows are sliced, products taken
     if min(n, d) == 1:
         return SpectralNorm(_residual_fro(a, factors), 0)
     matvecs = 0

@@ -100,6 +100,13 @@ def _peak_positive(x: np.ndarray) -> np.ndarray:
     return -x if x[np.argmax(np.abs(x))] < 0 else x
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ``ValueError`` unless the `hits` tolerance ``tol`` is finite
+    and positive: with NaN no step ever stops, with Inf the first does."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
 def hits(
     adj,
     tol: float = 1e-3,
@@ -111,12 +118,12 @@ def hits(
 
     Starts from i.i.d. standard normal vectors, renormalises after every
     half-step and stops once both score vectors move by at most ``tol`` in
-    2-norm.  Signs are fixed so the dominant entry is positive.  An all-zero
-    iterate flags the result as degenerate; hitting ``max_iter`` flags it as
-    unconverged (neither is fatal).
+    2-norm; ``tol`` must be finite and positive.  Signs are fixed so the
+    dominant entry is positive.  An all-zero iterate flags the result as
+    degenerate; hitting ``max_iter`` flags it as unconverged (neither is
+    fatal).
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _check_tol(tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if top_k < 0:
@@ -186,19 +193,11 @@ def _twins(csr: sparse.csr_matrix):
     return np.array(first, dtype=np.intp), group, count
 
 
-def _spread(scores: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """Per-node scores from per-group ones; empty nodes (group -1) pick
-    the appended 1, the score of a node without edges."""
-    return np.append(scores, 1.0)[group]
-
-
-def _merged_scores(adj_t: sparse.csr_matrix, rows, cols):
+def _merged_scores(adj_t: sparse.csr_matrix):
     """Hub and authority scores of the ``A`` whose transpose is the CSR
     ``adj_t``, from one ``eigh`` of the Gram matrix of ``A``'s twin-merged
-    columns; ``rows`` and ``cols`` are the ``_twins`` of ``A``'s rows and
     columns."""
-    row_first, row_group, _ = rows
-    first, group, count = cols
+    first, group, count = _twins(adj_t)
     c_t = adj_t[first]  # the distinct nonempty columns of A, as rows
     c_t.data *= np.repeat(np.sqrt(count), np.diff(c_t.indptr))
     try:
@@ -210,12 +209,14 @@ def _merged_scores(adj_t: sparse.csr_matrix, rows, cols):
     _check_cosh(sigma)
     cosh_m1 = 2.0 * np.sinh(sigma / 2.0) ** 2
     g = np.divide(cosh_m1, lam, out=np.full(lam.size, 0.5), where=lam > 0.0)
-    cy = c_t[:, row_first].T @ y  # one row per distinct nonempty row of A
+    cy = c_t.T @ y  # one row per row of A, zero for an empty one
     np.square(cy, out=cy)
-    row_scores = 1.0 + cy @ g
     np.square(y, out=y)
-    col_scores = 1.0 + (y @ cosh_m1) / count
-    return _spread(row_scores, row_group), _spread(col_scores, group)
+    # an empty column (group -1) picks the appended 1
+    col_scores = np.append(1.0 + (y @ cosh_m1) / count, 1.0)
+    # einsum takes every row through the same loop, which a BLAS product
+    # does not: twin rows of A, equal rows of C Y, score bit-equal
+    return 1.0 + np.einsum("ij,j->i", cy, g), col_scores[group]
 
 
 def expm_scores_exact(adj, top_k: int = 10) -> RankingResult:
@@ -233,15 +234,18 @@ def expm_scores_exact(adj, top_k: int = 10) -> RankingResult:
         auth_j = 1 + ((Y * Y) @ (cosh(sqrt(lam)) - 1))_c / m_c   (column j in group c)
 
     with ``g(0) = 1/2``, so nothing is divided by a small singular value,
-    and ``auth_j = 1`` for an empty column.  ``cosh(s) - 1`` is evaluated as
-    ``2 sinh(s/2)^2``, which does not cancel for small ``s``.  Both functions
-    are analytic in ``lam``, so working with the squared spectrum costs no
-    accuracy.  The Gram matrix is ``m x m``, ``m`` the number of distinct
-    nonempty columns of ``A``, so never larger than ``n x n``.
+    ``hub_i = 1`` for an empty row and ``auth_j = 1`` for an empty column.
+    ``cosh(s) - 1`` is evaluated as ``2 sinh(s/2)^2``, which does not
+    cancel for small ``s``.  Both functions are analytic in ``lam``, so
+    working with the squared spectrum costs no accuracy.  The Gram matrix
+    is ``m x m``, ``m`` the number of distinct nonempty columns of ``A``,
+    so never larger than ``n x n``.
 
-    Scores are computed once per twin group and copied to its members, so
-    twin rows have bit-equal hub scores and twin columns bit-equal authority
-    scores, and the top lists order twins by ascending node id.
+    Only columns are grouped: authority scores are computed once per group
+    of twin columns and copied to its members.  Row ``i`` of ``C Y``
+    depends only on row ``i`` of ``A``, and every row's hub score is
+    summed by the same loop, so twin rows get bit-equal hub scores by
+    construction.  The top lists order twins by ascending node id.
     """
     if top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
@@ -254,8 +258,7 @@ def expm_scores_exact(adj, top_k: int = 10) -> RankingResult:
             f"{_EXACT_SIZE_GUARD}"
         )
     t0 = time.perf_counter()
-    adj_t = adj.T.tocsr()
-    hub, auth = _merged_scores(adj_t, _twins(adj), _twins(adj_t))
+    hub, auth = _merged_scores(adj.T.tocsr())
     return _result(hub, auth, "expm", time.perf_counter() - t0, top_k)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sketchlab.cli
 from sketchlab.cli import main
 from sketchlab.dataio import load_matrix_market
 from sketchlab.sketch import (
@@ -237,7 +238,20 @@ class TestExitCodes:
         argv = ["network", "--edges", str(write_graph(tmp_path)), "--methods", "hits",
                 "--tol", "nan", "--out", str(out)]
         assert main(argv) == 2
-        assert "tol must be > 0, got nan" in capsys.readouterr().err
+        assert "tol must be finite and > 0, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tol_checked_before_ranking(self, tmp_path, capsys, monkeypatch):
+        # --tol is checked by hits' rule before the exact expm step runs
+        def unreachable(*args, **kwargs):
+            raise AssertionError("expm_scores_exact ran before --tol was checked")
+
+        monkeypatch.setattr(sketchlab.cli, "expm_scores_exact", unreachable)
+        out = tmp_path / "ranks.json"
+        argv = ["network", "--edges", str(write_graph(tmp_path)), "--methods", "expm,hits",
+                "--tol", "nan", "--out", str(out)]
+        assert main(argv) == 2
+        assert "tol must be finite and > 0, got nan" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):

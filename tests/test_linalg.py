@@ -42,6 +42,43 @@ class TestValidators:
         assert out.nnz == 1  # duplicates summed, explicit zero dropped
         assert out[0, 1] == 3.0
 
+    def test_as_csr_reads_canonical_csr_in_place(self):
+        c = random_csr(8, 5, seed=3)
+        assert as_csr(c) is c
+
+    @pytest.mark.parametrize("case", ["csr_array", "int", "stored_zero", "duplicate",
+                                      "unsorted"])
+    def test_as_csr_copies_other_input(self, case):
+        dense = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+        # row 0 as stored: values, column indices
+        row0 = {"stored_zero": ([1.0, 0.0, 2.0], [0, 1, 2]),
+                "duplicate": ([1.0, 1.0, 1.0], [0, 2, 2]),
+                "unsorted": ([2.0, 1.0], [2, 0])}
+        if case == "csr_array":
+            a = sparse.csr_array(dense)
+        elif case == "int":
+            a = sparse.csr_matrix(dense.astype(np.int64))
+        else:
+            data, indices = row0[case]
+            a = sparse.csr_matrix((np.r_[data, 3.0], np.r_[indices, 1],
+                                   [0, len(data), len(data) + 1]), shape=(2, 3))
+        before = [x.copy() for x in (a.data, a.indices, a.indptr)]
+        out = as_csr(a)
+        assert out is not a and type(out) is sparse.csr_matrix
+        assert out.dtype == np.float64 and out.has_canonical_format and out.nnz == 3
+        assert np.array_equal(out.toarray(), dense)
+        for x, y in zip(before, (a.data, a.indices, a.indptr)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)  # the input is unchanged
+        assert as_csr(out) is out
+
+    def test_as_csr_checks_canonical_input(self):
+        c = random_csr(8, 5, seed=5)
+        c.data[2] = np.inf
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            as_csr(c)
+        with pytest.raises(ValueError, match="at least 1x1"):
+            as_csr(sparse.csr_matrix((0, 3)))
+
 
 class TestFroNorm:
     def test_duplicate_entries_summed(self):

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import sketchlab.lowrank
 from sketchlab.datagen import SyntheticSpec, generate_synthetic
-from sketchlab.linalg import NumericalError, fro_norm, svd, thin_qr
+from sketchlab.linalg import NumericalError, as_csr, fro_norm, row_norms, svd, thin_qr
 from sketchlab.lowrank import (
     ErrorReport,
     LowRankFactors,
@@ -18,7 +18,10 @@ from sketchlab.lowrank import (
     error_report,
     residual_spectral_norm,
 )
-from sketchlab.sketch import fd_sketch, norm_sampling_sketch, spemb_sketch
+from sketchlab.netrank import expm_scores_exact, expm_scores_sketched, hits
+from sketchlab.sketch import (
+    SpfdConfig, dct_sketch, fd_sketch, norm_sampling_sketch, spemb_sketch, spfd_sketch,
+)
 
 from oracles import best_in_rowspace_oracle
 
@@ -1074,7 +1077,15 @@ class TestErrorReport:
 def sparse_form(c, form, duplicate):
     """The canonical CSR ``c``, whose first stored entry is at (0, 0), in
     ``form``; with ``duplicate``, that entry is stored as two halves, which
-    sum to it exactly."""
+    sum to it exactly.  ``lil``, ``dok`` and ``dia`` cannot store a
+    duplicate: they are converted from the COO that holds one."""
+    if form in ("lil", "dok", "dia"):
+        return sparse_form(c, "coo", duplicate).asformat(form)
+    if form == "coo_array":
+        return sparse_form(c, "csr_array", duplicate).tocoo()
+    if form == "bsr":
+        x = sparse_form(c, "csr_matrix", duplicate)
+        return sparse.bsr_matrix((x.data[:, None, None], x.indices, x.indptr), shape=c.shape)
     x = c.tocoo() if form == "coo" else c.tocsc() if form == "csc_matrix" else c
     if not duplicate:
         return sparse.csr_array(x) if form == "csr_array" else x
@@ -1087,42 +1098,66 @@ def sparse_form(c, form, duplicate):
     return make((data, x.indices[keep], np.r_[0, x.indptr[1:] + 1]), shape=c.shape)
 
 
-@pytest.mark.parametrize("shape", [(60, 20), (30, 30), (20, 40)])
+@pytest.mark.parametrize("shape", [(60, 20), (30, 30), (20, 40), (30, 1), (1, 30)])
 @pytest.mark.parametrize("duplicate", [False, True])
-@pytest.mark.parametrize("form", ["csr_matrix", "csr_array", "csc_matrix", "coo"])
+@pytest.mark.parametrize("form", ["csr_matrix", "csr_array", "csc_matrix", "coo",
+                                  "lil", "dok", "dia", "bsr", "coo_array"])
 def test_sparse_formats_match_csr(form, duplicate, shape):
-    """The exact reference, the error report, fd and norm sampling accept
-    every sparse format, canonical or with a duplicated entry, and give
-    what the canonical CSR gives."""
+    """The norms, the exact reference, the residual norms and error report,
+    the five sketchers, the reconstructions from a basis and, on square
+    input, the three rankings accept every sparse format, canonical or
+    with a duplicated entry, and give what the canonical CSR gives."""
     dense = np.where(np.random.default_rng(118).random(shape) < 0.3,
                      np.random.default_rng(119).standard_normal(shape), 0.0)
     dense[0, 0] = 1.5
     c = sparse.csr_matrix(dense)
     a = sparse_form(c, form, duplicate)
-    assert a.has_canonical_format != duplicate and (a != c).nnz == 0
+    stored = duplicate and form not in ("lil", "dok", "dia")
+    assert getattr(a, "has_canonical_format", True) != stored and (a != c).nnz == 0
+    n, d = shape
+    k, ell = min(3, n, d), min(5, n, d)
 
     def same(x, ref):
         assert np.abs(np.asarray(x) - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1.0)
 
-    exact_c, exact_a = best_rank_k(c, 3), best_rank_k(a, 3)
+    same(fro_norm(a), fro_norm(c))
+    same(row_norms(a), row_norms(c))
+    exact_c, exact_a = best_rank_k(c, k), best_rank_k(a, k)
     for field in ("left", "right_basis", "spectrum", "tail_fro"):
         same(getattr(exact_a, field), getattr(exact_c, field))
-    fd_c, fd_a = fd_sketch(c, 5), fd_sketch(a, 5)
+    fd_c, fd_a = fd_sketch(c, ell), fd_sketch(a, ell)
     same(fd_a.sketch, fd_c.sketch)
     same(fd_a.basis, fd_c.basis)
-    same(norm_sampling_sketch(a, 5, 1).sketch, norm_sampling_sketch(c, 5, 1).sketch)
-    approx = approx_from_basis(c, fd_c.basis, 3)
+    for sketcher in (norm_sampling_sketch, spemb_sketch, dct_sketch,
+                     lambda x, ell, seed: spfd_sketch(x, SpfdConfig(ell, 2, seed))):
+        same(sketcher(a, ell, 1).sketch, sketcher(c, ell, 1).sketch)
+    approx = approx_from_basis(c, fd_c.basis, k)
+    same(approx_from_basis(a, fd_c.basis, k).left, approx.left)
+    svd_c, svd_a = approx_svd(c, fd_c.basis), approx_svd(a, fd_c.basis)
+    for field in ("u", "sigma", "vt"):
+        same(getattr(svd_a, field), getattr(svd_c, field))
+    same(residual_spectral_norm(a, approx), residual_spectral_norm(c, approx))
     rep_c, rep_a = error_report(c, approx, exact_c, 0.0), error_report(a, approx, exact_c, 0.0)
     same(rep_a.fro_ratio, rep_c.fro_ratio)
     same(rep_a.spec_ratio, rep_c.spec_ratio)
+    if n == d:
+        for rank in (hits, expm_scores_exact,
+                     lambda x: expm_scores_sketched(x, "spfd2", k=3, p=2)):
+            rank_c, rank_a = rank(c), rank(a)
+            same(rank_a.hub_scores, rank_c.hub_scores)
+            same(rank_a.authority_scores, rank_c.authority_scores)
 
 
 def test_canonical_csr_reference_not_copied(monkeypatch):
-    # the loaders return canonical CSR, which the reference reads in place
+    # the loaders return canonical CSR, which the reference reads in place:
+    # as_csr hands back the caller's object itself
     c = random_csr(60, 20, seed=120)
+    seen = []
 
-    def no_copy(_):
-        raise AssertionError("best_rank_k copied a canonical CSR")
+    def recorded(x):
+        seen.append(as_csr(x))
+        return seen[-1]
 
-    monkeypatch.setattr(sketchlab.lowrank, "as_csr", no_copy)
+    monkeypatch.setattr(sketchlab.lowrank, "as_csr", recorded)
     assert best_rank_k(c, 3).k == 3
+    assert len(seen) == 1 and seen[0] is c

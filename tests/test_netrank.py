@@ -88,6 +88,15 @@ def tied_twins():
     return sparse.csr_matrix(adj)
 
 
+def repeated_rows():
+    # 50 nodes whose rows repeat 9 patterns, at scattered positions
+    rng = np.random.default_rng(0)
+    patterns = (rng.random((8, 50)) < 0.1).astype(float)
+    adj = patterns[rng.integers(0, 8, 50)]
+    adj[rng.random(50) < 0.3] = rng.random((1, 50)) < 0.1
+    return sparse.csr_matrix(adj)
+
+
 def distinct_nonempty_columns(dense):
     return len(np.unique(dense.T[dense.any(axis=0)], axis=0))
 
@@ -144,8 +153,13 @@ class TestHits:
 
     def test_nan_tol_rejected(self):
         # a NaN tol is never reached: it ran all steps, then "unconverged"
-        with pytest.raises(ValueError, match="tol must be > 0, got nan"):
+        with pytest.raises(ValueError, match="tol must be finite and > 0, got nan"):
             hits(two_pointer_graph(), tol=np.nan)
+
+    def test_inf_tol_rejected(self):
+        # an infinite tol stopped after one step and reported "ok"
+        with pytest.raises(ValueError, match="tol must be finite and > 0, got inf"):
+            hits(two_pointer_graph(), tol=np.inf)
 
     def test_max_iter_below_one_rejected(self):
         # zero steps would return the random start vectors as scores
@@ -323,6 +337,15 @@ class TestExpmExact:
         assert res.authority_scores[6] == res.authority_scores[7]
         assert res.top_hubs[:2] == [4, 5]
         assert res.top_authorities[:2] == [6, 7]
+
+    def test_twin_rows_bit_equal_wherever_they_sit(self):
+        # a BLAS product over the rows of C Y gave one twin group of this
+        # graph two hub scores
+        adj = repeated_rows()
+        hub = expm_scores_exact(adj).hub_scores
+        _, group = np.unique(adj.toarray(), axis=0, return_inverse=True)
+        for g in np.unique(group):
+            assert np.unique(hub[group == g]).size == 1
 
 
 @pytest.mark.parametrize("rank", [hits, expm_scores_exact], ids=["hits", "exact"])
