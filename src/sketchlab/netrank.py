@@ -12,9 +12,19 @@ Three routes to the scores of each node:
   of their count, so one symmetric eigendecomposition of the Gram matrix of
   the twin-merged columns, ``C^T C = Y diag(lam) Y^T``, gives both score
   vectors;
-* ``expm_scores_sketched`` - the same quantities from an approximate SVD
-  obtained through any of the sketchers, so only ``ell = k + p`` singular
-  triplets are ever formed.
+* ``expm_scores_sketched`` - the same expansion truncated to the
+  ``ell = k + p`` singular triplets of an approximate SVD obtained through
+  any of the sketchers, so no other triplet is ever formed.
+
+Both expm routes score through one formula (`_expm_scores`), with ``u``
+and ``v`` the left and right singular vectors of ``A`` (of its projection
+``A V V^T`` on the sketched route)::
+
+    hub_i  = 1 + sum_j u_ij^2 (cosh(sigma_j) - 1)
+    auth_c = 1 + sum_j v_cj^2 (cosh(sigma_j) - 1)
+
+so on both routes empty rows and columns score 1, a zero singular value
+adds nothing, and twin rows score bit-equal.
 """
 
 from __future__ import annotations
@@ -156,18 +166,32 @@ def hits(
     )
 
 
-def _check_cosh(sigma: np.ndarray) -> None:
+def _expm_scores(left, right, lam, group):
+    """Hub and authority scores, as `expm_scores_exact` defines them, from
+    the squared spectrum ``lam`` of ``A``::
+
+        hub    = 1 + (left * left) @ g(lam)
+        auth_j = 1 + ((right * right) @ (cosh(sqrt(lam)) - 1))_c   (column j in group c)
+
+    ``left`` has one row per row of ``A``, ``right`` one per group of twin
+    columns, and ``group`` maps each column to its group (-1 for an empty
+    column, which scores 1).  Both are squared in place."""
+    lam = np.maximum(lam, 0.0)
+    sigma = np.sqrt(lam)
     if sigma.size and sigma.max() > _COSH_OVERFLOW:
         raise NumericalError(
             f"largest singular value {sigma.max():.3g} overflows cosh in "
             "float64"
         )
-
-
-def _cosh_scores(u: np.ndarray, v: np.ndarray, sigma: np.ndarray):
-    _check_cosh(sigma)
-    weights = np.cosh(sigma)
-    return (u**2) @ weights, (v**2) @ weights
+    cosh_m1 = 2.0 * np.sinh(sigma / 2.0) ** 2
+    g = np.divide(cosh_m1, lam, out=np.full(lam.size, 0.5), where=lam > 0.0)
+    np.square(left, out=left)
+    np.square(right, out=right)
+    # an empty column (group -1) picks the appended 1
+    col_scores = np.append(1.0 + right @ cosh_m1, 1.0)
+    # einsum takes every row through the same loop, which a BLAS product
+    # does not: twin rows, equal rows of ``left``, score bit-equal
+    return 1.0 + np.einsum("ij,j->i", left, g), col_scores[group]
 
 
 def _twins(csr: sparse.csr_matrix):
@@ -204,19 +228,9 @@ def _merged_scores(adj_t: sparse.csr_matrix):
         lam, y = np.linalg.eigh((c_t @ c_t.T).toarray())
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigh of the merged Gram failed to converge: {exc}") from exc
-    lam = np.maximum(lam, 0.0)
-    sigma = np.sqrt(lam)
-    _check_cosh(sigma)
-    cosh_m1 = 2.0 * np.sinh(sigma / 2.0) ** 2
-    g = np.divide(cosh_m1, lam, out=np.full(lam.size, 0.5), where=lam > 0.0)
-    cy = c_t.T @ y  # one row per row of A, zero for an empty one
-    np.square(cy, out=cy)
-    np.square(y, out=y)
-    # an empty column (group -1) picks the appended 1
-    col_scores = np.append(1.0 + (y @ cosh_m1) / count, 1.0)
-    # einsum takes every row through the same loop, which a BLAS product
-    # does not: twin rows of A, equal rows of C Y, score bit-equal
-    return 1.0 + np.einsum("ij,j->i", cy, g), col_scores[group]
+    left = c_t.T @ y  # one row per row of A, zero for an empty one
+    y /= np.sqrt(count)[:, None]
+    return _expm_scores(left, y, lam, group)
 
 
 def expm_scores_exact(adj, top_k: int = 10) -> RankingResult:
@@ -288,19 +302,26 @@ def expm_scores_sketched(
 
     ``method`` picks the sketcher (``normsamp``, ``dct``, ``spemb``, ``fd``
     or ``spfd<q>``); ``basis`` overrides it with a precomputed orthonormal
-    basis.  Scores use only the retained singular triplets, i.e. the
-    rank-(n-ell) tail of the exponential is truncated away, which preserves
-    rankings when the retained spectrum dominates.
+    basis ``V``.  With ``A V`` decomposed as ``U diag(sigma) W^T``, the
+    scores are `expm_scores_exact`'s expansion truncated to the ``ell``
+    retained triplets::
 
-    Twin rows get bit-equal hub scores, since row ``i`` of ``A V`` depends
-    only on row ``i`` of ``A``.  The basis rows of twin columns can differ,
-    so each group of twin columns (`_twins`, as the exact route forms them)
-    takes the authority score of its lowest-id member, and the top lists
-    order twins by ascending node id.  An empty column's authority score
-    is 0, as an empty row's hub score is: the row space of ``A`` holds no
-    weight on it, which a full-rank sketch's basis matches up to rounding,
-    while the completion of a rank-deficient sketch's basis can put up to
-    a whole direction there.
+        hub_i  = 1 + sum_j u_ij^2 (cosh(sigma_j) - 1),   u_ij sigma_j = (A V W)_ij
+        auth_c = 1 + sum_j (V W)_cj^2 (cosh(sigma_j) - 1)
+
+    i.e. the rank-(n-ell) tail of the exponential is truncated away, which
+    preserves rankings when the retained spectrum dominates.  A basis that
+    contains the row space of ``A`` gives the exact scores, and a zero
+    singular value, such as a rank-deficient sketch's completing
+    direction, adds nothing.  Empty rows and columns score 1, as on the
+    exact route.
+
+    Twin rows get bit-equal hub scores: ``A (V W)`` is a sparse product,
+    whose row ``i`` depends only on row ``i`` of ``A``, and every row is
+    summed by the same einsum loop.  The basis rows of twin columns can
+    differ, so each group of twin columns (`_twins`, as the exact route
+    forms them) takes the authority score of its lowest-id member, and the
+    top lists order twins by ascending node id.
     """
     if k < 1 or p < 0:
         raise ValueError(f"need k >= 1 and p >= 0, got k={k}, p={p}")
@@ -314,10 +335,9 @@ def expm_scores_sketched(
             raise ValueError(f"sketch size k+p={ell} exceeds n={n}")
         basis = _sketch_basis(adj, method, ell, rng)
     approx = approx_svd(adj, basis)
-    hub, auth = _cosh_scores(approx.u, approx.vt.T, approx.sigma)
+    v = approx.vt.T
     first, group, _ = _twins(adj.T.tocsr())
-    auth[group >= 0] = auth[first[group[group >= 0]]]
-    auth[group < 0] = 0.0
+    hub, auth = _expm_scores(adj @ v, v[first], approx.sigma**2, group)
     return _result(hub, auth, method, time.perf_counter() - t0, k)
 
 

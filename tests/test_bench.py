@@ -71,6 +71,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             small_cfg(methods=methods)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"ell_sweep": (3, 0, 6)}, "invalid ell sweep (3, 0, 6)"),
+            ({"ell_sweep": (6, 3, 3)}, "invalid ell sweep (6, 3, 3)"),
+            ({"methods": ()}, "at least one method is required"),
+            ({"format": "xml"}, "unknown output format 'xml'"),
+        ],
+    )
+    def test_invalid_field_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_cfg(**overrides)
+
     def test_ells_inclusive(self):
         assert small_cfg(ell_sweep=(3, 10, 23)).ells == [3, 13, 23]
 
@@ -155,6 +168,11 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="start:step:end"):
             load_config(self.write(tmp_path, payload))
 
+    def test_config_must_be_an_object(self, tmp_path):
+        path = self.write(tmp_path, [self.valid_payload()])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: config must be a JSON object")):
+            load_config(path)
+
     @pytest.mark.parametrize(
         "keys, value, message",
         [
@@ -194,6 +212,17 @@ class TestLoadConfig:
             (("dataset", "zeta"), True, "dataset.zeta must be a number, got True"),
             (("output",), 5, "output must be a string, got 5"),
             (("output",), ["out.csv"], "output must be a string, got ['out.csv']"),
+            (("ell_sweep",), {"start": 2, "step": 2, "end": 6, "stop": 8},
+             "unknown ell_sweep keys ['stop']"),
+            (("ell_sweep",), 6, "ell_sweep must be a 'start:step:end' string or an object"),
+            (("dataset",), "data.mtx", "dataset must be an object with a 'type'"),
+            (("dataset", "type"), DROP, "dataset must be an object with a 'type'"),
+            (("dataset", "type"), "random", "unknown dataset type 'random'"),
+            (("repetitions", "middle"), 1, "unknown repetition keys"),
+            (("dataset",), {"type": "file", "path": "g.txt", "format": "edges", "n": 5},
+             "unknown dataset keys ['n']"),
+            (("dataset",), {"type": "file", "path": "g.txt", "format": "csv"},
+             "unknown dataset format 'csv'"),
         ],
     )
     def test_malformed_config_names_file_and_key(self, tmp_path, keys, value, message):
@@ -337,6 +366,33 @@ class TestRunBenchmark:
                         ell_sweep=(2, 2, 4), methods=("normsamp",))
         rows = run_benchmark(cfg)
         assert {r.ell for r in rows} == {2, 4}
+
+    def test_edges_dataset(self, tmp_path):
+        # an edge-list campaign scores the loaded adjacency as a
+        # MatrixMarket campaign over the same matrix does
+        from sketchlab.dataio import load_edge_list, save_matrix_market
+
+        rng = np.random.default_rng(5)
+        edges = tmp_path / "graph.txt"
+        edges.write_text("".join(
+            f"{i} {j}\n" for i, j in rng.integers(1, 41, size=(200, 2))
+        ) + "40 1\n")
+        mtx = tmp_path / "graph.mtx"
+        save_matrix_market(mtx, load_edge_list(edges))
+        runs = [
+            run_benchmark(small_cfg(dataset=(str(path), fmt), k=2,
+                                    ell_sweep=(2, 2, 4), repetitions=(1, 1)))
+            for path, fmt in ((edges, "edges"), (mtx, "matrixmarket"))
+        ]
+        keep = [[(r.method, r.ell, r.fro_ratio, r.spec_ratio, r.reps, r.failed)
+                 for r in rows] for rows in runs]
+        assert len(keep[0]) == 4 and all(r[2] is not None for r in keep[0])
+        assert keep[0] == keep[1]
+
+    def test_unknown_dataset_file_format(self):
+        # load_config refuses it first; the loader names the formats it reads
+        with pytest.raises(ValueError, match="unknown dataset format 'csv', expected one of"):
+            bench.load_dataset_file("data.csv", "csv")
 
     def test_svmlight_reference_stays_sparse(self, monkeypatch, tmp_path):
         # the exact reference decomposes the loaded CSR as it is, and its
@@ -492,3 +548,9 @@ class TestEmit:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError, match="cannot write"):
             emit_results([], tmp_path / "missing_dir" / "out.csv", "csv")
+
+    def test_unknown_format_writes_nothing(self, tmp_path):
+        path = tmp_path / "out.xml"
+        with pytest.raises(ValueError, match="unknown output format 'xml'"):
+            emit_results([], path, "xml")
+        assert not path.exists()

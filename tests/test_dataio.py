@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +248,22 @@ class TestMatrixMarket:
         with pytest.raises(ValueError, match="pattern"):
             load_matrix_market(p)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("%%MatrixMarket matrix coordinate real", "not a MatrixMarket file"),
+            ("%MatrixMarket matrix coordinate real general", "not a MatrixMarket file"),
+            ("%%MatrixMarket vector coordinate real general", "unsupported object 'vector'"),
+            ("%%MatrixMarket matrix coordinate real symmetric",
+             "unsupported symmetry 'symmetric'"),
+        ],
+    )
+    def test_header_rejected(self, tmp_path, header, message):
+        p = tmp_path / "a.mtx"
+        p.write_text(f"{header}\n1 1 1\n1 1 1.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
+            load_matrix_market(p)
+
     def test_roundtrip_sparse_bit_exact(self, tmp_path):
         a = random_csr(8, 5, seed=1)
         p = tmp_path / "rt.mtx"
@@ -308,6 +325,12 @@ class TestEdgeList:
         p = tmp_path / "g.txt"
         p.write_text("1 two\n")
         with pytest.raises(ValueError, match="non-integer"):
+            load_edge_list(p)
+
+    def test_no_edges_rejected(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_text("# comment only\n\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: no edges found")):
             load_edge_list(p)
 
     def test_token_count_rejected(self, tmp_path):

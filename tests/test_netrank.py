@@ -101,6 +101,13 @@ def distinct_nonempty_columns(dense):
     return len(np.unique(dense.T[dense.any(axis=0)], axis=0))
 
 
+def split_twin_rows(adj, res):
+    """Number of groups of identical rows of ``adj`` whose hub scores differ."""
+    _, group = np.unique(adj.toarray(), axis=0, return_inverse=True)
+    hub = res.hub_scores
+    return sum(np.unique(hub[group == g]).size > 1 for g in np.unique(group))
+
+
 def expm_scores_unmerged(adj):
     """Scores from a dense eigendecomposition of the whole of A A^T."""
     lam, u = np.linalg.eigh((adj @ adj.T).toarray())
@@ -210,43 +217,6 @@ class TestExpmExact:
         assert np.array_equal(r1.hub_scores, r2.hub_scores)
         assert np.array_equal(r1.authority_scores, r2.authority_scores)
 
-    @pytest.mark.parametrize(
-        "method", ["normsamp", "dct", "spemb", "fd", "spfd10"]
-    )
-    def test_twins_tie_bit_equal_and_rank_by_id(self, method):
-        res = expm_scores_sketched(tied_twins(), method, k=10, p=5, rng=1)
-        assert res.hub_scores[4] == res.hub_scores[5]
-        assert res.authority_scores[6] == res.authority_scores[7]
-        assert res.top_hubs.index(4) < res.top_hubs.index(5)
-        assert res.top_authorities.index(6) < res.top_authorities.index(7)
-
-    # top lists of tied_twins with columns 10-12 emptied (k=10, p=5, rng=1),
-    # as before empty columns were scored 0
-    EMPTY_COLUMN_TOPS = {
-        "fd": ([4, 5, 28, 34, 24, 23, 26, 6, 25, 32],
-               [6, 7, 17, 24, 36, 4, 35, 33, 29, 28]),
-        "spfd10": ([4, 5, 28, 34, 24, 23, 26, 6, 25, 38],
-                   [6, 7, 17, 24, 36, 35, 4, 29, 18, 33]),
-        "spemb": ([4, 5, 24, 34, 28, 6, 26, 23, 25, 38],
-                  [6, 7, 24, 36, 4, 29, 17, 28, 38, 2]),
-        "normsamp": ([4, 5, 28, 24, 32, 25, 23, 34, 6, 37],
-                     [6, 7, 17, 24, 34, 28, 29, 38, 33, 36]),
-        "dct": ([4, 5, 28, 34, 26, 6, 25, 24, 37, 23],
-                [6, 7, 24, 17, 33, 36, 38, 35, 4, 28]),
-    }
-
-    @pytest.mark.parametrize("method", list(EMPTY_COLUMN_TOPS))
-    def test_empty_columns_score_zero(self, method):
-        # spemb's rank-deficient sketch once put a whole direction, and an
-        # authority score of 1, on column 10
-        adj = tied_twins().tolil()
-        adj[:, 10:13] = 0
-        adj = adj.tocsr()
-        adj.eliminate_zeros()
-        res = expm_scores_sketched(adj, method, k=10, p=5, rng=1)
-        assert (res.authority_scores[10:13] == 0.0).all()
-        assert (res.top_hubs, res.top_authorities) == self.EMPTY_COLUMN_TOPS[method]
-
     def test_overflow_raises(self):
         adj = random_digraph(20, seed=26) * 1000.0
         with pytest.raises(NumericalError, match="overflows cosh"):
@@ -342,10 +312,7 @@ class TestExpmExact:
         # a BLAS product over the rows of C Y gave one twin group of this
         # graph two hub scores
         adj = repeated_rows()
-        hub = expm_scores_exact(adj).hub_scores
-        _, group = np.unique(adj.toarray(), axis=0, return_inverse=True)
-        for g in np.unique(group):
-            assert np.unique(hub[group == g]).size == 1
+        assert split_twin_rows(adj, expm_scores_exact(adj)) == 0
 
 
 @pytest.mark.parametrize("rank", [hits, expm_scores_exact], ids=["hits", "exact"])
@@ -384,6 +351,61 @@ class TestExpmSketched:
         assert res.top_hubs.index(4) < res.top_hubs.index(5)
         assert res.top_authorities.index(6) < res.top_authorities.index(7)
 
+    # top lists of tied_twins with columns 10-12 emptied (k=10, p=5, rng=1)
+    EMPTY_COLUMN_TOPS = {
+        "fd": ([4, 5, 28, 34, 24, 23, 26, 6, 25, 32],
+               [6, 7, 17, 24, 36, 4, 35, 33, 29, 28]),
+        "spfd10": ([4, 5, 28, 34, 24, 23, 26, 6, 25, 38],
+                   [6, 7, 17, 24, 36, 35, 4, 29, 18, 33]),
+        "spemb": ([4, 5, 24, 34, 28, 6, 26, 23, 25, 38],
+                  [6, 7, 24, 36, 4, 29, 17, 28, 38, 2]),
+        "normsamp": ([4, 5, 28, 24, 32, 25, 23, 34, 6, 37],
+                     [6, 7, 17, 24, 34, 28, 29, 38, 33, 36]),
+        "dct": ([4, 5, 28, 34, 26, 6, 25, 24, 37, 23],
+                [6, 7, 24, 17, 33, 36, 38, 35, 4, 28]),
+    }
+
+    @pytest.mark.parametrize("method", list(EMPTY_COLUMN_TOPS))
+    def test_empty_columns_score_one(self, method):
+        # as on the exact route, although spemb's sketch here is rank
+        # deficient and its basis puts a whole null direction on column 10
+        adj = tied_twins().tolil()
+        adj[:, 10:13] = 0
+        adj = adj.tocsr()
+        adj.eliminate_zeros()
+        res = expm_scores_sketched(adj, method, k=10, p=5, rng=1)
+        assert (res.authority_scores[10:13] == 1.0).all()
+        assert (res.top_hubs, res.top_authorities) == self.EMPTY_COLUMN_TOPS[method]
+
+    @pytest.mark.parametrize("graph", [rank_deficient, sink_heavy, repeated_rows])
+    def test_row_space_basis_reproduces_exact_scores(self, graph):
+        # with A's row space inside the basis nothing is truncated; the
+        # null directions that fill the width-15 basis add nothing
+        adj = graph()
+        row_space = scipy.linalg.orth(adj.toarray().T)
+        fill = np.random.default_rng(40).standard_normal(
+            (adj.shape[0], 15 - row_space.shape[1])
+        )
+        basis = np.linalg.qr(np.hstack([row_space, fill]))[0]
+        res = expm_scores_sketched(adj, "unused", k=10, basis=basis)
+        exact = expm_scores_exact(adj)
+        np.testing.assert_allclose(res.hub_scores, exact.hub_scores, rtol=1e-12)
+        np.testing.assert_allclose(
+            res.authority_scores, exact.authority_scores, rtol=1e-12
+        )
+        assert res.top_hubs == exact.top_hubs
+        assert res.top_authorities == exact.top_authorities
+
+    @pytest.mark.parametrize(
+        "method", ["normsamp", "dct", "spemb", "fd", "spfd10"]
+    )
+    def test_twin_rows_bit_equal_wherever_they_sit(self, method):
+        # the rank of repeated_rows is below k + p, so every sketch's
+        # basis holds null directions of A
+        adj = repeated_rows()
+        res = expm_scores_sketched(adj, method, k=10, p=5, rng=1)
+        assert split_twin_rows(adj, res) == 0
+
     def test_overflow_raises(self):
         adj = random_digraph(20, seed=26) * 1000.0
         with pytest.raises(NumericalError, match="overflows cosh"):
@@ -421,6 +443,11 @@ class TestOverlapAndParsing:
 
         b = replace(a, top_hubs=[100, 101, 102, 103, 104])
         assert ranking_overlap(a, b, 5) == 0
+
+    def test_unknown_kind_rejected(self):
+        res = expm_scores_exact(random_digraph(12, seed=18), top_k=5)
+        with pytest.raises(ValueError, match="kind must be 'hubs' or 'authorities'"):
+            ranking_overlap(res, res, 5, "nodes")
 
     def test_k_too_large(self):
         res = expm_scores_exact(random_digraph(12, seed=19), top_k=5)

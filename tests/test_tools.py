@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -187,3 +188,18 @@ def test_perfbench_wraps_only_names_the_library_has(monkeypatch):
     wrapped = {(module.__name__, attr) for module, attr, _ in patches}
     assert {("sketchlab.sketch", "spemb_apply"),
             ("sketchlab.sketch", "spfd_intermediate")} <= wrapped
+
+
+def test_no_test_name_defined_twice():
+    # a second definition of a name shadows the first, which pytest then
+    # never collects
+    twice = []
+    for path in sorted([*TOOLS.parent.glob("tests/*.py"), *PERFBENCH.glob("test_*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+            names = [node.name for node in scope.body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                     and node.name.lower().startswith("test")]
+            twice += [f"{path.name}:{getattr(scope, 'name', '<module>')}.{name}"
+                      for name in sorted(set(names)) if names.count(name) > 1]
+    assert not twice
