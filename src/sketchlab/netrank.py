@@ -194,27 +194,59 @@ def _expm_scores(left, right, lam, group):
     return 1.0 + np.einsum("ij,j->i", left, g), col_scores[group]
 
 
+def _row_hashes(csr: sparse.csr_matrix) -> np.ndarray:
+    """A 64-bit hash of each row's length and index and value bytes (0 for
+    an empty row): one mixed word per stored entry, summed with wrapping."""
+    mixed = csr.indices.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    mixed ^= csr.data.view(np.uint64)
+    mixed ^= mixed >> np.uint64(29)
+    lengths = np.diff(csr.indptr)
+    rows = np.flatnonzero(lengths)
+    hashes = np.zeros(csr.shape[0], dtype=np.uint64)
+    if rows.size:
+        hashes[rows] = (np.add.reduceat(mixed, csr.indptr[rows])
+                        + lengths[rows].astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F))
+    return hashes
+
+
 def _twins(csr: sparse.csr_matrix):
     """Groups of identical nonempty rows of a canonical CSR matrix.
 
     Returns ``(first, group, count)``: the first row of each group in
     ascending order, the group of every row (-1 for an empty row) and the
     size of each group.  Canonical CSR stores equal rows as equal index
-    and value bytes."""
+    and value bytes.  Rows of equal hash (`_row_hashes`) are proposed as one
+    group, and each is confirmed entry by entry against the group's lowest
+    row; the rows that differ from it are regrouped among themselves the
+    same way, so a hash collision never merges two rows."""
+    lengths = np.diff(csr.indptr)
+    hashes = _row_hashes(csr)
+    bits = csr.data.view(np.uint64)
+    rows = np.flatnonzero(lengths)
+    owner = np.empty(csr.shape[0], dtype=np.intp)
+    todo = rows
+    while todo.size:
+        todo = todo[np.argsort(hashes[todo])]
+        new = np.ones(todo.size, dtype=bool)
+        new[1:] = hashes[todo[1:]] != hashes[todo[:-1]]
+        lowest = np.minimum.reduceat(todo, np.flatnonzero(new))[np.cumsum(new) - 1]
+        size = lengths[todo]
+        same = size == lengths[lowest]
+        starts = np.cumsum(size) - size
+        within = np.arange(size.sum()) - np.repeat(starts, size)
+        mine = np.repeat(csr.indptr[todo], size) + within
+        # a row of another length is compared with itself, and differs
+        theirs = np.repeat(np.where(same, csr.indptr[lowest], csr.indptr[todo]), size) + within
+        differs = ~same | np.logical_or.reduceat(
+            (csr.indices[mine] != csr.indices[theirs]) | (bits[mine] != bits[theirs]),
+            starts)
+        owner[todo[~differs]] = lowest[~differs]
+        todo = todo[differs]
+    first = rows[owner[rows] == rows]
     group = np.full(csr.shape[0], -1, dtype=np.intp)
-    first = []
-    seen = {}
-    ptr = csr.indptr.tolist()
-    idx, val = csr.indices.tobytes(), csr.data.tobytes()
-    wi, wv = csr.indices.itemsize, csr.data.itemsize
-    for i in np.flatnonzero(np.diff(csr.indptr)).tolist():
-        lo, hi = ptr[i], ptr[i + 1]
-        key = (idx[wi * lo : wi * hi], val[wv * lo : wv * hi])
-        g = group[i] = seen.setdefault(key, len(first))
-        if g == len(first):
-            first.append(i)
-    count = np.bincount(group[group >= 0], minlength=len(first))
-    return np.array(first, dtype=np.intp), group, count
+    group[first] = np.arange(len(first))
+    group[rows] = group[owner[rows]]
+    return first, group, np.bincount(group[rows], minlength=len(first))
 
 
 def _merged_scores(adj_t: sparse.csr_matrix):

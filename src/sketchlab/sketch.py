@@ -15,7 +15,8 @@ The sketchers:
     rows accumulated into ``ell`` buckets in O(nnz) time.
 ``fd_sketch``
     frequent directions: deterministic streaming pass that repeatedly
-    decomposes a ``2*ell``-row buffer and shrinks all squared singular
+    decomposes a buffer of at most ``2*ell`` rows, the kept directions
+    and the next block's nonzero rows, and shrinks all squared singular
     values by the (ell+1)-th one.  Each round takes the buffer's
     decomposition from `linalg._gram_eigh`, one ``eigh`` of its smaller
     Gram matrix, and falls back to the buffer's SVD when that declines.
@@ -23,7 +24,9 @@ The sketchers:
     block sparse embedding feeding frequent directions: the shuffled input
     rows are compressed in ``q`` blocks by independent sparse embeddings,
     and the resulting ``q*ell`` rows are run through the
-    frequent-directions loop (q-1 shrink iterations).  The blocks' draws
+    frequent-directions loop (q-1 shrink iterations).  A block of
+    ``ceil(n/q)`` rows leaves buckets empty when ``ell`` exceeds that
+    count, and its rounds skip those zero rows.  The blocks' draws
     make one bucket map over the input rows, which the spemb kernel
     applies in input order.
 ``norm_sampling_sketch``
@@ -226,26 +229,35 @@ def _check_ell(a: Matrix, ell: int) -> None:
 
 
 def _row_blocks(a: Matrix, ell: int):
-    """The rows of ``a`` as consecutive dense blocks of ``ell`` rows (the last
-    possibly shorter), densifying CSR input a whole chunk at a time."""
+    """The nonzero rows of each block of ``ell`` consecutive rows of ``a``
+    (the last block possibly shorter), as dense arrays, densifying CSR input
+    a whole chunk at a time.  A block whose every row holds a nonzero is a
+    view of its chunk; only a block with a zero row is copied."""
     for rows in _row_chunks(a, ell):
         chunk = a[rows]
         if sparse.issparse(chunk):
             chunk = chunk.toarray()
-        for start in range(0, len(chunk), ell):
-            yield chunk[start : start + ell]
+        nonzero = chunk.any(axis=1)
+        holed = set((np.flatnonzero(~nonzero) // ell).tolist())
+        for i, start in enumerate(range(0, len(chunk), ell)):
+            block = chunk[start : start + ell]
+            yield block[nonzero[start : start + ell]] if i in holed else block
 
 
 def _shrink_round(buf: np.ndarray, ell: int):
-    """One frequent-directions decomposition of the buffer: its squared
-    singular values ``sq``, its top right singular directions ``vt`` (at
-    most ``ell`` rows) and whether the round fell back to ``svd(buf)``.
+    """One frequent-directions decomposition of the filled buffer, the kept
+    directions and the incoming block's nonzero rows: its squared singular
+    values ``sq``, its top right singular directions ``vt`` (at most
+    ``ell`` rows) and whether the round fell back to ``svd(buf)``.
 
     The round takes its decomposition from `linalg._gram_eigh`, one
     ``eigh`` of the buffer's smaller Gram matrix, so a rank-deficient buffer
     shrinks by 0 and forms only its nonzero directions.  When that route
-    declines, the round is redone with the buffer's own SVD.
+    declines, the round is redone with the buffer's own SVD.  A buffer with
+    no row gives no value and no direction.
     """
+    if not len(buf):
+        return np.zeros(0), buf, False
     out = _gram_eigh(buf, ell)
     if out is not None:
         return out[0], out[2], False
@@ -257,27 +269,33 @@ def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
     """Frequent-directions buffer loop shared by ``fd_sketch`` and the
     block-embedded variant (which feeds it the intermediate sketch).
 
-    The matrix is checked for NaN and Inf once, here; the rounds do not
-    check again.
+    Each round decomposes only the filled part of the ``2*ell x d``
+    buffer: the kept directions, those that shrink to a nonzero row, and
+    the incoming block's nonzero rows.  Zero rows would add only zero
+    singular values, so the shrinkage, the directions and the round count
+    are those of the whole buffer, while the ``eigh`` is sized by the rows
+    that hold data: an spfd block leaves buckets empty when ``ell`` exceeds
+    its ``ceil(n/q)`` rows.  The matrix is checked for NaN and Inf once,
+    here; the rounds do not check again.
     """
     check_finite(a)
     d = a.shape[1]
     blocks = _row_blocks(a, ell)
     first = next(blocks)
-    buf = np.zeros((2 * ell, d))
-    buf[: len(first)] = first
+    buf = np.empty((2 * ell, d))
+    top = len(first)
+    buf[:top] = first
     deltas: list[float] = []
     fallbacks = 0
     # an input of at most ell rows takes its single round on an empty block
-    for block in itertools.chain([next(blocks, first[:0])], blocks):
-        # rows past a short last block stay zero: each round clears buf[ell:]
-        buf[ell : ell + len(block)] = block
-        sq, vt, fell_back = _shrink_round(buf, ell)
+    for rows in itertools.chain([next(blocks, first[:0])], blocks):
+        buf[top : top + len(rows)] = rows
+        sq, vt, fell_back = _shrink_round(buf[: top + len(rows)], ell)
         fallbacks += fell_back
         delta = float(sq[ell]) if sq.size > ell else 0.0
         shrunk = np.sqrt(np.maximum(sq[: len(vt)] - delta, 0.0))
-        buf[:] = 0.0
-        buf[: len(vt)] = shrunk[:, None] * vt
+        top = int(np.count_nonzero(shrunk))  # a descending prefix
+        buf[:top] = shrunk[:top, None] * vt[:top]
         deltas.append(delta)
     # Orthonormalise the last round's directions; the zero columns of a
     # rank-deficient round become an orthonormal completion.
@@ -285,8 +303,10 @@ def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
     v[:, : len(vt)] = vt.T
     basis, r = thin_qr(v)
     basis[:, np.diag(r) < 0] *= -1.0
+    sketch = np.zeros((ell, d))
+    sketch[:top] = buf[:top]
     return SketchOutput(
-        sketch=buf[:ell].copy(),
+        sketch=sketch,
         basis=basis,
         deltas=np.asarray(deltas),
         gram_fallbacks=fallbacks,
@@ -296,8 +316,8 @@ def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
 def fd_sketch(a: Matrix, ell: int) -> SketchOutput:
     """Deterministic frequent-directions sketch (no randomness involved).
 
-    Runs ``max(ceil(n/ell) - 1, 1)`` shrink rounds of the ``2*ell x d``
-    buffer and records one entry of ``deltas`` per round; an input with
+    Runs ``max(ceil(n/ell) - 1, 1)`` shrink rounds of a buffer of at most
+    ``2*ell x d`` and records one entry of ``deltas`` per round; an input with
     ``n <= 2*ell`` rows takes a single round.  NaN or Inf input raises
     ``ValueError`` before the first round.  The basis is the thin QR of the
     last round's directions, with ``diag(R) >= 0``.  Sparse input of any

@@ -206,3 +206,23 @@ def load_svmlight_oracle(path, n_cols=None) -> sparse.csr_matrix:
             shape=(n_rows, n_cols),
         )
     )
+
+
+def twins_oracle(csr: sparse.csr_matrix):
+    """Groups of identical nonempty rows of a canonical CSR matrix, by a
+    dict keyed on each row's index and value bytes, scanned in row order.
+    Returns ``(first, group, count)`` as ``netrank._twins`` does."""
+    group = np.full(csr.shape[0], -1, dtype=np.intp)
+    first = []
+    seen = {}
+    ptr = csr.indptr.tolist()
+    idx, val = csr.indices.tobytes(), csr.data.tobytes()
+    wi, wv = csr.indices.itemsize, csr.data.itemsize
+    for i in np.flatnonzero(np.diff(csr.indptr)).tolist():
+        lo, hi = ptr[i], ptr[i + 1]
+        key = (idx[wi * lo : wi * hi], val[wv * lo : wv * hi])
+        g = group[i] = seen.setdefault(key, len(first))
+        if g == len(first):
+            first.append(i)
+    count = np.bincount(group[group >= 0], minlength=len(first))
+    return np.array(first, dtype=np.intp), group, count

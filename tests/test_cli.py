@@ -233,6 +233,17 @@ class TestExitCodes:
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bench_without_output_path(self, tmp_path, capsys):
+        cfg = {"schema_version": 1,
+               "dataset": {"type": "synthetic", "n": 30, "d": 6, "k": 2},
+               "methods": ["fd"], "k": 2, "ell_sweep": "2:2:2"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+        assert ("no output path: set 'output' in the config or --output"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     def test_nan_tol_rejected(self, tmp_path, capsys):
         out = tmp_path / "ranks.json"
         argv = ["network", "--edges", str(write_graph(tmp_path)), "--methods", "hits",

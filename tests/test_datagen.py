@@ -21,6 +21,11 @@ def one_shot(spec):
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("n, d, k", [(0, 4, 2), (10, 0, 2), (10, 4, 0)])
+    def test_nonpositive_shape(self, n, d, k):
+        with pytest.raises(ValueError, match="n, d, k must be >= 1"):
+            SyntheticSpec(n=n, d=d, k=k)
+
     def test_k_exceeding_d(self):
         with pytest.raises(ValueError):
             SyntheticSpec(n=10, d=4, k=5)

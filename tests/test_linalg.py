@@ -25,6 +25,11 @@ def random_csr(n, d, seed, density=0.3):
 
 
 class TestValidators:
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_as_dense_rejects_empty(self, shape):
+        with pytest.raises(ValueError, match=r"matrix must be at least 1x1, got"):
+            as_dense(np.zeros(shape))
+
     def test_as_dense_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             as_dense(np.array([[1.0, np.nan]]))

@@ -64,6 +64,17 @@ class TestBestRankK:
 
 
 class TestApproxFromBasis:
+    def test_k_below_one_rejected(self):
+        v, _ = thin_qr(random_dense(5, 3, seed=4))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            approx_from_basis(random_dense(9, 5, seed=4), v, 0)
+
+    def test_factor_widths_must_equal_k(self):
+        with pytest.raises(ValueError, match="factor widths must equal k"):
+            LowRankFactors(np.zeros((9, 2)), np.zeros((5, 2)), 3)
+        with pytest.raises(ValueError, match="factor widths must equal k"):
+            LowRankFactors(np.zeros((9, 3)), np.zeros((5, 2)), 3)
+
     def test_exact_singular_basis_gives_best(self):
         a = random_dense(9, 5, seed=4)
         k = 2

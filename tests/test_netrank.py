@@ -12,7 +12,7 @@ from sketchlab.netrank import (
     ranking_overlap,
 )
 
-from oracles import expm_diag_oracle
+from oracles import expm_diag_oracle, twins_oracle
 
 
 def random_digraph(n, seed, density=0.15):
@@ -429,6 +429,64 @@ class TestExpmSketched:
         r2 = expm_scores_sketched(adj, "spemb", k=4, rng=17)
         assert r1.top_hubs == r2.top_hubs
         assert (r1.hub_scores == r2.hub_scores).all()
+
+
+def copied_rows_digraph(seed):
+    """A random weighted digraph with a quarter of its rows copied from
+    others, some copies off by one ulp in one entry or moved one column."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(40, 200))
+    adj = random_digraph(n, seed, density=0.05).toarray()
+    adj *= rng.choice([1.0, 0.5, 3.0], size=adj.shape)
+    src = rng.integers(0, n, n // 4)
+    dst = rng.integers(0, n, n // 4)
+    adj[dst] = adj[src]
+    for i in dst[: n // 16]:
+        j = np.flatnonzero(adj[i])
+        if j.size:
+            adj[i, j[0]] = np.nextafter(adj[i, j[0]], 10.0)
+    for i in dst[n // 16 : n // 8]:
+        adj[i] = np.roll(adj[i], 1)
+    return sparse.csr_matrix(adj)
+
+
+class TestTwins:
+    """``_twins`` groups identical nonempty rows exactly as the loop over a
+    bytes-keyed dict does (``twins_oracle``)."""
+
+    GRAPHS = [sources_and_sinks, rank_deficient, weighted, two_pointer_graph,
+              twin_heavy, sink_heavy, scaled_twin_columns, tied_twins, repeated_rows]
+
+    def assert_matches_oracle(self, csr):
+        got, want = sketchlab.netrank._twins(csr), twins_oracle(csr)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_named_graphs_both_ways(self, graph):
+        adj = graph()
+        self.assert_matches_oracle(adj)
+        self.assert_matches_oracle(adj.T.tocsr())
+
+    def test_copied_rows(self):
+        for seed in range(40):
+            adj = copied_rows_digraph(seed)
+            self.assert_matches_oracle(adj)
+            self.assert_matches_oracle(adj.T.tocsr())
+
+    def test_no_nonempty_row(self):
+        first, group, count = sketchlab.netrank._twins(sparse.csr_matrix((5, 5)))
+        assert first.size == count.size == 0 and (group == -1).all()
+        self.assert_matches_oracle(sparse.csr_matrix((5, 5)))
+
+    def test_hash_collisions_are_regrouped(self, monkeypatch):
+        # every row hashes alike, so each length class is proposed as one
+        # group and split only by the entry-by-entry check
+        monkeypatch.setattr(sketchlab.netrank, "_row_hashes",
+                            lambda csr: np.zeros(csr.shape[0], dtype=np.uint64))
+        for seed in range(5):
+            self.assert_matches_oracle(copied_rows_digraph(seed))
+        self.assert_matches_oracle(repeated_rows())
 
 
 class TestOverlapAndParsing:

@@ -63,6 +63,12 @@ class TestSpEmbApply:
         with pytest.raises(ValueError):
             spemb_apply(np.zeros((4, 2)), spec)
 
+    @pytest.mark.parametrize("h_len, signs_len", [(3, 4), (4, 3)])
+    def test_bucket_map_of_wrong_length(self, h_len, signs_len):
+        with pytest.raises(ValueError, match="must have one entry per input row"):
+            SpEmbSpec(n_in=4, n_out=2, h=np.zeros(h_len, dtype=int),
+                      signs=np.ones(signs_len))
+
     def test_dense_sparse_agree(self):
         a = random_csr(12, 5, seed=1)
         spec = SpEmbSpec.draw(12, 4, np.random.default_rng(2))
@@ -413,6 +419,19 @@ class TestSpfdSketch:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             SpfdConfig(ell=2, q=2, seed=-1)
 
+    @pytest.mark.parametrize("ell, q, message", [(0, 2, "ell must be >= 1"),
+                                                 (2, 0, "q must be >= 1")])
+    def test_config_below_one_rejected(self, ell, q, message):
+        with pytest.raises(ValueError, match=message):
+            SpfdConfig(ell=ell, q=q)
+
+    @pytest.mark.parametrize("sketcher", [fd_sketch, spemb_sketch, norm_sampling_sketch,
+                                          dct_sketch])
+    def test_ell_below_one_rejected(self, sketcher):
+        args = () if sketcher is fd_sketch else (0,)
+        with pytest.raises(ValueError, match="ell must be >= 1"):
+            sketcher(random_dense(8, 3, seed=12), 0, *args)
+
     def test_zero_matrix(self):
         out = spfd_sketch(np.zeros((8, 3)), SpfdConfig(ell=2, q=2, seed=0))
         assert (out.sketch == 0).all()
@@ -458,14 +477,15 @@ class TestSpfdSketch:
         assert np.abs(out.sketch - dense_out.sketch).max() <= 1e-12
 
 
-def count_calls(monkeypatch, name: str) -> list:
+def count_calls(monkeypatch, name: str, keep: bool = False) -> list:
     """Route ``sketchlab.sketch.<name>`` through a counter; returns the list
-    that collects the shape of the first argument of every call."""
+    that collects the shape of the first argument of every call, or with
+    ``keep`` a copy of that argument."""
     calls = []
     real = getattr(sketchlab.sketch, name)
 
     def counted(a, *args):
-        calls.append(a.shape)
+        calls.append(a.copy() if keep else a.shape)
         return real(a, *args)
 
     monkeypatch.setattr(sketchlab.sketch, name, counted)
@@ -630,6 +650,75 @@ class TestShrinkRoundCount:
         out = spfd_sketch(self.matrix(), SpfdConfig(ell=10, q=4, seed=0))
         assert len(rounds) == 3
         assert len(svds) == out.gram_fallbacks == 0
+
+
+class TestCompactRounds:
+    """A round decomposes the kept directions and the incoming block's
+    nonzero rows only, not the whole ``2*ell``-row buffer.  The oracles
+    decompose the whole buffer, zero rows included; zero rows add only zero
+    singular values, so the results agree and the round count is kept."""
+
+    def check_rounds(self, buffers, fed, ell):
+        """One buffer per round, none holding a zero row, each at most the
+        kept ``ell`` directions plus the nonzero rows of its block of
+        ``fed``, the matrix the rounds read."""
+        nonzero = [int(fed[i : i + ell].any(axis=1).sum()) for i in range(0, len(fed), ell)]
+        incoming = nonzero[1:] or [0]  # a single block takes its round alone
+        assert len(buffers) == len(incoming)
+        assert len(buffers[0]) == nonzero[0] + incoming[0]
+        for buf, rows in zip(buffers, incoming):
+            assert buf.any(axis=1).all()
+            assert len(buf) <= ell + rows
+
+    def test_spfd_ell_above_block_rows(self, monkeypatch):
+        # 8 rows per block and ell = 10: every block leaves buckets empty
+        a = generate_synthetic(SyntheticSpec(n=400, d=50, k=10, zeta=10.0, seed=1))
+        cfg = SpfdConfig(ell=10, q=50, seed=3)
+        buffers = count_calls(monkeypatch, "_shrink_round", keep=True)
+        out = spfd_sketch(a, cfg)
+        assert_matches_oracle(out, a, spfd_oracle(a, 10, 50, 3))
+        assert out.deltas.size == 49
+        self.check_rounds(buffers, spfd_intermediate(a, cfg), 10)
+        assert max(len(buf) for buf in buffers) <= 18
+
+    @pytest.mark.parametrize("d", [40, 6])  # wide, then tall
+    def test_fd_zero_rows_interleaved(self, monkeypatch, d):
+        # every third row is zero, and rows 20..29 make two whole zero blocks
+        a = random_dense(60, d, seed=60 + d)
+        a[::3] = 0.0
+        a[20:30] = 0.0
+        buffers = count_calls(monkeypatch, "_shrink_round", keep=True)
+        out = fd_sketch(a, 5)
+        assert_matches_oracle(out, a, fd_oracle(a, 5))
+        assert out.deltas.size == 11
+        self.check_rounds(buffers, a, 5)
+        assert [len(buf) for buf in buffers[3:5]] == [5, 5]  # kept rows only
+
+    @pytest.mark.parametrize("d", [40, 6])
+    def test_fd_short_last_block(self, monkeypatch, d):
+        a = random_dense(23, d, seed=70 + d)
+        buffers = count_calls(monkeypatch, "_shrink_round", keep=True)
+        out = fd_sketch(sparse.csr_matrix(a), 5)
+        assert_matches_oracle(out, a, fd_oracle(a, 5))
+        assert out.deltas.size == 4
+        self.check_rounds(buffers, a, 5)
+        assert len(buffers[-1]) == 8
+
+    def test_all_zero_input(self, monkeypatch):
+        # every round holds no row; the basis is an orthonormal completion,
+        # which the input does not determine
+        a = np.zeros((30, 6))
+        buffers = count_calls(monkeypatch, "_shrink_round", keep=True)
+        fd = fd_sketch(a, 4)
+        b_ref, _, deltas_ref = fd_oracle(a, 4)
+        assert (fd.sketch == b_ref).all() and fd.sketch.shape == (4, 6)
+        assert fd.deltas.tolist() == deltas_ref == [0.0] * 7
+        assert [buf.shape for buf in buffers] == [(0, 6)] * 7
+        assert_basis_ok(fd)
+        spfd = spfd_sketch(a, SpfdConfig(ell=4, q=5, seed=0))
+        assert (spfd.sketch == 0).all() and spfd.deltas.tolist() == [0.0] * 4
+        assert len(buffers) == 11 and fd.gram_fallbacks == spfd.gram_fallbacks == 0
+        assert_basis_ok(spfd)
 
 
 class TestNonFiniteInput:

@@ -203,3 +203,57 @@ def test_no_test_name_defined_twice():
             twice += [f"{path.name}:{getattr(scope, 'name', '<module>')}.{name}"
                       for name in sorted(set(names)) if names.count(name) > 1]
     assert not twice
+
+
+@pytest.fixture
+def ab_ops(monkeypatch):
+    """``tools/ab_ops.py``, with the modules it imports removed afterwards."""
+    monkeypatch.syspath_prepend(str(TOOLS))
+    before = set(sys.modules)
+    spec = importlib.util.spec_from_file_location("ab_ops", TOOLS / "ab_ops.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in set(sys.modules) - before:
+        del sys.modules[name]
+
+
+def test_ab_ops_times_both_trees_in_one_process(ab_ops, monkeypatch, tmp_path):
+    # the parent tree is a copy of this one, so every output is identical
+    def export(rev, dest):
+        assert rev == "abc123"
+        (dest / "src").mkdir(parents=True)
+        (dest / "src" / "sketchlab").symlink_to(TOOLS.parent / "src" / "sketchlab")
+
+    monkeypatch.setattr(ab_ops, "export", export)
+    monkeypatch.setattr(ab_ops, "git", lambda *args: "" if args[0] == "status" else "abc123")
+    out = tmp_path / "ab.json"
+    assert ab_ops.main(["--parent", "HEAD", "--workload", "dense-sweep", "--op", "sketch",
+                        "--method", "fd", "--ell", "10", "--calls", "3",
+                        "--out", str(out)]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["parent"] == "abc123" and record["op"] == "sketch"
+    assert {side: len(t) for side, t in record["times_s"].items()} == {"parent": 3,
+                                                                      "change": 3}
+    assert record["change_wins"] + record["parent_wins"] <= 3
+    for side in ("parent", "change"):
+        assert record["min_s"][side] == min(record["times_s"][side])
+        assert record["median_s"][side] == sorted(record["times_s"][side])[1]
+    assert record["identical"] is True
+    assert record["digests"]["parent"] == record["digests"]["change"]
+    # the two packages are distinct modules, each importing its own submodules
+    parent, change = sys.modules["sketchlab_parent"], sys.modules["sketchlab_change"]
+    assert parent is not change and parent.sketch is sys.modules["sketchlab_parent.sketch"]
+    assert change.sketch.fd_sketch is not parent.sketch.fd_sketch
+
+
+def test_ab_ops_alternates_and_flags_differing_outputs(ab_ops):
+    order = []
+    fns = {"parent": lambda: order.append("parent") or 1.0,
+           "change": lambda: order.append("change") or 2.0}
+    result = ab_ops.alternate(fns, 4, repr)
+    # one untimed call per side, then the first side alternates per pair
+    assert order == ["parent", "change", "parent", "change", "change", "parent",
+                     "parent", "change", "change", "parent"]
+    assert result["identical"] is False
+    assert result["digests"] == {"parent": ["1.0"], "change": ["2.0"]}
