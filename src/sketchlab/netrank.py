@@ -195,17 +195,15 @@ def _expm_scores(left, right, lam, group):
 
 
 def _row_hashes(csr: sparse.csr_matrix) -> np.ndarray:
-    """A 64-bit hash of each row's length and index and value bytes (0 for
-    an empty row): one mixed word per stored entry, summed with wrapping."""
+    """A 64-bit hash of each row's index and value bytes (0 for an empty
+    row): one mixed word per stored entry, summed with wrapping."""
     mixed = csr.indices.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     mixed ^= csr.data.view(np.uint64)
     mixed ^= mixed >> np.uint64(29)
-    lengths = np.diff(csr.indptr)
-    rows = np.flatnonzero(lengths)
+    rows = np.flatnonzero(np.diff(csr.indptr))
     hashes = np.zeros(csr.shape[0], dtype=np.uint64)
     if rows.size:
-        hashes[rows] = (np.add.reduceat(mixed, csr.indptr[rows])
-                        + lengths[rows].astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F))
+        hashes[rows] = np.add.reduceat(mixed, csr.indptr[rows])
     return hashes
 
 

@@ -77,9 +77,9 @@ def load_package(root: Path, name: str):
     return load_module(package / "__init__.py", name, package)
 
 
-def workload_input(lib, workload: str, seed: int, tmp: Path):
-    """The input matrix of ``workload`` at ``seed``, as perfbench builds it."""
-    wl = load_module(ROOT / "perfbench" / "workloads.py", "ab_ops_workloads")
+def workload_input(wl, lib, workload: str, seed: int, tmp: Path):
+    """The input matrix of ``workload`` at ``seed``, built by perfbench's
+    workloads module ``wl`` as its runs build it."""
     if workload == "dense-fd":
         return wl.dense_matrix(lib, seed)
     if workload == "dense-sweep":
@@ -140,11 +140,11 @@ def main(argv=None) -> int:
         export(parent_rev, parent_root)
         libs = {"parent": load_package(parent_root, "sketchlab_parent"),
                 "change": load_package(ROOT, "sketchlab_change")}
-        a = workload_input(libs["change"], args.workload, args.seed, Path(tmp))
-        digest = sys.modules["ab_ops_workloads"].digest
+        wl = load_module(ROOT / "perfbench" / "workloads.py", "ab_ops_workloads")
+        a = workload_input(wl, libs["change"], args.workload, args.seed, Path(tmp))
         op = OPS[args.op]
         fns = {side: (lambda lib=lib: op(lib, a, args)) for side, lib in libs.items()}
-        result = alternate(fns, args.calls, digest)
+        result = alternate(fns, args.calls, wl.digest)
     out = {
         "parent": parent_rev,
         "change": {"head": git("rev-parse", "HEAD"),
