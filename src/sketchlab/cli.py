@@ -32,6 +32,7 @@ from .dataio import load_edge_list, save_matrix_market
 from .netrank import (
     _check_tol, expm_scores_exact, expm_scores_sketched, hits, ranking_overlap,
 )
+from .sketch import parse_sketcher_id
 
 __all__ = ["main"]
 
@@ -136,8 +137,12 @@ def _cmd_bench(args) -> int:
 
 def _cmd_network(args) -> int:
     methods = [m.strip().lower() for m in args.methods.split(",")]
+    # every id, and --tol, is checked before any ranking runs
+    for method in methods:
+        if method not in ("hits", "expm"):
+            parse_sketcher_id(method)
     if "hits" in methods:
-        _check_tol(args.tol)  # before any ranking runs
+        _check_tol(args.tol)
     adj = load_edge_list(args.edges, one_indexed=not args.zero_indexed)
     exact = None
     if "expm" in methods:

@@ -194,57 +194,27 @@ def _expm_scores(left, right, lam, group):
     return 1.0 + np.einsum("ij,j->i", left, g), col_scores[group]
 
 
-def _row_hashes(csr: sparse.csr_matrix) -> np.ndarray:
-    """A 64-bit hash of each row's index and value bytes (0 for an empty
-    row): one mixed word per stored entry, summed with wrapping."""
-    mixed = csr.indices.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    mixed ^= csr.data.view(np.uint64)
-    mixed ^= mixed >> np.uint64(29)
-    rows = np.flatnonzero(np.diff(csr.indptr))
-    hashes = np.zeros(csr.shape[0], dtype=np.uint64)
-    if rows.size:
-        hashes[rows] = np.add.reduceat(mixed, csr.indptr[rows])
-    return hashes
-
-
 def _twins(csr: sparse.csr_matrix):
     """Groups of identical nonempty rows of a canonical CSR matrix.
 
     Returns ``(first, group, count)``: the first row of each group in
     ascending order, the group of every row (-1 for an empty row) and the
     size of each group.  Canonical CSR stores equal rows as equal index
-    and value bytes.  Rows of equal hash (`_row_hashes`) are proposed as one
-    group, and each is confirmed entry by entry against the group's lowest
-    row; the rows that differ from it are regrouped among themselves the
-    same way, so a hash collision never merges two rows."""
-    lengths = np.diff(csr.indptr)
-    hashes = _row_hashes(csr)
-    bits = csr.data.view(np.uint64)
-    rows = np.flatnonzero(lengths)
-    owner = np.empty(csr.shape[0], dtype=np.intp)
-    todo = rows
-    while todo.size:
-        todo = todo[np.argsort(hashes[todo])]
-        new = np.ones(todo.size, dtype=bool)
-        new[1:] = hashes[todo[1:]] != hashes[todo[:-1]]
-        lowest = np.minimum.reduceat(todo, np.flatnonzero(new))[np.cumsum(new) - 1]
-        size = lengths[todo]
-        same = size == lengths[lowest]
-        starts = np.cumsum(size) - size
-        within = np.arange(size.sum()) - np.repeat(starts, size)
-        mine = np.repeat(csr.indptr[todo], size) + within
-        # a row of another length is compared with itself, and differs
-        theirs = np.repeat(np.where(same, csr.indptr[lowest], csr.indptr[todo]), size) + within
-        differs = ~same | np.logical_or.reduceat(
-            (csr.indices[mine] != csr.indices[theirs]) | (bits[mine] != bits[theirs]),
-            starts)
-        owner[todo[~differs]] = lowest[~differs]
-        todo = todo[differs]
-    first = rows[owner[rows] == rows]
+    and value bytes, so each entry's index and value are packed into one
+    record, and a dict keyed on each nonempty row's record bytes gives the
+    rows their group ids in row order: two rows share a group exactly when
+    their bytes are equal."""
+    records = np.empty(csr.nnz, dtype=[("i", csr.indices.dtype), ("v", csr.data.dtype)])
+    records["i"], records["v"] = csr.indices, csr.data
+    buf, bounds = records.tobytes(), records.itemsize * csr.indptr.astype(np.intp)
+    rows = np.flatnonzero(np.diff(csr.indptr))
+    seen = {}
+    ids = np.array([seen.setdefault(buf[lo:hi], len(seen)) for lo, hi
+                    in zip(bounds[rows].tolist(), bounds[rows + 1].tolist())], dtype=np.intp)
+    _, firsts, count = np.unique(ids, return_index=True, return_counts=True)
     group = np.full(csr.shape[0], -1, dtype=np.intp)
-    group[first] = np.arange(len(first))
-    group[rows] = group[owner[rows]]
-    return first, group, np.bincount(group[rows], minlength=len(first))
+    group[rows] = ids
+    return rows[firsts], group, count
 
 
 def _merged_scores(adj_t: sparse.csr_matrix):
@@ -349,9 +319,11 @@ def expm_scores_sketched(
     Twin rows get bit-equal hub scores: ``A (V W)`` is a sparse product,
     whose row ``i`` depends only on row ``i`` of ``A``, and every row is
     summed by the same einsum loop.  The basis rows of twin columns can
-    differ, so each group of twin columns (`_twins`, as the exact route
-    forms them) takes the authority score of its lowest-id member, and the
-    top lists order twins by ascending node id.
+    differ, so each group of twin columns takes the authority score of its
+    lowest-id member, and the top lists order twins by ascending node id.
+    The groups are the exact route's: `_twins` groups the columns by
+    their stored index and value bytes, so only columns whose entries
+    are bit-equal share a score.
     """
     if k < 1 or p < 0:
         raise ValueError(f"need k >= 1 and p >= 0, got k={k}, p={p}")

@@ -295,11 +295,13 @@ def test_criterion_7_timing_ordering():
     t_spfd = median_low(times[spfd])
     ratio = t_fd / t_spfd
 
-    # Both methods run the same loop of 2*ell x d buffer decompositions: fd
-    # streams all n rows through it, spfd only the q*ell embedded rows.  That
-    # round saving is the method's efficiency claim; the time ratio it buys
-    # depends on the per-round cost against the fixed embedding and
-    # reconstruction costs, so only its direction is gated.
+    # Both methods run the same loop of frequent-directions rounds, each
+    # decomposing the kept directions and one block's nonzero rows (at most
+    # 2*ell x d): fd streams all n rows through it, spfd only the q*ell
+    # embedded rows.  That round saving is the method's efficiency claim;
+    # the time ratio it buys depends on the per-round cost against the
+    # fixed embedding and reconstruction costs, so only its direction is
+    # gated.
     want_fd = math.ceil(n / ell) - 1
     want_spfd = q - 1
     rounds_fd = len(fd_sketch(a, ell).deltas)

@@ -265,6 +265,24 @@ class TestExitCodes:
         assert "tol must be finite and > 0, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("methods, message", [
+        ("expm,bogus", "unknown sketcher id 'bogus'"),
+        ("expm,spfd0", "bad sketcher id 'spfd0'"),
+        ("expm,", "unknown sketcher id ''"),
+    ])
+    def test_methods_checked_before_ranking(self, tmp_path, capsys, monkeypatch,
+                                            methods, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("expm_scores_exact ran before --methods was checked")
+
+        monkeypatch.setattr(sketchlab.cli, "expm_scores_exact", unreachable)
+        out = tmp_path / "ranks.json"
+        argv = ["network", "--edges", str(write_graph(tmp_path)), "--methods", methods,
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code = main([
             "sketch", "--input", str(tmp_path / "nope.mtx"),

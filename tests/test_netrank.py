@@ -97,6 +97,20 @@ def repeated_rows():
     return sparse.csr_matrix(adj)
 
 
+def near_twins():
+    # rows 1 and 5 are row 0 off by one ulp in one value, row 2 is row 0
+    # one column index over, row 3 a prefix of row 0 and row 0 a prefix of
+    # row 6; row 7 repeats row 0 and row 4 is empty
+    ulp = np.nextafter(2.0, 3.0)
+    rows = [([1, 3], [1.0, 2.0]), ([1, 3], [1.0, ulp]), ([1, 4], [1.0, 2.0]),
+            ([1], [1.0]), ([], []), ([1, 3], [1.0, ulp]),
+            ([1, 3, 5], [1.0, 2.0, 1.0]), ([1, 3], [1.0, 2.0])]
+    adj = sparse.lil_matrix((8, 8))
+    for i, (cols, vals) in enumerate(rows):
+        adj[i, cols] = vals
+    return adj.tocsr()
+
+
 def distinct_nonempty_columns(dense):
     return len(np.unique(dense.T[dense.any(axis=0)], axis=0))
 
@@ -455,7 +469,8 @@ class TestTwins:
     bytes-keyed dict does (``twins_oracle``)."""
 
     GRAPHS = [sources_and_sinks, rank_deficient, weighted, two_pointer_graph,
-              twin_heavy, sink_heavy, scaled_twin_columns, tied_twins, repeated_rows]
+              twin_heavy, sink_heavy, scaled_twin_columns, tied_twins, repeated_rows,
+              near_twins]
 
     def assert_matches_oracle(self, csr):
         got, want = sketchlab.netrank._twins(csr), twins_oracle(csr)
@@ -479,14 +494,11 @@ class TestTwins:
         assert first.size == count.size == 0 and (group == -1).all()
         self.assert_matches_oracle(sparse.csr_matrix((5, 5)))
 
-    def test_hash_collisions_are_regrouped(self, monkeypatch):
-        # every row hashes alike, so each length class is proposed as one
-        # group and split only by the entry-by-entry check
-        monkeypatch.setattr(sketchlab.netrank, "_row_hashes",
-                            lambda csr: np.zeros(csr.shape[0], dtype=np.uint64))
-        for seed in range(5):
-            self.assert_matches_oracle(copied_rows_digraph(seed))
-        self.assert_matches_oracle(repeated_rows())
+    def test_near_twins_stay_apart(self):
+        first, group, count = sketchlab.netrank._twins(near_twins())
+        assert first.tolist() == [0, 1, 2, 3, 6]
+        assert group.tolist() == [0, 1, 2, 3, -1, 1, 4, 0]
+        assert count.tolist() == [2, 2, 1, 1, 1]
 
 
 class TestOverlapAndParsing:
