@@ -3,10 +3,14 @@
 Everything downstream (sketchers, low-rank pipeline, network ranking) goes
 through the helpers here so that numerical conventions are fixed in exactly
 one place: economy SVD with a deterministic sign convention, thin QR, and
-`_gram_eigh`, the top singular triplets from one ``eigh`` of the smaller
-Gram matrix, which every frequent-directions shrink round and every
+the Gram route that every frequent-directions shrink round and every
 reconstruction from a basis (`lowrank.approx_from_basis`,
-`lowrank.approx_svd`) tries before an SVD.
+`lowrank.approx_svd`) tries before an SVD.  `_gram_top` takes one
+``eigh`` of a Gram matrix and applies the route's zero cut, its
+``_GRAM_FLOOR`` test and, for a wide matrix's Gram, the SVD sign rule;
+`_gram_eigh` builds the top singular triplets of a matrix on it, and a
+wide frequent-directions round (`sketch._shrink_round`) the triplets of a
+buffer it never forms.
 
 Matrices are plain ``numpy.ndarray`` (row-major float64) or
 ``scipy.sparse.csr_matrix``; ``as_dense`` / ``as_csr`` validate and
@@ -134,19 +138,24 @@ class SvdResult:
     vt: np.ndarray
 
 
-def _fix_svd_signs(u: np.ndarray, vt: np.ndarray) -> None:
-    """Flip the pairs of columns of ``u`` and rows of ``vt``, in place, whose
-    column of ``u`` has a negative largest-magnitude entry (the lowest row
-    index on ties).
+def _peak_signs(u: np.ndarray) -> np.ndarray:
+    """``-1.0`` for each column of ``u`` whose largest-magnitude entry (the
+    lowest row index on ties) is negative, ``1.0`` for the others.
 
     The peaks are searched along the contiguous rows of ``u.T``: free when
     ``u`` is column-major, one transposed copy otherwise, which beats a
-    strided search down the columns of a tall ``u``.  The flips are one
-    multiply by a +-1 vector each.
+    strided search down the columns of a tall ``u``.
     """
     ut = np.ascontiguousarray(u.T)
     peaks = np.argmax(np.abs(ut), axis=1)
-    signs = np.where(ut[np.arange(len(ut)), peaks] < 0, -1.0, 1.0)
+    return np.where(ut[np.arange(len(ut)), peaks] < 0, -1.0, 1.0)
+
+
+def _fix_svd_signs(u: np.ndarray, vt: np.ndarray) -> None:
+    """Flip the pairs of columns of ``u`` and rows of ``vt``, in place, whose
+    column of ``u`` has a negative largest-magnitude entry (the lowest row
+    index on ties), by one multiply by a +-1 vector each."""
+    signs = _peak_signs(u)
     u *= signs
     vt *= signs[:, None]
 
@@ -162,45 +171,61 @@ def _fix_svd_signs(u: np.ndarray, vt: np.ndarray) -> None:
 _GRAM_FLOOR = 1e-9
 
 
+def _gram_top(gram: np.ndarray, terms: int, count: int, wide: bool):
+    """``(lam, vecs, sigma)`` from one ``eigh`` of the Gram matrix ``gram``
+    of a matrix with ``terms`` columns (wide) or rows (tall): all its
+    eigenvalues ``lam``, descending, and the eigenvectors ``vecs`` and
+    square roots ``sigma`` of its nonzero top-``count`` ones; or ``None``
+    when the Gram route declines.
+
+    Eigenvalues below the rounding level of the Gram entries (``terms *
+    eps`` times the largest, as each entry is an inner product of that many
+    terms) are exact zeros, so a rank-deficient matrix gives fewer than
+    ``count`` eigenvectors.  The route declines when a formed eigenvalue is
+    below the floor (``_GRAM_FLOOR`` when wide, its square root otherwise)
+    times the largest, or when ``eigh`` raises ``LinAlgError``.  A wide
+    Gram's eigenvectors are the left singular vectors, and take `svd`'s
+    sign rule here: the largest-magnitude entry of each is positive.
+    """
+    try:
+        lam, vecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError:
+        return None
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    lam = np.where(lam > terms * np.finfo(float).eps * lam[0], lam, 0.0)
+    rank = int(np.count_nonzero(lam[:count]))
+    floor = _GRAM_FLOOR if wide else np.sqrt(_GRAM_FLOOR)
+    if rank and lam[rank - 1] < floor * lam[0]:
+        return None
+    vecs = vecs[:, :rank]
+    if wide:
+        vecs = vecs * _peak_signs(vecs)
+    return lam, vecs, np.sqrt(lam[:rank])
+
+
 def _gram_eigh(x: np.ndarray, count: int):
     """``(sq, left, vt)`` from one ``eigh`` of the smaller Gram matrix of a
-    dense ``x``: all ``min(x.shape)`` squared singular values ``sq``,
-    descending, the top right singular vectors ``vt`` (at most ``count``)
-    and their left factor ``left = x @ vt.T``, the left singular vectors
-    scaled by their singular values, or ``None`` when the Gram route
-    declines.
+    dense ``x`` (`_gram_top`): all ``min(x.shape)`` squared singular values
+    ``sq``, descending, the top right singular vectors ``vt`` (at most
+    ``count``, only those of nonzero values) and their left factor ``left =
+    x @ vt.T``, the left singular vectors scaled by their singular values,
+    or ``None`` when the Gram route declines.
 
     A wide ``x`` (fewer rows than columns) takes ``x @ x.T``, whose
     eigenvectors ``u`` give ``vt`` as ``u.T @ x / sigma`` and ``left`` as
     ``u * sigma``; a tall or square one takes ``x.T @ x``, whose
     eigenvectors are ``vt.T``, and forms ``left`` as the transpose of
     ``vt @ x.T``, column-major, so that the sign rule searches contiguous
-    rows.  Eigenvalues below the rounding level of the Gram entries
-    (``max(x.shape) * eps`` times the largest, as each entry is an inner
-    product of that many terms) are exact zeros, so a rank-deficient ``x``
-    gives fewer than ``count`` directions: only those of nonzero
-    top-``count`` eigenvalues are formed.  Signs follow `svd`: the largest-magnitude entry of each
-    left singular vector is positive.  The route declines when a formed
-    direction's eigenvalue is below the floor (``_GRAM_FLOOR`` when wide,
-    its square root otherwise) times the largest, or when ``eigh`` raises
-    ``LinAlgError``.
+    rows.  Signs follow `svd`: the largest-magnitude entry of each left
+    singular vector is positive.
     """
     wide = x.shape[0] < x.shape[1]
-    try:
-        lam, vecs = np.linalg.eigh(x @ x.T if wide else x.T @ x)
-    except np.linalg.LinAlgError:
+    out = _gram_top(x @ x.T if wide else x.T @ x, max(x.shape), count, wide)
+    if out is None:
         return None
-    lam, vecs = lam[::-1], vecs[:, ::-1]
-    lam = np.where(lam > max(x.shape) * np.finfo(float).eps * lam[0], lam, 0.0)
-    rank = int(np.count_nonzero(lam[:count]))
-    floor = _GRAM_FLOOR if wide else np.sqrt(_GRAM_FLOOR)
-    if rank and lam[rank - 1] < floor * lam[0]:
-        return None
-    vecs, sigma = vecs[:, :rank], np.sqrt(lam[:rank])
+    lam, vecs, sigma = out
     if wide:
-        vt = (vecs / sigma).T @ x
-        _fix_svd_signs(vecs, vt)
-        return lam, vecs * sigma, vt
+        return lam, vecs * sigma, (vecs / sigma).T @ x
     vt = vecs.T
     left = (vt @ x.T).T
     _fix_svd_signs(left, vt)

@@ -14,12 +14,16 @@ The sketchers:
     sparse subspace embedding (CountSketch): one random +-1 per input row,
     rows accumulated into ``ell`` buckets in O(nnz) time.
 ``fd_sketch``
-    frequent directions: deterministic streaming pass that repeatedly
-    decomposes a buffer of at most ``2*ell`` rows, the kept directions
-    and the next block's nonzero rows, and shrinks all squared singular
-    values by the (ell+1)-th one.  Each round takes the buffer's
-    decomposition from `linalg._gram_eigh`, one ``eigh`` of its smaller
-    Gram matrix, and falls back to the buffer's SVD when that declines.
+    frequent directions: deterministic streaming pass that keeps at most
+    ``ell`` shrunk values ``s`` and their orthonormal directions ``vt``
+    (the sketch rows ``s*vt``), and in each round decomposes those rows
+    with the next block's nonzero rows, at most ``2*ell`` in all, and
+    shrinks all squared singular values by the (ell+1)-th one.  A round
+    with fewer rows than columns forms no buffer: it takes one ``eigh``
+    of the Gram matrix assembled from ``diag(s**2)`` and the block's
+    products with ``vt`` and with itself.  A taller round decomposes the
+    formed buffer with `linalg._gram_eigh`, and a round whose Gram route
+    declines falls back to the buffer's SVD.
 ``spfd_sketch``
     block sparse embedding feeding frequent directions: the shuffled input
     rows are compressed in ``q`` blocks by independent sparse embeddings,
@@ -51,7 +55,8 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .linalg import (
-    Matrix, _gram_eigh, _row_chunks, check_finite, row_norms, svd, thin_qr,
+    Matrix, _gram_eigh, _gram_top, _row_chunks, check_finite, row_norms, svd,
+    thin_qr,
 )
 
 __all__ = [
@@ -244,67 +249,95 @@ def _row_blocks(a: Matrix, ell: int):
             yield block[nonzero[start : start + ell]] if i in holed else block
 
 
-def _shrink_round(buf: np.ndarray, ell: int):
-    """One frequent-directions decomposition of the filled buffer, the kept
-    directions and the incoming block's nonzero rows: its squared singular
-    values ``sq``, its top right singular directions ``vt`` (at most
-    ``ell`` rows) and whether the round fell back to ``svd(buf)``.
+def _shrink_round(s: np.ndarray, vt: np.ndarray, x: np.ndarray, ell: int):
+    """One frequent-directions decomposition of the buffer ``[s*vt; x]``,
+    the kept directions ``vt`` (orthonormal rows) scaled by their shrunk
+    values ``s`` and the incoming block's nonzero rows ``x``: its squared
+    singular values ``sq``, its top right singular directions (at most
+    ``ell`` rows, only those of nonzero values) and whether the round fell
+    back to the buffer's SVD.
 
-    The round takes its decomposition from `linalg._gram_eigh`, one
-    ``eigh`` of the buffer's smaller Gram matrix, so a rank-deficient buffer
-    shrinks by 0 and forms only its nonzero directions.  When that route
-    declines, the round is redone with the buffer's own SVD.  A buffer with
-    no row gives no value and no direction.
+    A wide buffer (fewer rows than columns) is never formed.  As ``vt`` has
+    orthonormal rows, its Gram matrix is ``diag(s**2)`` beside the cross
+    block ``s * (x @ vt.T)`` and ``x @ x.T``; the products with ``x`` are
+    taken over its nonzero columns alone when those are at most half of
+    them.  The Gram's eigenvectors ``u`` (`linalg._gram_top`, with `svd`'s
+    sign rule) give the directions as ``u.T @ [s*vt; x] / sigma``, one
+    product with ``vt`` and one with ``x``.  A tall buffer takes
+    `linalg._gram_eigh` on the formed buffer, and a declined round is redone
+    with the buffer's own SVD.  An empty buffer gives no value and no
+    direction.
     """
-    if not len(buf):
-        return np.zeros(0), buf, False
-    out = _gram_eigh(buf, ell)
-    if out is not None:
+    k, (r, d) = len(s), x.shape
+    if not k + r:
+        return np.zeros(0), vt, False
+    if k + r < d:
+        cols = slice(None)
+        # one row over half full rules the column step out without a scan
+        if 2 * np.count_nonzero(x[:1]) <= d:
+            nonzero = np.flatnonzero((x != 0).any(axis=0))
+            if 2 * len(nonzero) <= d:
+                cols = nonzero
+        xc = x[:, cols]
+        gram = np.empty((k + r, k + r))
+        gram[:k, :k] = np.diag(s * s)
+        gram[k:, :k] = (xc @ vt[:, cols].T) * s
+        gram[:k, k:] = gram[k:, :k].T
+        gram[k:, k:] = xc @ xc.T
+        out = _gram_top(gram, d, ell, wide=True)
+        if out is not None:
+            lam, u, sigma = out
+            coef = u / sigma
+            directions = (coef[:k] * s[:, None]).T @ vt
+            directions[:, cols] += coef[k:].T @ xc
+            return lam, directions, False
+    buf = np.concatenate([s[:, None] * vt, x])
+    if k + r >= d and (out := _gram_eigh(buf, ell)) is not None:
         return out[0], out[2], False
     res = svd(buf)
     return res.sigma**2, res.vt[:ell], True
 
 
 def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
-    """Frequent-directions buffer loop shared by ``fd_sketch`` and the
+    """Frequent-directions loop shared by ``fd_sketch`` and the
     block-embedded variant (which feeds it the intermediate sketch).
 
-    Each round decomposes only the filled part of the ``2*ell x d``
-    buffer: the kept directions, those that shrink to a nonzero row, and
-    the incoming block's nonzero rows.  Zero rows would add only zero
-    singular values, so the shrinkage, the directions and the round count
-    are those of the whole buffer, while the ``eigh`` is sized by the rows
-    that hold data: an spfd block leaves buckets empty when ``ell`` exceeds
-    its ``ceil(n/q)`` rows.  The matrix is checked for NaN and Inf once,
-    here; the rounds do not check again.
+    The loop keeps the shrunk values ``s`` and their directions ``vt``, not
+    a ``2*ell x d`` buffer: the kept rows are ``s*vt``, and only the
+    directions that shrink to a nonzero row are kept.  Each round
+    decomposes those rows and the incoming block's nonzero rows
+    (`_shrink_round`); the first round takes the first two blocks.  Zero
+    rows would add only zero singular values, so the shrinkage, the
+    directions and the round count are those of the whole ``2*ell``-row
+    buffer, while the round is sized by the rows that hold data: an spfd
+    block leaves buckets empty when ``ell`` exceeds its ``ceil(n/q)``
+    rows.  The matrix is checked for NaN and Inf once, here; the rounds do
+    not check again.
     """
     check_finite(a)
     d = a.shape[1]
     blocks = _row_blocks(a, ell)
-    first = next(blocks)
-    buf = np.empty((2 * ell, d))
-    top = len(first)
-    buf[:top] = first
+    # an input of at most ell rows takes its single round on an empty block
+    first = np.concatenate([next(blocks), next(blocks, np.zeros((0, d)))])
+    s, vt = np.zeros(0), np.zeros((0, d))
     deltas: list[float] = []
     fallbacks = 0
-    # an input of at most ell rows takes its single round on an empty block
-    for rows in itertools.chain([next(blocks, first[:0])], blocks):
-        buf[top : top + len(rows)] = rows
-        sq, vt, fell_back = _shrink_round(buf[: top + len(rows)], ell)
+    for x in itertools.chain([first], blocks):
+        sq, directions, fell_back = _shrink_round(s, vt, x, ell)
         fallbacks += fell_back
         delta = float(sq[ell]) if sq.size > ell else 0.0
-        shrunk = np.sqrt(np.maximum(sq[: len(vt)] - delta, 0.0))
+        shrunk = np.sqrt(np.maximum(sq[: len(directions)] - delta, 0.0))
         top = int(np.count_nonzero(shrunk))  # a descending prefix
-        buf[:top] = shrunk[:top, None] * vt[:top]
+        s, vt = shrunk[:top], directions[:top]
         deltas.append(delta)
     # Orthonormalise the last round's directions; the zero columns of a
     # rank-deficient round become an orthonormal completion.
     v = np.zeros((d, ell))
-    v[:, : len(vt)] = vt.T
+    v[:, : len(directions)] = directions.T
     basis, r = thin_qr(v)
     basis[:, np.diag(r) < 0] *= -1.0
     sketch = np.zeros((ell, d))
-    sketch[:top] = buf[:top]
+    sketch[:top] = s[:, None] * vt
     return SketchOutput(
         sketch=sketch,
         basis=basis,
@@ -316,9 +349,10 @@ def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
 def fd_sketch(a: Matrix, ell: int) -> SketchOutput:
     """Deterministic frequent-directions sketch (no randomness involved).
 
-    Runs ``max(ceil(n/ell) - 1, 1)`` shrink rounds of a buffer of at most
-    ``2*ell x d`` and records one entry of ``deltas`` per round; an input with
-    ``n <= 2*ell`` rows takes a single round.  NaN or Inf input raises
+    Runs ``max(ceil(n/ell) - 1, 1)`` shrink rounds, each on the kept rows
+    and one block, at most ``2*ell`` rows of length ``d``, and records one
+    entry of ``deltas`` per round; an input with ``n <= 2*ell`` rows takes
+    a single round.  NaN or Inf input raises
     ``ValueError`` before the first round.  The basis is the thin QR of the
     last round's directions, with ``diag(R) >= 0``.  Sparse input of any
     format is read as CSR.

@@ -477,18 +477,34 @@ class TestSpfdSketch:
         assert np.abs(out.sketch - dense_out.sketch).max() <= 1e-12
 
 
-def count_calls(monkeypatch, name: str, keep: bool = False) -> list:
+def count_calls(monkeypatch, name: str) -> list:
     """Route ``sketchlab.sketch.<name>`` through a counter; returns the list
-    that collects the shape of the first argument of every call, or with
-    ``keep`` a copy of that argument."""
+    that collects the shape of the first argument of every call."""
     calls = []
     real = getattr(sketchlab.sketch, name)
 
     def counted(a, *args):
-        calls.append(a.copy() if keep else a.shape)
+        calls.append(a.shape)
         return real(a, *args)
 
     monkeypatch.setattr(sketchlab.sketch, name, counted)
+    return calls
+
+
+def count_rounds(monkeypatch, keep: bool = False) -> list:
+    """Route ``sketchlab.sketch._shrink_round(s, vt, x, ell)`` through a
+    counter; returns the list that collects the shape of every round's
+    buffer ``[s*vt; x]``, ``(len(s) + len(x), x.shape[1])``, or with
+    ``keep`` that buffer."""
+    calls = []
+    real = sketchlab.sketch._shrink_round
+
+    def counted(s, vt, x, ell):
+        rows = np.concatenate([s[:, None] * vt, x])
+        calls.append(rows if keep else (len(s) + len(x), x.shape[1]))
+        return real(s, vt, x, ell)
+
+    monkeypatch.setattr(sketchlab.sketch, "_shrink_round", counted)
     return calls
 
 
@@ -520,9 +536,10 @@ def assert_matches_oracle(out, a, ref, basis_cols=None):
 
 
 class TestGramRounds:
-    """Every buffer takes its shrink rounds from one ``eigh`` of its smaller
-    Gram matrix: ``buf @ buf.T`` when wide (``2*ell < d``), ``buf.T @ buf``
-    otherwise.  The oracle decomposes the buffer."""
+    """Every round takes its decomposition from one ``eigh`` of the smaller
+    Gram matrix of its buffer ``buf = [s*vt; x]``: ``buf @ buf.T``,
+    assembled from the kept values and the block, when wide (``2*ell <
+    d``), ``buf.T @ buf`` otherwise.  The oracle decomposes the buffer."""
 
     @pytest.mark.parametrize("n, d, ell", [(60, 40, 5), (200, 100, 10)])
     def test_fd_matches_oracle(self, n, d, ell):
@@ -572,7 +589,7 @@ class TestGramRounds:
         # puts kept eigenvalues below the floor, so every round is redone
         # with the buffer's own SVD
         a = graded_rank_ell(200, 100, 10, span, seed=44)
-        rounds = count_calls(monkeypatch, "_shrink_round")
+        rounds = count_rounds(monkeypatch)
         svds = count_calls(monkeypatch, "svd")
         out = fd_sketch(a, 10)
         ref = fd_oracle(a, 10)
@@ -588,7 +605,7 @@ class TestGramRounds:
         # 1e-3 spread of singular values), so such rounds are redone with
         # the buffer's own SVD; a 3e-2 spread stays on the Gram route
         a = graded_rank_ell(200, 20, 10, span, seed=48)
-        rounds = count_calls(monkeypatch, "_shrink_round")
+        rounds = count_rounds(monkeypatch)
         svds = count_calls(monkeypatch, "svd")
         out = fd_sketch(a, 10)
         ref = fd_oracle(a, 10)
@@ -617,7 +634,7 @@ class TestGramRounds:
         # spectrum: no round is redone and no shrink is noise
         rng = np.random.default_rng(45)
         a = rng.standard_normal((200, 2)) @ rng.standard_normal((2, 100))
-        rounds = count_calls(monkeypatch, "_shrink_round")
+        rounds = count_rounds(monkeypatch)
         svds = count_calls(monkeypatch, "svd")
         out = fd_sketch(a, 10)
         assert len(rounds) == out.deltas.size == 19
@@ -637,19 +654,65 @@ class TestShrinkRoundCount:
         return generate_synthetic(SyntheticSpec(n=400, d=50, k=10, zeta=10.0, seed=1))
 
     def test_fd(self, monkeypatch):
-        rounds = count_calls(monkeypatch, "_shrink_round")
+        rounds = count_rounds(monkeypatch)
         svds = count_calls(monkeypatch, "svd")
         out = fd_sketch(self.matrix(), 10)
-        assert len(rounds) == 39  # 400 / 10 blocks, the first fills the buffer
+        assert len(rounds) == 39  # 400 / 10 blocks, the first round takes two
         assert set(rounds) == {(20, 50)}
         assert len(svds) == out.gram_fallbacks == 0
 
     def test_spfd4(self, monkeypatch):
-        rounds = count_calls(monkeypatch, "_shrink_round")
+        rounds = count_rounds(monkeypatch)
         svds = count_calls(monkeypatch, "svd")
         out = spfd_sketch(self.matrix(), SpfdConfig(ell=10, q=4, seed=0))
         assert len(rounds) == 3
         assert len(svds) == out.gram_fallbacks == 0
+
+
+class TestKeptDirectionRound:
+    """One wide round on kept values ``s`` and orthonormal directions ``vt``
+    and an incoming block ``x`` against the SVD of the buffer ``[s*vt; x]``
+    it stands for: the squared singular values, the top ``ell`` directions
+    and their signs (`svd`'s rule), with no fallback."""
+
+    def kept(self, k, d, seed):
+        rng = np.random.default_rng(seed)
+        s = np.sort(rng.uniform(0.5, 3.0, k))[::-1]
+        return s, svd(rng.standard_normal((k, d))).vt
+
+    def check(self, s, vt, x, ell, rank):
+        sq, directions, fell_back = sketchlab.sketch._shrink_round(s, vt, x, ell)
+        res = svd(np.concatenate([s[:, None] * vt, x]))
+        assert not fell_back
+        assert sq.shape == res.sigma.shape
+        assert np.abs(sq - res.sigma**2).max() <= 1e-12 * res.sigma[0] ** 2
+        assert np.count_nonzero(sq) == rank
+        assert len(directions) == min(ell, rank)
+        assert np.abs(directions - res.vt[: len(directions)]).max() <= 1e-10
+
+    def test_dense_block(self):
+        s, vt = self.kept(6, 40, seed=80)
+        self.check(s, vt, random_dense(6, 40, seed=81), 6, rank=12)
+
+    # d/2 nonzero columns take the products over those columns alone; one
+    # more takes them over all columns
+    @pytest.mark.parametrize("nonzero_cols", [1, 20, 21])
+    def test_block_with_zero_columns(self, nonzero_cols):
+        s, vt = self.kept(6, 40, seed=82)
+        x = np.zeros((5, 40))
+        cols = np.random.default_rng(83).permutation(40)[:nonzero_cols]
+        x[:, cols] = random_dense(5, nonzero_cols, seed=84)
+        self.check(s, vt, x, 6, rank=6 + min(5, nonzero_cols))
+
+    def test_rank_deficient_buffer(self):
+        # the block's rows lie in the kept span: four directions, not six
+        s, vt = self.kept(4, 40, seed=85)
+        x = random_dense(5, 4, seed=86) @ vt
+        self.check(s, vt, x, 6, rank=4)
+
+    def test_first_round(self):
+        self.check(np.zeros(0), np.zeros((0, 40)), random_dense(12, 40, seed=87), 6,
+                   rank=12)
 
 
 class TestCompactRounds:
@@ -674,7 +737,7 @@ class TestCompactRounds:
         # 8 rows per block and ell = 10: every block leaves buckets empty
         a = generate_synthetic(SyntheticSpec(n=400, d=50, k=10, zeta=10.0, seed=1))
         cfg = SpfdConfig(ell=10, q=50, seed=3)
-        buffers = count_calls(monkeypatch, "_shrink_round", keep=True)
+        buffers = count_rounds(monkeypatch, keep=True)
         out = spfd_sketch(a, cfg)
         assert_matches_oracle(out, a, spfd_oracle(a, 10, 50, 3))
         assert out.deltas.size == 49
@@ -687,7 +750,7 @@ class TestCompactRounds:
         a = random_dense(60, d, seed=60 + d)
         a[::3] = 0.0
         a[20:30] = 0.0
-        buffers = count_calls(monkeypatch, "_shrink_round", keep=True)
+        buffers = count_rounds(monkeypatch, keep=True)
         out = fd_sketch(a, 5)
         assert_matches_oracle(out, a, fd_oracle(a, 5))
         assert out.deltas.size == 11
@@ -697,7 +760,7 @@ class TestCompactRounds:
     @pytest.mark.parametrize("d", [40, 6])
     def test_fd_short_last_block(self, monkeypatch, d):
         a = random_dense(23, d, seed=70 + d)
-        buffers = count_calls(monkeypatch, "_shrink_round", keep=True)
+        buffers = count_rounds(monkeypatch, keep=True)
         out = fd_sketch(sparse.csr_matrix(a), 5)
         assert_matches_oracle(out, a, fd_oracle(a, 5))
         assert out.deltas.size == 4
@@ -708,7 +771,7 @@ class TestCompactRounds:
         # every round holds no row; the basis is an orthonormal completion,
         # which the input does not determine
         a = np.zeros((30, 6))
-        buffers = count_calls(monkeypatch, "_shrink_round", keep=True)
+        buffers = count_rounds(monkeypatch, keep=True)
         fd = fd_sketch(a, 4)
         b_ref, _, deltas_ref = fd_oracle(a, 4)
         assert (fd.sketch == b_ref).all() and fd.sketch.shape == (4, 6)

@@ -1,10 +1,12 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sketchlab
@@ -257,3 +259,59 @@ def test_ab_ops_alternates_and_flags_differing_outputs(ab_ops):
                      "parent", "change", "change", "parent"]
     assert result["identical"] is False
     assert result["digests"] == {"parent": ["1.0"], "change": ["2.0"]}
+    assert result["max_rel_diff"] == 1.0
+    same = ab_ops.alternate({"parent": lambda: 1.0, "change": lambda: 1.0}, 2, repr)
+    assert same["identical"] is True and "max_rel_diff" not in same
+
+
+def test_ab_ops_max_rel_diff_reads_every_array(ab_ops):
+    @dataclasses.dataclass
+    class Out:
+        left: np.ndarray
+        count: int
+        root: object = None
+
+    parent = (Out(np.array([[4.0, -2.0], [1.0, 0.0]]), 3), np.zeros(2))
+    # a rounding-level change reads as one, relative to the largest entry
+    change = (Out(np.array([[4.0, -2.0], [1.0 + 4e-15, 0.0]]), 3), np.zeros(2))
+    assert ab_ops.max_rel_diff(parent, parent) == 0.0
+    assert ab_ops.max_rel_diff(parent, change) == pytest.approx(1e-15, rel=0.2)
+    assert ab_ops.max_rel_diff((np.zeros(2),), (np.array([0.0, 1e-300]),)) == np.inf
+    assert ab_ops.max_rel_diff((np.arange(3),), (np.arange(3) + 1,)) == 0.5
+    # arrays that differ in number or shape have no elementwise difference
+    assert ab_ops.max_rel_diff(parent, parent[:1]) is None
+    assert ab_ops.max_rel_diff((np.zeros(2),), (np.zeros(3),)) is None
+    assert ab_ops.max_rel_diff(Out(np.ones(2), 1), Out(np.ones(2), 1, np.ones(1))) is None
+
+
+@pytest.mark.parametrize("argv, inputs", [
+    (["--op", "run_method", "--method", "fd", "--ell", "7"], {"method": "fd", "ell": 7}),
+    (["--op", "sketch"], {"method": "spfd50", "ell": 10}),
+    (["--op", "expm_sketched", "--method", "spemb", "--ell", "7"],
+     {"method": "spemb", "ell": 15}),
+    (["--op", "expm_exact", "--method", "fd", "--ell", "7"], {}),
+    (["--op", "twins"], {}),
+])
+def test_ab_ops_records_only_the_inputs_an_op_reads(ab_ops, monkeypatch, tmp_path,
+                                                     capsys, argv, inputs):
+    # expm_sketched sizes its sketch k + p = 15 whatever --ell says
+    def alternate(fns, calls, digest):
+        return {"median_s": {"parent": 1.0, "change": 1.0},
+                "min_s": {"parent": 1.0, "change": 1.0}, "change_wins": 0,
+                "pair_ratio_median": 1.0, "identical": False, "max_rel_diff": 2e-16}
+
+    monkeypatch.setattr(ab_ops, "export", lambda rev, dest: None)
+    monkeypatch.setattr(ab_ops, "load_package", lambda root, name: None)
+    monkeypatch.setattr(ab_ops, "workload_input", lambda *args: None)
+    monkeypatch.setattr(ab_ops, "alternate", alternate)
+    monkeypatch.setattr(ab_ops, "git", lambda *args: "" if args[0] == "status" else "abc123")
+    out = tmp_path / "ab.json"
+    assert ab_ops.main(["--parent", "HEAD", "--workload", "network-expm", *argv,
+                        "--out", str(out)]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert {key: record[key] for key in ("method", "ell") if key in record} == inputs
+    assert record["max_rel_diff"] == 2e-16
+    label = " ".join(["network-expm", argv[1], *(f"{k}={v}" for k, v in inputs.items())])
+    printed = capsys.readouterr().out
+    assert printed.startswith(label + ": median ")
+    assert printed.endswith("identical False, max_rel_diff 2e-16\n")

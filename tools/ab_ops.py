@@ -19,17 +19,26 @@ side alternate, the side that goes first alternating from pair to pair.
 The output file holds each side's per-call times, median and minimum, the
 pairs each side won, the median of the per-pair change/parent ratio, and
 the sha256 digests of each side's outputs, with ``identical`` true when
-every call on both sides gave the same bytes.  The operations (``OPS``)
-compare their results only, not their clocks: ``run_method`` gives the
-rank-k factors of `bench.run_method`, ``sketch`` the `SketchOutput` of
-`bench.sketch_by_id`, ``expm_exact`` and ``expm_sketched`` the hub and
-authority scores, and ``twins`` the ``(first, group, count)`` grouping of
-the adjacency's columns by `netrank._twins`.
+every call on both sides gave the same bytes.  When they did not,
+``max_rel_diff`` is the largest difference between the two sides' first
+outputs, array by array, relative to the parent array's largest
+magnitude, so that a rounding-level change reads as one.  The operations
+(``OPS``) compare their results only, not their clocks: ``run_method``
+gives the rank-k factors of `bench.run_method`, ``sketch`` the
+`SketchOutput` of `bench.sketch_by_id`, ``expm_exact`` and
+``expm_sketched`` the hub and authority scores, and ``twins`` the
+``(first, group, count)`` grouping of the adjacency's columns by
+`netrank._twins`.  The record and the printed line name only the inputs
+the operation reads (`op_inputs`): ``--method`` and ``--ell`` for
+``run_method`` and ``sketch``, ``--method`` for ``expm_sketched``, whose
+sketch size is ``k + p = 15``, and neither for ``expm_exact`` and
+``twins``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import statistics
@@ -37,6 +46,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 from bench_pair import ROOT, blas_threads, export, git
 
@@ -56,6 +67,39 @@ OPS = {
         a, o.method, k=K, p=NETWORK_P, rng=o.seed)),
     "twins": lambda lib, a, o: lib.netrank._twins(lib.linalg.as_csr(a).T.tocsr()),
 }
+
+
+def op_inputs(args) -> dict:
+    """The options operation ``args.op`` reads, with the values it uses."""
+    if args.op in ("run_method", "sketch"):
+        return {"method": args.method, "ell": args.ell}
+    if args.op == "expm_sketched":
+        return {"method": args.method, "ell": K + NETWORK_P}
+    return {}
+
+
+def arrays(obj) -> list:
+    """The arrays and numbers of an operation's output, in field order."""
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if isinstance(obj, (list, tuple)):
+        return [x for item in obj for x in arrays(item)]
+    return [] if obj is None else [np.asarray(obj, dtype=float)]
+
+
+def max_rel_diff(parent, change):
+    """The largest ``max|p - c| / max|p|`` over the corresponding arrays of
+    two outputs (0 where both arrays are zero, inf where only ``c`` is not),
+    or ``None`` when their arrays differ in number or shape."""
+    ps, cs = arrays(parent), arrays(change)
+    if [p.shape for p in ps] != [c.shape for c in cs]:
+        return None
+    worst = 0.0
+    for p, c in zip(ps, cs):
+        if p.size:
+            diff, scale = float(np.abs(p - c).max()), float(np.abs(p).max())
+            worst = max(worst, diff / scale if scale else np.inf if diff else 0.0)
+    return worst
 
 
 def load_module(path: Path, name: str, package_dir=None):
@@ -97,9 +141,11 @@ def alternate(fns: dict, calls: int, digest) -> dict:
     """One untimed call per side of ``fns`` (``{"parent": f, "change": g}``),
     then ``calls`` timed calls per side in alternating order; per-call
     times, their medians and minimums, pair wins, the median per-pair
-    ratio and the digests of the outputs."""
+    ratio and the digests of the outputs; when those differ, the
+    `max_rel_diff` of the untimed outputs."""
     times = {side: [] for side in fns}
-    digests = {side: {digest(fn())} for side, fn in fns.items()}
+    first = {side: fn() for side, fn in fns.items()}
+    digests = {side: {digest(out)} for side, out in first.items()}
     sides = list(fns)
     for i in range(calls):
         for side in (sides if i % 2 == 0 else sides[::-1]):
@@ -108,6 +154,7 @@ def alternate(fns: dict, calls: int, digest) -> dict:
             times[side].append(time.perf_counter() - t0)
             digests[side].add(digest(out))
     parent, change = times["parent"], times["change"]
+    identical = len(digests["parent"] | digests["change"]) == 1
     return {
         "calls": calls,
         "times_s": times,
@@ -117,7 +164,9 @@ def alternate(fns: dict, calls: int, digest) -> dict:
         "parent_wins": sum(p < c for p, c in zip(parent, change)),
         "pair_ratio_median": statistics.median(c / p for p, c in zip(parent, change)),
         "digests": {side: sorted(d) for side, d in digests.items()},
-        "identical": len(digests["parent"] | digests["change"]) == 1,
+        "identical": identical,
+        **({} if identical else
+           {"max_rel_diff": max_rel_diff(first["parent"], first["change"])}),
     }
 
 
@@ -145,22 +194,24 @@ def main(argv=None) -> int:
         op = OPS[args.op]
         fns = {side: (lambda lib=lib: op(lib, a, args)) for side, lib in libs.items()}
         result = alternate(fns, args.calls, wl.digest)
+    inputs = op_inputs(args)
     out = {
         "parent": parent_rev,
         "change": {"head": git("rev-parse", "HEAD"),
                    "uncommitted_changes": bool(git("status", "--porcelain",
                                                    "--untracked-files=no"))},
-        "workload": args.workload, "op": args.op, "method": args.method,
-        "ell": args.ell, "seed": args.seed, "blas_threads": blas_threads(),
-        **result,
+        "workload": args.workload, "op": args.op, **inputs, "seed": args.seed,
+        "blas_threads": blas_threads(), **result,
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     med, low = out["median_s"], out["min_s"]
-    print(f"{args.workload} {args.op} {args.method} ell={args.ell}: median "
+    label = " ".join([args.workload, args.op, *(f"{k}={v}" for k, v in inputs.items())])
+    differ = "" if out["identical"] else f", max_rel_diff {out['max_rel_diff']}"
+    print(f"{label}: median "
           f"{med['parent'] * 1e3:.4g} -> {med['change'] * 1e3:.4g} ms, min "
           f"{low['parent'] * 1e3:.4g} -> {low['change'] * 1e3:.4g} ms, change wins "
           f"{out['change_wins']}/{args.calls}, ratio {out['pair_ratio_median']:.3f}, "
-          f"identical {out['identical']}")
+          f"identical {out['identical']}{differ}")
     return 0
 
 
