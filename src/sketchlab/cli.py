@@ -30,7 +30,8 @@ from .bench import (
 from .datagen import SyntheticSpec, generate_synthetic
 from .dataio import load_edge_list, save_matrix_market
 from .netrank import (
-    _check_tol, expm_scores_exact, expm_scores_sketched, hits, ranking_overlap,
+    _check_sketch_size, _check_tol, expm_scores_exact, expm_scores_sketched, hits,
+    ranking_overlap,
 )
 from .sketch import parse_sketcher_id
 
@@ -137,13 +138,16 @@ def _cmd_bench(args) -> int:
 
 def _cmd_network(args) -> int:
     methods = [m.strip().lower() for m in args.methods.split(",")]
-    # every id, and --tol, is checked before any ranking runs
-    for method in methods:
-        if method not in ("hits", "expm"):
-            parse_sketcher_id(method)
+    # every id, --tol, --k and --p are checked before any ranking runs, and
+    # k + p against the node count as soon as the graph is read
+    sketchers = [parse_sketcher_id(m) for m in methods if m not in ("hits", "expm")]
     if "hits" in methods:
         _check_tol(args.tol)
+    if sketchers:
+        _check_sketch_size(args.k, args.p)
     adj = load_edge_list(args.edges, one_indexed=not args.zero_indexed)
+    if sketchers:
+        _check_sketch_size(args.k, args.p, adj.shape[0])
     exact = None
     if "expm" in methods:
         exact = expm_scores_exact(adj, top_k=args.k)

@@ -8,9 +8,9 @@ reconstruction from a basis (`lowrank.approx_from_basis`,
 `lowrank.approx_svd`) tries before an SVD.  `_gram_top` takes one
 ``eigh`` of a Gram matrix and applies the route's zero cut, its
 ``_GRAM_FLOOR`` test and, for a wide matrix's Gram, the SVD sign rule;
-`_gram_eigh` builds the top singular triplets of a matrix on it, and a
-wide frequent-directions round (`sketch._shrink_round`) the triplets of a
-buffer it never forms.
+`_gram_eigh` builds the top singular triplets of a matrix on it, and
+every frequent-directions round (`sketch._shrink_round`), wide or tall,
+the triplets of a buffer it never forms.
 
 Matrices are plain ``numpy.ndarray`` (row-major float64) or
 ``scipy.sparse.csr_matrix``; ``as_dense`` / ``as_csr`` validate and

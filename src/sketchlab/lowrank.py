@@ -2,10 +2,11 @@
 
 Given a basis ``V`` for the row space of a sketch, the rank-k approximation
 is the best rank-k matrix inside that row space: truncate ``A @ V`` to rank
-k and rotate back.  The top directions of ``A @ V`` come from the kernel of
-the frequent-directions shrink rounds, `linalg._gram_eigh` (one ``eigh`` of
-the smaller Gram matrix), with one SVD of ``A @ V`` when it declines or
-``A @ V`` has too few nonzero directions.  The factors are kept separate
+k and rotate back.  The top directions of ``A @ V`` come from
+`linalg._gram_eigh` (one ``eigh`` of the smaller Gram matrix through
+`linalg._gram_top`, which the frequent-directions shrink rounds share),
+with one SVD of ``A @ V`` when it declines or ``A @ V`` has too few
+nonzero directions.  The factors are kept separate
 (`left @ right_basis.T`) so that the full ``n x d`` approximation is never
 materialised.  The exact reference `best_rank_k` has three routes: one
 ``eigh`` of the ``d x d`` Gram matrix when ``A`` is tall and a rounding

@@ -117,6 +117,16 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
+def _check_sketch_size(k: int, p: int, n: int | None = None) -> None:
+    """Raise ``ValueError`` unless the sketched route's top-list length
+    ``k`` is at least 1 and its oversampling ``p`` at least 0 and, given
+    the node count ``n``, the sketch size ``k + p`` is at most ``n``."""
+    if k < 1 or p < 0:
+        raise ValueError(f"need k >= 1 and p >= 0, got k={k}, p={p}")
+    if n is not None and k + p > n:
+        raise ValueError(f"sketch size k+p={k + p} exceeds n={n}")
+
+
 def hits(
     adj,
     tol: float = 1e-3,
@@ -325,17 +335,12 @@ def expm_scores_sketched(
     their stored index and value bytes, so only columns whose entries
     are bit-equal share a score.
     """
-    if k < 1 or p < 0:
-        raise ValueError(f"need k >= 1 and p >= 0, got k={k}, p={p}")
     adj = _check_square(adj)
-    n = adj.shape[0]
+    _check_sketch_size(k, p, adj.shape[0] if basis is None else None)
     rng = np.random.default_rng(rng)
     t0 = time.perf_counter()
     if basis is None:
-        ell = k + p
-        if ell > n:
-            raise ValueError(f"sketch size k+p={ell} exceeds n={n}")
-        basis = _sketch_basis(adj, method, ell, rng)
+        basis = _sketch_basis(adj, method, k + p, rng)
     approx = approx_svd(adj, basis)
     v = approx.vt.T
     first, group, _ = _twins(adj.T.tocsr())

@@ -18,12 +18,11 @@ The sketchers:
     ``ell`` shrunk values ``s`` and their orthonormal directions ``vt``
     (the sketch rows ``s*vt``), and in each round decomposes those rows
     with the next block's nonzero rows, at most ``2*ell`` in all, and
-    shrinks all squared singular values by the (ell+1)-th one.  A round
-    with fewer rows than columns forms no buffer: it takes one ``eigh``
-    of the Gram matrix assembled from ``diag(s**2)`` and the block's
-    products with ``vt`` and with itself.  A taller round decomposes the
-    formed buffer with `linalg._gram_eigh`, and a round whose Gram route
-    declines falls back to the buffer's SVD.
+    shrinks all squared singular values by the (ell+1)-th one.  Every
+    round, wide or tall, takes one ``eigh`` of the Gram matrix assembled
+    from ``diag(s**2)`` and the block's products with ``vt`` and with
+    itself; only a round whose Gram route declines forms the buffer, for
+    its SVD.
 ``spfd_sketch``
     block sparse embedding feeding frequent directions: the shuffled input
     rows are compressed in ``q`` blocks by independent sparse embeddings,
@@ -55,8 +54,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .linalg import (
-    Matrix, _gram_eigh, _gram_top, _row_chunks, check_finite, row_norms, svd,
-    thin_qr,
+    Matrix, _gram_top, _row_chunks, check_finite, row_norms, svd, thin_qr,
 )
 
 __all__ = [
@@ -234,67 +232,62 @@ def _check_ell(a: Matrix, ell: int) -> None:
 
 
 def _row_blocks(a: Matrix, ell: int):
-    """The nonzero rows of each block of ``ell`` consecutive rows of ``a``
-    (the last block possibly shorter), as dense arrays, densifying CSR input
-    a whole chunk at a time.  A block whose every row holds a nonzero is a
-    view of its chunk; only a block with a zero row is copied."""
+    """Each block of ``ell`` consecutive rows of ``a`` (the last block
+    possibly shorter), a dense view of its chunk; CSR input is densified a
+    whole chunk at a time."""
     for rows in _row_chunks(a, ell):
         chunk = a[rows]
         if sparse.issparse(chunk):
             chunk = chunk.toarray()
-        nonzero = chunk.any(axis=1)
-        holed = set((np.flatnonzero(~nonzero) // ell).tolist())
-        for i, start in enumerate(range(0, len(chunk), ell)):
-            block = chunk[start : start + ell]
-            yield block[nonzero[start : start + ell]] if i in holed else block
+        for start in range(0, len(chunk), ell):
+            yield chunk[start : start + ell]
 
 
 def _shrink_round(s: np.ndarray, vt: np.ndarray, x: np.ndarray, ell: int):
     """One frequent-directions decomposition of the buffer ``[s*vt; x]``,
     the kept directions ``vt`` (orthonormal rows) scaled by their shrunk
-    values ``s`` and the incoming block's nonzero rows ``x``: its squared
-    singular values ``sq``, its top right singular directions (at most
-    ``ell`` rows, only those of nonzero values) and whether the round fell
-    back to the buffer's SVD.
+    values ``s`` and the incoming block ``x``: its squared singular values
+    ``sq`` (at most ``d`` of them), its top right singular directions (at
+    most ``ell`` rows, only those of nonzero values) and whether the round
+    fell back to the buffer's SVD.
 
-    A wide buffer (fewer rows than columns) is never formed.  As ``vt`` has
-    orthonormal rows, its Gram matrix is ``diag(s**2)`` beside the cross
-    block ``s * (x @ vt.T)`` and ``x @ x.T``; the products with ``x`` are
-    taken over its nonzero columns alone when those are at most half of
-    them.  The Gram's eigenvectors ``u`` (`linalg._gram_top`, with `svd`'s
-    sign rule) give the directions as ``u.T @ [s*vt; x] / sigma``, one
-    product with ``vt`` and one with ``x``.  A tall buffer takes
-    `linalg._gram_eigh` on the formed buffer, and a declined round is redone
-    with the buffer's own SVD.  An empty buffer gives no value and no
-    direction.
+    One ``x != 0`` mask finds the block's zero rows, which add only zero
+    singular values and are dropped, and its nonzero columns, over which
+    the products with ``x`` are taken when those are at most half of them.
+    The buffer is not formed, wide or tall: as ``vt`` has orthonormal rows,
+    its Gram matrix is ``diag(s**2)`` beside the cross block ``s * (x @
+    vt.T)`` and ``x @ x.T``.  The Gram's eigenvectors ``u``
+    (`linalg._gram_top`, with `svd`'s sign rule) give the directions as
+    ``u.T @ [s*vt; x] / sigma``, one product with ``vt`` and one with
+    ``x``.  Only a round the Gram route declines forms the buffer, for its
+    SVD.  An empty buffer gives no value and no direction.
     """
-    k, (r, d) = len(s), x.shape
+    d = x.shape[1]
+    mask = x != 0
+    rows = mask.any(axis=1)
+    if not rows.all():
+        x = x[rows]
+    k, r = len(s), len(x)
     if not k + r:
         return np.zeros(0), vt, False
-    if k + r < d:
+    cols = np.flatnonzero(mask.any(axis=0))
+    if 2 * len(cols) > d:
         cols = slice(None)
-        # one row over half full rules the column step out without a scan
-        if 2 * np.count_nonzero(x[:1]) <= d:
-            nonzero = np.flatnonzero((x != 0).any(axis=0))
-            if 2 * len(nonzero) <= d:
-                cols = nonzero
-        xc = x[:, cols]
-        gram = np.empty((k + r, k + r))
-        gram[:k, :k] = np.diag(s * s)
-        gram[k:, :k] = (xc @ vt[:, cols].T) * s
-        gram[:k, k:] = gram[k:, :k].T
-        gram[k:, k:] = xc @ xc.T
-        out = _gram_top(gram, d, ell, wide=True)
-        if out is not None:
-            lam, u, sigma = out
-            coef = u / sigma
-            directions = (coef[:k] * s[:, None]).T @ vt
-            directions[:, cols] += coef[k:].T @ xc
-            return lam, directions, False
-    buf = np.concatenate([s[:, None] * vt, x])
-    if k + r >= d and (out := _gram_eigh(buf, ell)) is not None:
-        return out[0], out[2], False
-    res = svd(buf)
+    xc = x[:, cols]
+    gram = np.empty((k + r, k + r))
+    gram[:k, :k] = np.diag(s * s)
+    gram[k:, :k] = (xc @ vt[:, cols].T) * s
+    gram[:k, k:] = gram[k:, :k].T
+    gram[k:, k:] = xc @ xc.T
+    out = _gram_top(gram, d, ell, wide=True)
+    if out is not None:
+        lam, u, sigma = out
+        coef = u / sigma
+        directions = (coef[:k] * s[:, None]).T @ vt
+        directions[:, cols] += coef[k:].T @ xc
+        # a tall Gram's eigenvalues past the d-th are zeros of d columns
+        return lam[:d], directions, False
+    res = svd(np.concatenate([s[:, None] * vt, x]))
     return res.sigma**2, res.vt[:ell], True
 
 
@@ -305,14 +298,14 @@ def _fd_rounds(a: Matrix, ell: int) -> SketchOutput:
     The loop keeps the shrunk values ``s`` and their directions ``vt``, not
     a ``2*ell x d`` buffer: the kept rows are ``s*vt``, and only the
     directions that shrink to a nonzero row are kept.  Each round
-    decomposes those rows and the incoming block's nonzero rows
-    (`_shrink_round`); the first round takes the first two blocks.  Zero
-    rows would add only zero singular values, so the shrinkage, the
-    directions and the round count are those of the whole ``2*ell``-row
-    buffer, while the round is sized by the rows that hold data: an spfd
-    block leaves buckets empty when ``ell`` exceeds its ``ceil(n/q)``
-    rows.  The matrix is checked for NaN and Inf once, here; the rounds do
-    not check again.
+    decomposes those rows and the incoming block of ``ell`` rows
+    (`_shrink_round`, which drops the block's zero rows); the first round
+    takes the first two blocks.  Zero rows would add only zero singular
+    values, so the shrinkage, the directions and the round count are those
+    of the whole ``2*ell``-row buffer, while the round is sized by the rows
+    that hold data: an spfd block leaves buckets empty when ``ell`` exceeds
+    its ``ceil(n/q)`` rows.  The matrix is checked for NaN and Inf once,
+    here; the rounds do not check again.
     """
     check_finite(a)
     d = a.shape[1]

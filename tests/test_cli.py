@@ -283,6 +283,32 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k, p, message", [
+        ("0", "5", "need k >= 1 and p >= 0, got k=0, p=5"),
+        ("5", "-1", "need k >= 1 and p >= 0, got k=5, p=-1"),
+        ("20", "15", "sketch size k+p=35 exceeds n=30"),
+    ])
+    def test_sketch_size_checked_before_ranking(self, tmp_path, capsys, monkeypatch,
+                                                k, p, message):
+        # k and p are checked before the graph is read, k + p right after
+        def unreachable(*args, **kwargs):
+            raise AssertionError("expm_scores_exact ran before --k and --p were checked")
+
+        monkeypatch.setattr(sketchlab.cli, "expm_scores_exact", unreachable)
+        out = tmp_path / "ranks.json"
+        argv = ["network", "--edges", str(write_graph(tmp_path)), "--methods", "expm,fd",
+                "--k", k, "--p", p, "--out", str(out)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sketch_size_checked_before_load(self, tmp_path, capsys):
+        # a bad --k is reported although the edge file does not exist
+        argv = ["network", "--edges", str(tmp_path / "missing.txt"), "--methods", "fd",
+                "--k", "0", "--out", str(tmp_path / "ranks.json")]
+        assert main(argv) == 2
+        assert "need k >= 1 and p >= 0, got k=0, p=5" in capsys.readouterr().err
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code = main([
             "sketch", "--input", str(tmp_path / "nope.mtx"),

@@ -491,21 +491,39 @@ def count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
-def count_rounds(monkeypatch, keep: bool = False) -> list:
-    """Route ``sketchlab.sketch._shrink_round(s, vt, x, ell)`` through a
-    counter; returns the list that collects the shape of every round's
-    buffer ``[s*vt; x]``, ``(len(s) + len(x), x.shape[1])``, or with
-    ``keep`` that buffer."""
-    calls = []
-    real = sketchlab.sketch._shrink_round
+def count_rounds(monkeypatch) -> list:
+    """Route ``sketchlab.sketch._shrink_round`` and the decompositions it
+    makes, `_gram_top` and `svd`, through counters; returns a list with one
+    entry per round: the list of what that round decomposed, its Gram
+    matrix and, when it fell back, the buffer ``[s*vt; x]`` whose SVD it
+    took.  A round with no row decomposes nothing."""
+    rounds = []
+    real_round = sketchlab.sketch._shrink_round
+    real_top = sketchlab.sketch._gram_top
+    real_svd = sketchlab.sketch.svd
 
-    def counted(s, vt, x, ell):
-        rows = np.concatenate([s[:, None] * vt, x])
-        calls.append(rows if keep else (len(s) + len(x), x.shape[1]))
-        return real(s, vt, x, ell)
+    def counted_round(*args):
+        rounds.append([])
+        return real_round(*args)
 
-    monkeypatch.setattr(sketchlab.sketch, "_shrink_round", counted)
-    return calls
+    def counted_top(gram, *args, **kwargs):
+        rounds[-1].append(gram)
+        return real_top(gram, *args, **kwargs)
+
+    def counted_svd(buf):
+        rounds[-1].append(buf)
+        return real_svd(buf)
+
+    monkeypatch.setattr(sketchlab.sketch, "_shrink_round", counted_round)
+    monkeypatch.setattr(sketchlab.sketch, "_gram_top", counted_top)
+    monkeypatch.setattr(sketchlab.sketch, "svd", counted_svd)
+    return rounds
+
+
+def round_rows(decomposed: list) -> int:
+    """The rows of one round's buffer, read from what it decomposed: the
+    order of its Gram matrix (0 for a round with no row)."""
+    return len(decomposed[0]) if decomposed else 0
 
 
 def run_sketcher(method, a, ell):
@@ -536,10 +554,11 @@ def assert_matches_oracle(out, a, ref, basis_cols=None):
 
 
 class TestGramRounds:
-    """Every round takes its decomposition from one ``eigh`` of the smaller
-    Gram matrix of its buffer ``buf = [s*vt; x]``: ``buf @ buf.T``,
-    assembled from the kept values and the block, when wide (``2*ell <
-    d``), ``buf.T @ buf`` otherwise.  The oracle decomposes the buffer."""
+    """Every round, wide or tall, takes its decomposition from one ``eigh``
+    of the Gram matrix ``buf @ buf.T`` of its buffer ``buf = [s*vt; x]``,
+    assembled from the kept values and the block, and takes the buffer's
+    SVD only when that route declines.  The oracle decomposes the
+    buffer."""
 
     @pytest.mark.parametrize("n, d, ell", [(60, 40, 5), (200, 100, 10)])
     def test_fd_matches_oracle(self, n, d, ell):
@@ -571,6 +590,29 @@ class TestGramRounds:
         assert_matches_oracle(out, a, spfd_oracle(a, ell, q, q))
         assert out.gram_fallbacks == 0
 
+    # ell == d: a round's buffer has at most d nonzero singular values, so
+    # no round shrinks
+    @pytest.mark.parametrize("n, d", [(60, 8), (200, 20), (500, 50)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_ell_equals_d_matches_oracle(self, n, d, scale):
+        a = scale * random_dense(n, d, seed=n + d + 2)
+        out = fd_sketch(a, d)
+        assert_matches_oracle(out, a, fd_oracle(a, d))
+        assert (out.deltas == 0.0).all() and out.deltas.size == -(-n // d) - 1
+        assert out.gram_fallbacks == 0
+
+    def test_tall_ill_conditioned_matches_oracle(self, monkeypatch):
+        # singular values from 1 to 1e-3 with 2*ell == d stay on the Gram
+        # route: no round takes the buffer's SVD
+        a = graded_rank_ell(2000, 40, 20, 1e-3, seed=50)
+        rounds = count_rounds(monkeypatch)
+        out = fd_sketch(a, 20)
+        ref = fd_oracle(a, 20)
+        assert_matches_oracle(out, a, ref)
+        assert len(rounds) == len(ref[2]) == 99
+        assert out.gram_fallbacks == 0
+        assert all(len(decomposed) == 1 for decomposed in rounds)
+
     def test_tall_rank_deficient_matches_oracle(self):
         # rank 3 < ell: the last round forms three directions, and the
         # basis completes them; only those three columns are determined
@@ -598,12 +640,13 @@ class TestGramRounds:
         assert out.gram_fallbacks == (decompositions_per_round - 1) * len(ref[2])
         assert_matches_oracle(out, a, ref)
 
-    @pytest.mark.parametrize("span, fallbacks", [(3e-2, 0), (1e-3, 19), (1e-8, 19)])
+    @pytest.mark.parametrize("span, fallbacks", [(3e-2, 0), (1e-3, 0), (1e-8, 19)])
     def test_tall_graded_spectrum_matches_oracle(self, monkeypatch, span, fallbacks):
-        # 2*ell == d: directions taken from the d x d Gram matrix's
-        # eigenvectors are off by ~1e-10 once the spectrum spans 1e-6 (a
-        # 1e-3 spread of singular values), so such rounds are redone with
-        # the buffer's own SVD; a 3e-2 spread stays on the Gram route
+        # 2*ell == d: the directions come from the buffer's own Gram matrix
+        # as u.T @ buf / sigma, like a wide round's, so a 1e-3 spread of
+        # singular values (1e-6 in eigenvalues) stays on the Gram route;
+        # a 1e-8 spread is below the floor, and every round is redone with
+        # the buffer's own SVD
         a = graded_rank_ell(200, 20, 10, span, seed=48)
         rounds = count_rounds(monkeypatch)
         svds = count_calls(monkeypatch, "svd")
@@ -658,7 +701,7 @@ class TestShrinkRoundCount:
         svds = count_calls(monkeypatch, "svd")
         out = fd_sketch(self.matrix(), 10)
         assert len(rounds) == 39  # 400 / 10 blocks, the first round takes two
-        assert set(rounds) == {(20, 50)}
+        assert {tuple(m.shape for m in r) for r in rounds} == {((20, 20),)}
         assert len(svds) == out.gram_fallbacks == 0
 
     def test_spfd4(self, monkeypatch):
@@ -721,28 +764,31 @@ class TestCompactRounds:
     decompose the whole buffer, zero rows included; zero rows add only zero
     singular values, so the results agree and the round count is kept."""
 
-    def check_rounds(self, buffers, fed, ell):
-        """One buffer per round, none holding a zero row, each at most the
-        kept ``ell`` directions plus the nonzero rows of its block of
+    def check_rounds(self, rounds, fed, ell):
+        """One entry per round, each decomposing a buffer with no zero row
+        (a zero row is a zero diagonal entry of the Gram matrix) of at most
+        the kept ``ell`` directions plus the nonzero rows of its block of
         ``fed``, the matrix the rounds read."""
         nonzero = [int(fed[i : i + ell].any(axis=1).sum()) for i in range(0, len(fed), ell)]
         incoming = nonzero[1:] or [0]  # a single block takes its round alone
-        assert len(buffers) == len(incoming)
-        assert len(buffers[0]) == nonzero[0] + incoming[0]
-        for buf, rows in zip(buffers, incoming):
-            assert buf.any(axis=1).all()
-            assert len(buf) <= ell + rows
+        assert len(rounds) == len(incoming)
+        assert round_rows(rounds[0]) == nonzero[0] + incoming[0]
+        for decomposed, rows in zip(rounds, incoming):
+            if decomposed:
+                assert (np.diag(decomposed[0]) > 0).all()
+                assert all(len(m) == len(decomposed[0]) for m in decomposed)
+            assert round_rows(decomposed) <= ell + rows
 
     def test_spfd_ell_above_block_rows(self, monkeypatch):
         # 8 rows per block and ell = 10: every block leaves buckets empty
         a = generate_synthetic(SyntheticSpec(n=400, d=50, k=10, zeta=10.0, seed=1))
         cfg = SpfdConfig(ell=10, q=50, seed=3)
-        buffers = count_rounds(monkeypatch, keep=True)
+        rounds = count_rounds(monkeypatch)
         out = spfd_sketch(a, cfg)
         assert_matches_oracle(out, a, spfd_oracle(a, 10, 50, 3))
         assert out.deltas.size == 49
-        self.check_rounds(buffers, spfd_intermediate(a, cfg), 10)
-        assert max(len(buf) for buf in buffers) <= 18
+        self.check_rounds(rounds, spfd_intermediate(a, cfg), 10)
+        assert max(map(round_rows, rounds)) <= 18
 
     @pytest.mark.parametrize("d", [40, 6])  # wide, then tall
     def test_fd_zero_rows_interleaved(self, monkeypatch, d):
@@ -750,37 +796,53 @@ class TestCompactRounds:
         a = random_dense(60, d, seed=60 + d)
         a[::3] = 0.0
         a[20:30] = 0.0
-        buffers = count_rounds(monkeypatch, keep=True)
+        rounds = count_rounds(monkeypatch)
         out = fd_sketch(a, 5)
         assert_matches_oracle(out, a, fd_oracle(a, 5))
         assert out.deltas.size == 11
-        self.check_rounds(buffers, a, 5)
-        assert [len(buf) for buf in buffers[3:5]] == [5, 5]  # kept rows only
+        self.check_rounds(rounds, a, 5)
+        assert [round_rows(r) for r in rounds[3:5]] == [5, 5]  # kept rows only
 
     @pytest.mark.parametrize("d", [40, 6])
     def test_fd_short_last_block(self, monkeypatch, d):
         a = random_dense(23, d, seed=70 + d)
-        buffers = count_rounds(monkeypatch, keep=True)
+        rounds = count_rounds(monkeypatch)
         out = fd_sketch(sparse.csr_matrix(a), 5)
         assert_matches_oracle(out, a, fd_oracle(a, 5))
         assert out.deltas.size == 4
-        self.check_rounds(buffers, a, 5)
-        assert len(buffers[-1]) == 8
+        self.check_rounds(rounds, a, 5)
+        assert round_rows(rounds[-1]) == 8
+
+    def test_tall_csr_zero_rows_and_columns(self, monkeypatch):
+        # every third row and half of the 12 columns are zero: one mask
+        # drops the zero rows and restricts the products to the six nonzero
+        # columns, which bound the rank; every round is tall (at least d
+        # rows after its zero rows are dropped)
+        a = random_dense(100, 12, seed=88)
+        a[::3] = 0.0
+        a[:, [0, 2, 3, 5, 8, 11]] = 0.0
+        rounds = count_rounds(monkeypatch)
+        out = fd_sketch(sparse.csr_matrix(a), 10)
+        assert_matches_oracle(out, a, fd_oracle(a, 10), basis_cols=6)
+        assert out.deltas.size == 9 and out.gram_fallbacks == 0
+        self.check_rounds(rounds, a, 10)
+        assert min(map(round_rows, rounds)) >= 12
+        assert_basis_ok(out)
 
     def test_all_zero_input(self, monkeypatch):
         # every round holds no row; the basis is an orthonormal completion,
         # which the input does not determine
         a = np.zeros((30, 6))
-        buffers = count_rounds(monkeypatch, keep=True)
+        rounds = count_rounds(monkeypatch)
         fd = fd_sketch(a, 4)
         b_ref, _, deltas_ref = fd_oracle(a, 4)
         assert (fd.sketch == b_ref).all() and fd.sketch.shape == (4, 6)
         assert fd.deltas.tolist() == deltas_ref == [0.0] * 7
-        assert [buf.shape for buf in buffers] == [(0, 6)] * 7
+        assert rounds == [[]] * 7
         assert_basis_ok(fd)
         spfd = spfd_sketch(a, SpfdConfig(ell=4, q=5, seed=0))
         assert (spfd.sketch == 0).all() and spfd.deltas.tolist() == [0.0] * 4
-        assert len(buffers) == 11 and fd.gram_fallbacks == spfd.gram_fallbacks == 0
+        assert rounds == [[]] * 11 and fd.gram_fallbacks == spfd.gram_fallbacks == 0
         assert_basis_ok(spfd)
 
 

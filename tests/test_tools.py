@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sketchlab
+from sketchlab.sketch import SketchOutput
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 PERFBENCH = TOOLS.parent / "perfbench"
@@ -243,6 +244,9 @@ def test_ab_ops_times_both_trees_in_one_process(ab_ops, monkeypatch, tmp_path):
         assert record["median_s"][side] == sorted(record["times_s"][side])[1]
     assert record["identical"] is True
     assert record["digests"]["parent"] == record["digests"]["change"]
+    # 2000 rows in blocks of 10: 199 rounds a side
+    assert record["fd_rounds"] == {side: {"rounds": 199, "gram_fallbacks": 0}
+                                   for side in ("parent", "change")}
     # the two packages are distinct modules, each importing its own submodules
     parent, change = sys.modules["sketchlab_parent"], sys.modules["sketchlab_change"]
     assert parent is not change and parent.sketch is sys.modules["sketchlab_parent.sketch"]
@@ -262,6 +266,35 @@ def test_ab_ops_alternates_and_flags_differing_outputs(ab_ops):
     assert result["max_rel_diff"] == 1.0
     same = ab_ops.alternate({"parent": lambda: 1.0, "change": lambda: 1.0}, 2, repr)
     assert same["identical"] is True and "max_rel_diff" not in same
+    assert "fd_rounds" not in result and "fd_rounds" not in same
+
+
+def test_ab_ops_records_and_prints_route_changes(ab_ops, monkeypatch, tmp_path, capsys):
+    # each side's round count and fallbacks, printed only when they differ
+    def sketch(fallbacks):
+        return SketchOutput(np.ones((2, 3)), np.eye(3, 2), np.zeros(4), fallbacks)
+
+    result = ab_ops.alternate({"parent": lambda: sketch(0), "change": lambda: sketch(3)},
+                              2, lambda out: repr(out.gram_fallbacks))
+    assert result["fd_rounds"] == {"parent": {"rounds": 4, "gram_fallbacks": 0},
+                                   "change": {"rounds": 4, "gram_fallbacks": 3}}
+    monkeypatch.setattr(ab_ops, "export", lambda rev, dest: None)
+    monkeypatch.setattr(ab_ops, "load_package", lambda root, name: None)
+    monkeypatch.setattr(ab_ops, "workload_input", lambda *args: None)
+    monkeypatch.setattr(ab_ops, "git", lambda *args: "" if args[0] == "status" else "abc123")
+    argv = ["--parent", "HEAD", "--workload", "dense-sweep", "--op", "sketch",
+            "--method", "fd", "--out", str(tmp_path / "ab.json")]
+    for rounds, printed in [
+        (result["fd_rounds"], ", rounds 4 -> 4, gram_fallbacks 0 -> 3\n"),
+        ({side: {"rounds": 4, "gram_fallbacks": 0} for side in ("parent", "change")},
+         "identical True\n"),
+    ]:
+        monkeypatch.setattr(ab_ops, "alternate", lambda fns, calls, digest: {
+            "median_s": {"parent": 1.0, "change": 1.0},
+            "min_s": {"parent": 1.0, "change": 1.0}, "change_wins": 0,
+            "pair_ratio_median": 1.0, "identical": True, "fd_rounds": rounds})
+        assert ab_ops.main(argv) == 0
+        assert capsys.readouterr().out.endswith(printed)
 
 
 def test_ab_ops_max_rel_diff_reads_every_array(ab_ops):

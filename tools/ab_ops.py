@@ -22,7 +22,11 @@ the sha256 digests of each side's outputs, with ``identical`` true when
 every call on both sides gave the same bytes.  When they did not,
 ``max_rel_diff`` is the largest difference between the two sides' first
 outputs, array by array, relative to the parent array's largest
-magnitude, so that a rounding-level change reads as one.  The operations
+magnitude, so that a rounding-level change reads as one.  An output with
+frequent-directions rounds (a `SketchOutput`) also gives each side's round
+count and ``gram_fallbacks`` (``fd_rounds``), and the printed line names
+them when the two sides' differ, so a change of round route shows beside
+the times.  The operations
 (``OPS``) compare their results only, not their clocks: ``run_method``
 gives the rank-k factors of `bench.run_method`, ``sketch`` the
 `SketchOutput` of `bench.sketch_by_id`, ``expm_exact`` and
@@ -87,6 +91,14 @@ def arrays(obj) -> list:
     return [] if obj is None else [np.asarray(obj, dtype=float)]
 
 
+def fd_rounds(out):
+    """The round count and ``gram_fallbacks`` of a `SketchOutput`, or
+    ``None`` for any other output."""
+    if not hasattr(out, "gram_fallbacks"):
+        return None
+    return {"rounds": int(out.deltas.size), "gram_fallbacks": int(out.gram_fallbacks)}
+
+
 def max_rel_diff(parent, change):
     """The largest ``max|p - c| / max|p|`` over the corresponding arrays of
     two outputs (0 where both arrays are zero, inf where only ``c`` is not),
@@ -142,7 +154,8 @@ def alternate(fns: dict, calls: int, digest) -> dict:
     then ``calls`` timed calls per side in alternating order; per-call
     times, their medians and minimums, pair wins, the median per-pair
     ratio and the digests of the outputs; when those differ, the
-    `max_rel_diff` of the untimed outputs."""
+    `max_rel_diff` of the untimed outputs; for sketch outputs, each side's
+    `fd_rounds`."""
     times = {side: [] for side in fns}
     first = {side: fn() for side, fn in fns.items()}
     digests = {side: {digest(out)} for side, out in first.items()}
@@ -155,6 +168,7 @@ def alternate(fns: dict, calls: int, digest) -> dict:
             digests[side].add(digest(out))
     parent, change = times["parent"], times["change"]
     identical = len(digests["parent"] | digests["change"]) == 1
+    rounds = {side: fd_rounds(out) for side, out in first.items()}
     return {
         "calls": calls,
         "times_s": times,
@@ -167,6 +181,7 @@ def alternate(fns: dict, calls: int, digest) -> dict:
         "identical": identical,
         **({} if identical else
            {"max_rel_diff": max_rel_diff(first["parent"], first["change"])}),
+        **({"fd_rounds": rounds} if None not in rounds.values() else {}),
     }
 
 
@@ -207,6 +222,11 @@ def main(argv=None) -> int:
     med, low = out["median_s"], out["min_s"]
     label = " ".join([args.workload, args.op, *(f"{k}={v}" for k, v in inputs.items())])
     differ = "" if out["identical"] else f", max_rel_diff {out['max_rel_diff']}"
+    rounds = out.get("fd_rounds")
+    if rounds and rounds["parent"] != rounds["change"]:
+        p, c = rounds["parent"], rounds["change"]
+        differ += (f", rounds {p['rounds']} -> {c['rounds']}, gram_fallbacks "
+                   f"{p['gram_fallbacks']} -> {c['gram_fallbacks']}")
     print(f"{label}: median "
           f"{med['parent'] * 1e3:.4g} -> {med['change'] * 1e3:.4g} ms, min "
           f"{low['parent'] * 1e3:.4g} -> {low['change'] * 1e3:.4g} ms, change wins "
